@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import integrate
 
-from .fields import Grid, Trajectory, gradient, l2_norm
+from .fields import Grid, Trajectory, gradient, l2_norm, require_finite_positive
 from .frames import gauge_fields_from_u
 from .morrey import BallLattice, ball_lattice, morrey_norm, xpt_norm, XptReport
 from .semigroup import SemigroupParams, apply_semigroup
@@ -157,12 +157,13 @@ class CglConfig:
     smallness: float = 0.05
 
     def __post_init__(self):
-        if not self.lam > 0:
-            raise ValueError("damping parameter must be positive")
-        if not self.t_end > 0:
-            raise ValueError("t_end must be positive")
+        require_finite_positive("damping parameter lam", self.lam)
+        require_finite_positive("t_end", self.t_end)
+        require_finite_positive("picard_tol", self.picard_tol)
         if self.time_steps < 1 or self.duhamel_substeps < 1:
             raise ValueError("time_steps and duhamel_substeps must be >= 1")
+        if self.picard_max_iter < 1:
+            raise ValueError("picard_max_iter must be >= 1")
         report = exponent_window_check(self.p, compute_beta=False)
         if not report.valid:
             bad = report.first_failing
@@ -222,6 +223,13 @@ class PicardResult:
     initial_norm: float
     warned_large_data: bool
     iteration_log: list = field(default_factory=list)
+
+    def csv_rows(self):
+        yield "iter,increment,xpt_R1,xpt_R2,xpt_R3"
+        for entry in self.iteration_log:
+            yield (f"{entry['iter']},{entry['increment']!r},"
+                   f"{entry.get('xpt_r1', '')!r},{entry.get('xpt_r2', '')!r},"
+                   f"{entry.get('xpt_r3', '')!r}")
 
 
 def _duhamel_trajectory(grid: Grid, times: np.ndarray, u_old: list, lam: float,

@@ -23,15 +23,8 @@ from .cgl import CglConfig, NonContraction, picard_iterate
 from .fields import as_complex_components, float_repr, load_snapshot, make_grid, save_snapshot
 from .initial_data import InitialDataSpec, generate_initial_data, spectral_bump
 from .llg import LlgConfig, solve, stability_cap
-from .runner import run_experiment
+from .runner import _write_rows, run_experiment
 from .semigroup import SemigroupParams, default_decay_times, verify_decay
-
-
-def _write_rows(path: Path, rows) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="\n") as fh:
-        for row in rows:
-            fh.write(row + "\n")
 
 
 def _add_grid_args(p: argparse.ArgumentParser) -> None:
@@ -58,7 +51,8 @@ def build_parser() -> argparse.ArgumentParser:
     run_p = sub.add_parser("run", help="execute a config-declared experiment pipeline")
     run_p.add_argument("--config", required=True)
     run_p.add_argument("--out", default=None)
-    run_p.add_argument("--jobs", type=int, default=1)
+    run_p.add_argument("--jobs", type=int, default=1,
+                       help="accepted for compatibility; checks run serially")
 
     ver_p = sub.add_parser("verify-semigroup",
                            help="one-sided decay checks, one CSV per case")
@@ -135,12 +129,7 @@ def _cmd_cgl_solve(args) -> int:
         print(f"non-contraction: {exc}", file=sys.stderr)
         return 1
     out = Path(args.out)
-    rows = ["iter,increment,xpt_R1,xpt_R2,xpt_R3"]
-    for entry in result.iteration_log:
-        rows.append(f"{entry['iter']},{entry['increment']!r},"
-                    f"{entry.get('xpt_r1', '')!r},{entry.get('xpt_r2', '')!r},"
-                    f"{entry.get('xpt_r3', '')!r}")
-    _write_rows(out / "iterations.csv", rows)
+    _write_rows(out / "iterations.csv", result.csv_rows())
     times = result.trajectory.times
     _write_rows(out / "times.csv",
                 ["index,t"] + [f"{i},{float_repr(t)}" for i, t in enumerate(times)])

@@ -5,15 +5,17 @@ Sections and keys (unknown ones are errors):
 [grid]          dim, n, length
 [initial_data]  kind, amplitude, wavenumber, width, mollification_k,
                 m_infinity (three floats), roughness_modes
-[llg]           lambda, t_end, dt | dt_fraction, scheme, outputs,
-                renormalize_every
+[llg]           lambda, t_end, dt | dt_fraction, scheme, outputs
 [cgl]           lambda, p, t_end, time_steps, duhamel_substeps, picard_tol,
                 picard_max_iter, smallness
 [experiments]   checks (whitespace/comma separated list)
 [output]        dir, seed
 
 Checks needing a block fail validation when the block is missing.  The
-LLGLAB_SEED environment variable overrides the configured seed at run time.
+semigroup_decay check always runs on the fixed (dim 2, N 64, L 2*pi) grid,
+whatever [grid] says, and reads only lambda (from [llg], else [cgl], else 1)
+from the config.  The LLGLAB_SEED environment variable overrides the
+configured seed at run time.
 """
 
 from __future__ import annotations
@@ -54,8 +56,7 @@ _SCHEMA = {
     "grid": {"dim", "n", "length"},
     "initial_data": {"kind", "amplitude", "wavenumber", "width",
                      "mollification_k", "m_infinity", "roughness_modes"},
-    "llg": {"lambda", "t_end", "dt", "dt_fraction", "scheme", "outputs",
-            "renormalize_every"},
+    "llg": {"lambda", "t_end", "dt", "dt_fraction", "scheme", "outputs"},
     "cgl": {"lambda", "p", "t_end", "time_steps", "duhamel_substeps",
             "picard_tol", "picard_max_iter", "smallness"},
     "experiments": {"checks"},
@@ -95,6 +96,14 @@ def _get(parser, section, key, conv, default=None, required=False):
         raise ConfigError(f"[{section}] {key} = {raw!r}: {exc}") from exc
 
 
+def _construct(section, factory, *args, **kwargs):
+    """Call a validating constructor; its ValueError becomes a ConfigError."""
+    try:
+        return factory(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"[{section}] {exc}") from exc
+
+
 def parse_config(path) -> LabConfig:
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     try:
@@ -115,7 +124,8 @@ def parse_config(path) -> LabConfig:
         if not parser.has_section(required_section):
             raise ConfigError(f"missing required section [{required_section}]")
 
-    grid = make_grid(
+    grid = _construct(
+        "grid", make_grid,
         _get(parser, "grid", "dim", int, required=True),
         _get(parser, "grid", "n", int, required=True),
         _get(parser, "grid", "length", float, required=True),
@@ -128,7 +138,8 @@ def parse_config(path) -> LabConfig:
                 raise ValueError("m_infinity needs exactly three components")
             return vals
 
-        spec = InitialDataSpec(
+        spec = _construct(
+            "initial_data", InitialDataSpec,
             kind=_get(parser, "initial_data", "kind", str, required=True),
             amplitude=_get(parser, "initial_data", "amplitude", float, 0.1),
             wavenumber=_get(parser, "initial_data", "wavenumber", int, 1),
@@ -158,31 +169,25 @@ def parse_config(path) -> LabConfig:
             raise ConfigError("[llg] needs dt or dt_fraction")
         if dt is None:
             dt = frac * stability_cap(grid, lam)
-        try:
-            llg_cfg = LlgConfig(
-                grid=grid, lam=lam, t_end=t_end, dt=dt,
-                scheme=_get(parser, "llg", "scheme", str, "projected-rk2"),
-                renormalize_every=_get(parser, "llg", "renormalize_every", int, 1),
-            )
-        except ValueError as exc:
-            raise ConfigError(f"[llg] {exc}") from exc
+        llg_cfg = _construct(
+            "llg", LlgConfig, grid=grid, lam=lam, t_end=t_end, dt=dt,
+            scheme=_get(parser, "llg", "scheme", str, "projected-rk2"),
+        )
         llg_outputs = _get(parser, "llg", "outputs", int, 9)
 
     cgl_cfg = None
     if parser.has_section("cgl"):
-        try:
-            cgl_cfg = CglConfig(
-                lam=_get(parser, "cgl", "lambda", float, required=True),
-                p=_get(parser, "cgl", "p", float, 3.2),
-                t_end=_get(parser, "cgl", "t_end", float, required=True),
-                time_steps=_get(parser, "cgl", "time_steps", int, 16),
-                duhamel_substeps=_get(parser, "cgl", "duhamel_substeps", int, 8),
-                picard_tol=_get(parser, "cgl", "picard_tol", float, 1e-8),
-                picard_max_iter=_get(parser, "cgl", "picard_max_iter", int, 40),
-                smallness=_get(parser, "cgl", "smallness", float, 0.05),
-            )
-        except ValueError as exc:
-            raise ConfigError(f"[cgl] {exc}") from exc
+        cgl_cfg = _construct(
+            "cgl", CglConfig,
+            lam=_get(parser, "cgl", "lambda", float, required=True),
+            p=_get(parser, "cgl", "p", float, 3.2),
+            t_end=_get(parser, "cgl", "t_end", float, required=True),
+            time_steps=_get(parser, "cgl", "time_steps", int, 16),
+            duhamel_substeps=_get(parser, "cgl", "duhamel_substeps", int, 8),
+            picard_tol=_get(parser, "cgl", "picard_tol", float, 1e-8),
+            picard_max_iter=_get(parser, "cgl", "picard_max_iter", int, 40),
+            smallness=_get(parser, "cgl", "smallness", float, 0.05),
+        )
 
     for check in checks:
         if check in _LLG_CHECKS and llg_cfg is None:

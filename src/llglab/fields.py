@@ -24,7 +24,6 @@ __all__ = [
     "SpinField",
     "Trajectory",
     "to_spectral",
-    "from_spectral",
     "derivative",
     "gradient",
     "laplacian",
@@ -33,7 +32,6 @@ __all__ = [
     "pointwise_magnitude",
     "l2_norm",
     "sup_norm",
-    "mean_value",
     "save_snapshot",
     "load_snapshot",
     "as_complex_components",
@@ -105,6 +103,20 @@ class Grid:
             out = out + self.axis_table(ax, self.wavenumbers_odd**2)
         return out
 
+    @cached_property
+    def wrapped_offsets(self) -> np.ndarray:
+        """Signed wrapped lattice offsets ((j + N/2) mod N - N/2) * h, j in [0, N)."""
+        j = np.arange(self.n)
+        return ((j + self.n // 2) % self.n - self.n // 2) * self.h
+
+    @cached_property
+    def wrapped_dist2(self) -> np.ndarray:
+        """Squared wrapped distance from the origin, as a grid-shaped table."""
+        out = np.zeros(self.shape)
+        for ax in range(self.dim):
+            out = out + self.axis_table(ax, self.wrapped_offsets) ** 2
+        return out
+
     def coordinates(self) -> list:
         x = np.arange(self.n) * self.h
         return np.meshgrid(*([x] * self.dim), indexing="ij")
@@ -115,14 +127,19 @@ def float_repr(x) -> str:
     return repr(float(x))
 
 
+def require_finite_positive(name: str, value) -> None:
+    """Reject a physical input that is NaN, infinite, zero or negative."""
+    if not (np.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be finite and positive, got {value}")
+
+
 def make_grid(dim: int, n: int, length: float) -> Grid:
-    """Validated grid constructor: dim in {1,2,3}, N a power of two >= 8, L > 0."""
+    """Validated grid constructor: dim in {1,2,3}, N a power of two >= 8, finite L > 0."""
     if dim not in (1, 2, 3):
         raise ValueError(f"dim must be 1, 2 or 3, got {dim}")
     if n < 8 or (n & (n - 1)) != 0:
         raise ValueError(f"points per axis must be a power of two >= 8, got {n}")
-    if not length > 0:
-        raise ValueError(f"box length must be positive, got {length}")
+    require_finite_positive("box length", length)
     return Grid(dim=dim, n=int(n), length=float(length))
 
 
@@ -132,11 +149,6 @@ def make_grid(dim: int, n: int, length: float) -> Grid:
 
 def to_spectral(grid: Grid, values: np.ndarray) -> np.ndarray:
     return np.fft.fftn(np.asarray(values), axes=grid.axes)
-
-
-def from_spectral(grid: Grid, coeffs: np.ndarray, real_output: bool = False) -> np.ndarray:
-    out = np.fft.ifftn(np.asarray(coeffs), axes=grid.axes)
-    return out.real if real_output else out
 
 
 def _apply_multiplier(grid: Grid, values: np.ndarray, mult: np.ndarray) -> np.ndarray:
@@ -236,10 +248,6 @@ def sup_norm(grid: Grid, values: np.ndarray) -> float:
     return float(pointwise_magnitude(grid, values).max())
 
 
-def mean_value(grid: Grid, values: np.ndarray) -> np.ndarray:
-    return np.asarray(values).mean(axis=grid.axes)
-
-
 # ---------------------------------------------------------------------------
 # sphere-valued fields
 
@@ -267,9 +275,6 @@ class SpinField:
 
     def unit_defect(self) -> float:
         return float(np.abs(np.sqrt((self.values**2).sum(axis=0)) - 1.0).max())
-
-    def renormalized(self) -> "SpinField":
-        return SpinField(self.grid, normalize_spin(self.values))
 
 
 @dataclass

@@ -24,7 +24,6 @@ import numpy as np
 from .fields import (
     Grid,
     SpinField,
-    derivative,
     divergence,
     gradient,
     inverse_laplacian_divergence,
@@ -142,10 +141,10 @@ def derive_gauge(grid: Grid, m: SpinField, dt_m: np.ndarray, frame: TangentFrame
     tangency = float(np.abs((np.asarray(dt_m) * mv).sum(axis=0)).max())
     if tangency > 1e-8:
         raise ValueError(f"dt_m is not tangential (defect {tangency:.3e})")
-    dm = np.stack([derivative(grid, mv, ax, 1) for ax in range(grid.dim)])
+    dm = gradient(grid, mv)
     u = np.stack([_project_components(dm[k], frame) for k in range(grid.dim)])
     u0 = _project_components(np.asarray(dt_m), frame)
-    dX = np.stack([derivative(grid, frame.X, ax, 1) for ax in range(grid.dim)])
+    dX = gradient(grid, frame.X)
     a = np.stack([(dX[k] * frame.Y).sum(axis=0) for k in range(grid.dim)])
     a0 = None
     if frame_before is not None and frame_after is not None:
@@ -234,10 +233,8 @@ def check_identities(grid: Grid, m: SpinField, dt_m: np.ndarray,
     identities; all are exact in the continuum, so the residuals measure the
     spectral resolution of the data (plus whether dt_m actually is the flow)."""
     u, a, u0 = state.u, state.a, state.u0
-    du = np.stack([np.stack([derivative(grid, u[b], al, 1) for b in range(grid.dim)])
-                   for al in range(grid.dim)])  # du[alpha, beta] = d_alpha u_beta
-    da = np.stack([np.stack([derivative(grid, a[b], al, 1) for b in range(grid.dim)])
-                   for al in range(grid.dim)])
+    du = gradient(grid, u)  # du[alpha, beta] = d_alpha u_beta
+    da = gradient(grid, a)
     torsion = 0.0
     curvature = 0.0
     for al in range(grid.dim):
@@ -252,7 +249,7 @@ def check_identities(grid: Grid, m: SpinField, dt_m: np.ndarray,
     u0_equation = float(np.abs(u0_res).max())
 
     mv = m.values
-    grad_m = np.stack([derivative(grid, mv, ax, 1) for ax in range(grid.dim)])
+    grad_m = gradient(grid, mv)
     grad_sq = (grad_m**2).sum(axis=(0, 1))
     tension_direct = laplacian(grid, mv) + grad_sq * mv
     coef_x = sum(np.real(du[k, k]) - a[k] * np.imag(u[k]) for k in range(grid.dim))

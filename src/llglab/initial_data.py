@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import Grid, SpinField, derivative, normalize_spin
+from .fields import Grid, SpinField, gradient, normalize_spin
 from .morrey import BallLattice, ball_lattice, morrey_norm
 
 __all__ = [
@@ -78,12 +78,7 @@ def _mollifier_multiplier(grid: Grid, k: float) -> np.ndarray:
         raise ValueError("mollification scale k must be positive")
     if 1.0 / k > grid.length / 2.0:
         raise ValueError("mollifier support 1/k must fit inside the torus (k >= 2/L)")
-    j = np.arange(grid.n)
-    d = np.minimum(j, grid.n - j) * grid.h
-    r2 = np.zeros(grid.shape)
-    for ax in range(grid.dim):
-        r2 = r2 + grid.axis_table(ax, d) ** 2
-    s = (k**2) * r2
+    s = (k**2) * grid.wrapped_dist2
     inside = s < 1.0
     denom = np.where(inside, 1.0 - s, 1.0)
     kernel = np.where(inside, np.exp(-1.0 / denom), 0.0)
@@ -135,8 +130,7 @@ def mollify_and_project(grid: Grid, m_raw: SpinField, k: float,
     projected = SpinField(grid, smoothed / modulus)
 
     def grad_norm(mv):
-        g = np.stack([derivative(grid, mv, ax, 1) for ax in range(grid.dim)])
-        return morrey_norm(grid, g, 2.0, 2.0, lattice).value
+        return morrey_norm(grid, gradient(grid, mv), 2.0, 2.0, lattice).value
 
     report = MollifyReport(
         min_modulus=min_mod, max_modulus=max_mod,

@@ -28,10 +28,11 @@ from .fields import (
     Grid,
     SpinField,
     Trajectory,
-    derivative,
+    gradient,
     laplacian,
     normalize_spin,
     pointwise_magnitude,
+    require_finite_positive,
     sup_norm,
 )
 from .morrey import BallLattice, ParabolicCylinder, ball_lattice, morrey_norm
@@ -54,6 +55,7 @@ __all__ = [
 ]
 
 GRAD_BLOWUP_FACTOR = 1e6
+C_STAB = 0.4
 
 _SCHEMES = ("projected-rk2", "projected-rk4")
 
@@ -67,14 +69,14 @@ class BlowupSuspected(RuntimeError):
         self.step_index = step_index
 
 
-def stability_cap(grid: Grid, lam: float, c_stab: float = 0.4) -> float:
-    """Explicit-stepping cap c_stab * h^2 / ((1 + lam) * dim * pi^2).
+def stability_cap(grid: Grid, lam: float) -> float:
+    """Explicit-stepping cap C_STAB * h^2 / ((1 + lam) * dim * pi^2).
 
     The stiffest mode has |k|^2 = dim * (pi/h)^2 and the one-sided spectrum
-    scales with (1 + lam); c_stab = 0.4 keeps the scaled eigenvalue well
+    scales with (1 + lam); C_STAB = 0.4 keeps the scaled eigenvalue well
     inside both RK stability regions.
     """
-    return c_stab * grid.h**2 / ((1.0 + lam) * grid.dim * np.pi**2)
+    return C_STAB * grid.h**2 / ((1.0 + lam) * grid.dim * np.pi**2)
 
 
 @dataclass(frozen=True)
@@ -84,19 +86,14 @@ class LlgConfig:
     t_end: float
     dt: float
     scheme: str = "projected-rk2"
-    renormalize_every: int = 1
-    c_stab: float = 0.4
 
     def __post_init__(self):
-        if not self.lam > 0:
-            raise ValueError("damping parameter must be positive")
-        if not self.t_end > 0:
-            raise ValueError("t_end must be positive")
+        require_finite_positive("damping parameter lam", self.lam)
+        require_finite_positive("t_end", self.t_end)
+        require_finite_positive("dt", self.dt)
         if self.scheme not in _SCHEMES:
             raise ValueError(f"scheme must be one of {_SCHEMES}")
-        if self.renormalize_every < 1:
-            raise ValueError("renormalize_every must be >= 1")
-        cap = stability_cap(self.grid, self.lam, self.c_stab)
+        cap = stability_cap(self.grid, self.lam)
         if self.dt > cap * (1.0 + 1e-12):
             raise ValueError(f"dt = {self.dt:.3e} exceeds the stability cap {cap:.3e}")
 
@@ -127,7 +124,7 @@ def step(m: SpinField, config: LlgConfig) -> SpinField:
     grid = config.grid
     rhs0 = llg_rhs(grid, m.values, config.lam)
     raw = _advance(grid, m.values, rhs0, config.dt, config.lam, config.scheme)
-    _raise_on_blowup(raw, time=config.dt, step_index=0)
+    _raise_on_blowup(raw, time=0.0, step_index=0)
     return SpinField(grid, normalize_spin(raw))
 
 
@@ -190,8 +187,7 @@ def solve(m0: SpinField, config: LlgConfig, output_times=None, n_outputs: int = 
         return float((r * r).sum() * hn)
 
     def grad_mag(mv):
-        return pointwise_magnitude(grid, np.stack(
-            [derivative(grid, mv, ax, 1) for ax in range(grid.dim)]))
+        return pointwise_magnitude(grid, gradient(grid, mv))
 
     times_out, snaps, energies, dissip, supg, mor22 = [], [], [], [], [], []
     dissipated = 0.0
@@ -221,10 +217,7 @@ def solve(m0: SpinField, config: LlgConfig, output_times=None, n_outputs: int = 
             raw = _advance(grid, m, rhs, dt, config.lam, config.scheme)
             _raise_on_blowup(raw, time=t, step_index=step_index)
             step_index += 1
-            if step_index % config.renormalize_every == 0:
-                m_new = normalize_spin(raw)
-            else:
-                m_new = raw
+            m_new = normalize_spin(raw)
             rhs_new = llg_rhs(grid, m_new, config.lam)
             dissipated += 0.5 * dt * (power(rhs) + power(rhs_new))
             m, rhs = m_new, rhs_new
@@ -275,7 +268,7 @@ def check_equivalent_form(grid: Grid, m: SpinField, dt_m: np.ndarray,
                           lam: float) -> float:
     """Sup-norm residual of lam d_t m + m x d_t m = (1+lam^2)(lap m + |grad m|^2 m)."""
     mv = m.values
-    grad_m = np.stack([derivative(grid, mv, ax, 1) for ax in range(grid.dim)])
+    grad_m = gradient(grid, mv)
     tension = laplacian(grid, mv) + (grad_m**2).sum(axis=(0, 1)) * mv
     lhs = lam * dt_m + np.cross(mv, dt_m, axis=0)
     return sup_norm(grid, lhs - (1.0 + lam**2) * tension)
@@ -287,13 +280,8 @@ def bump_cutoff(grid: Grid, center: tuple, radius: float):
     phi = exp(1 - 1/(1 - |x - c|^2 / r^2)) inside the wrapped ball, 0 outside,
     normalized to 1 at the center.
     """
-    coords = grid.coordinates()
-    disp = []
-    for ax in range(grid.dim):
-        c = center[ax] * grid.h
-        d = coords[ax] - c
-        d = (d + grid.length / 2.0) % grid.length - grid.length / 2.0
-        disp.append(d)
+    disp = [grid.axis_table(ax, np.roll(grid.wrapped_offsets, center[ax]))
+            for ax in range(grid.dim)]
     s = sum(d * d for d in disp) / radius**2
     inside = s < 1.0 - 1e-3
     denom = np.where(inside, 1.0 - s, 1.0)
@@ -353,7 +341,7 @@ def check_local_energy(grid: Grid, traj: Trajectory, cylinder: ParabolicCylinder
     for mv in sub_fields:
         rhs = llg_rhs(grid, mv, lam)
         dt_sq.append((rhs * rhs).sum(axis=0))
-        g = np.stack([derivative(grid, mv, ax, 1) for ax in range(grid.dim)])
+        g = gradient(grid, mv)
         grad_sq.append((g**2).sum(axis=(0, 1)))
     dt_sq = np.stack(dt_sq)
     grad_sq = np.stack(grad_sq)
@@ -370,14 +358,9 @@ def check_local_energy(grid: Grid, traj: Trajectory, cylinder: ParabolicCylinder
     lhs = lam * int_dt_phi + (1.0 + lam**2) * grad_t2
     rhs_val = (1.0 + lam**2) * grad_t1 + c_lam * int_grad_gphi
 
+    d2 = np.roll(grid.wrapped_dist2, shift=cylinder.center, axis=tuple(range(grid.dim)))
+
     def cylinder_ratio(r):
-        d2 = np.zeros(grid.shape)
-        coords = grid.coordinates()
-        for ax in range(grid.dim):
-            c = cylinder.center[ax] * grid.h
-            d = coords[ax] - c
-            d = (d + grid.length / 2.0) % grid.length - grid.length / 2.0
-            d2 = d2 + d * d
         mask_half = d2 <= (r / 2.0) ** 2
         mask_full = d2 <= r * r
         sel_half = (sub_times >= t0 - (r / 2.0) ** 2 - tol)

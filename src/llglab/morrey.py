@@ -16,7 +16,6 @@ time-weighted suprema of the spatial norms (components r1, r2, r3).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import product
 
 import numpy as np
@@ -77,17 +76,6 @@ def ball_lattice(grid: Grid, stride: int | None = None, r_max: float | None = No
     return BallLattice(centers=centers, radii=tuple(radii), stride=stride)
 
 
-@lru_cache(maxsize=16)
-def _offset_dist2(grid: Grid) -> np.ndarray:
-    """Squared wrapped distance from the origin, as a grid-shaped table."""
-    j = np.arange(grid.n)
-    d = np.minimum(j, grid.n - j) * grid.h
-    out = np.zeros(grid.shape)
-    for ax in range(grid.dim):
-        out = out + grid.axis_table(ax, d) ** 2
-    return out
-
-
 @dataclass(frozen=True)
 class MorreyReport:
     """Norm value plus the maximizing (center, radius) witness."""
@@ -129,7 +117,7 @@ def morrey_norm(grid: Grid, values: np.ndarray, p: float, q: float,
     if any(max(c) >= grid.n for c in lattice.centers):
         raise ValueError("lattice centers fall outside the grid")
     magp = pointwise_magnitude(grid, values) ** p
-    d2 = _offset_dist2(grid)
+    d2 = grid.wrapped_dist2
     hn = grid.h ** grid.dim
     ndim = grid.dim
     best_val = -1.0
@@ -158,7 +146,7 @@ def morrey_norm(grid: Grid, values: np.ndarray, p: float, q: float,
 def recompute_witness(grid: Grid, values: np.ndarray, report: MorreyReport) -> float:
     """Re-evaluate the norm candidate at the stored witness (center, radius)."""
     magp = pointwise_magnitude(grid, values) ** report.p
-    rolled = np.roll(_offset_dist2(grid), shift=report.witness_center,
+    rolled = np.roll(grid.wrapped_dist2, shift=report.witness_center,
                      axis=tuple(range(grid.dim)))
     r = report.witness_radius
     s = magp[rolled <= r * r].sum()
@@ -189,15 +177,6 @@ def _interp_integral(times: np.ndarray, series: np.ndarray, t_lo: float, t_hi: f
     return float(np.trapezoid(vals, nodes))
 
 
-def _wrapped_center_dist(grid: Grid, a: tuple, b: tuple) -> float:
-    d2 = 0.0
-    for ai, bi in zip(a, b):
-        delta = abs(int(ai) - int(bi))
-        delta = min(delta, grid.n - delta)
-        d2 += (delta * grid.h) ** 2
-    return float(np.sqrt(d2))
-
-
 def parabolic_morrey_norm(grid: Grid, traj: Trajectory, cylinder: ParabolicCylinder,
                           spatial_stride: int = 1, subcylinders: bool = True) -> float:
     """Sup over sampled sub-cylinders P_r(z) inside the given cylinder of
@@ -215,7 +194,7 @@ def parabolic_morrey_norm(grid: Grid, traj: Trajectory, cylinder: ParabolicCylin
         raise ValueError("trajectory does not cover the cylinder time span")
 
     g2 = np.stack([pointwise_magnitude(grid, f) ** 2 for f in traj.fields])
-    d2 = _offset_dist2(grid)
+    d2 = grid.wrapped_dist2
     hn = grid.h ** grid.dim
     ax_all = tuple(range(grid.dim))
 
@@ -239,7 +218,7 @@ def parabolic_morrey_norm(grid: Grid, traj: Trajectory, cylinder: ParabolicCylin
     exponent = 2.0 - (grid.dim + 2)
     for center in centers:
         rolled = np.roll(d2, shift=center, axis=ax_all)
-        dist_c = _wrapped_center_dist(grid, center, cylinder.center)
+        dist_c = np.sqrt(d2[tuple(np.subtract(center, cylinder.center) % grid.n)])
         series_cache = {}
         for r in radii:
             if dist_c + r > r0 + tol:

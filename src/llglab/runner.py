@@ -7,7 +7,6 @@ trees across runs.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -126,12 +125,7 @@ def _check_picard(cfg: LabConfig, outdir: Path) -> CheckOutcome:
         result = picard_iterate(grid, v0, cfg.cgl, track_xpt=True)
     except NonContraction as exc:
         return CheckOutcome("picard", "FAIL", f"non-contraction: {exc}")
-    rows = ["iter,increment,xpt_R1,xpt_R2,xpt_R3"]
-    for entry in result.iteration_log:
-        rows.append(f"{entry['iter']},{entry['increment']!r},"
-                    f"{entry.get('xpt_r1', '')!r},{entry.get('xpt_r2', '')!r},"
-                    f"{entry.get('xpt_r3', '')!r}")
-    _write_rows(outdir / "picard_iterations.csv", rows)
+    _write_rows(outdir / "picard_iterations.csv", result.csv_rows())
     resid = fixed_point_residual(grid, result, v0, cfg.cgl)
     ok = result.converged and resid <= 10.0 * cfg.cgl.picard_tol
     return CheckOutcome("picard", "PASS" if ok else "FAIL",
@@ -226,7 +220,11 @@ _CHECK_FUNCS = {
 
 
 def run_config(cfg: LabConfig, out_dir=None, jobs: int = 1):
-    """Execute the declared checks; returns (outcomes, summary path)."""
+    """Execute the declared checks; returns (outcomes, summary path).
+
+    Checks run serially whatever ``jobs`` says: they are GIL-bound Python
+    loops, and a thread pool measured slower than serial.
+    """
     outdir = Path(out_dir or cfg.out_dir)
     outdir.mkdir(parents=True, exist_ok=True)
 
@@ -236,11 +234,7 @@ def run_config(cfg: LabConfig, out_dir=None, jobs: int = 1):
         except Exception as exc:  # noqa: BLE001 - surfaced in the summary
             return CheckOutcome(name, "ERROR", f"{type(exc).__name__}: {exc}")
 
-    if jobs > 1 and len(cfg.checks) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(run_one, cfg.checks))
-    else:
-        outcomes = [run_one(name) for name in cfg.checks]
+    outcomes = [run_one(name) for name in cfg.checks]
 
     rows = ["check,status,detail"]
     rows += [f"{o.name},{o.status},\"{o.detail}\"" for o in outcomes]

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from llglab.cli import main
 from llglab.fields import as_complex_components, load_snapshot, make_grid, save_snapshot
@@ -88,3 +89,14 @@ class TestRunCommand:
         bad = tmp_path / "bad.cfg"
         bad.write_text("[grid]\ndim = 2\nn = 16\nlength = 1.0\nwhat = 3\n")
         assert main(["run", "--config", str(bad)]) == 2
+
+    @pytest.mark.parametrize("section,body", [
+        ("grid", "[grid]\ndim = 2\nn = 12\nlength = 1.0\n"),
+        ("initial_data", "[grid]\ndim = 2\nn = 16\nlength = 1.0\n"
+                         "[initial_data]\nkind = equatorial_wave\nm_infinity = 0 0 2\n"),
+    ], ids=["grid", "initial_data"])
+    def test_invalid_section_value_exit_code(self, tmp_path, capsys, section, body):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(body + "[experiments]\nchecks = exponent_window\n[output]\ndir = o\n")
+        assert main(["run", "--config", str(bad)]) == 2
+        assert f"config error: [{section}]" in capsys.readouterr().err

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from llglab.cgl import CglConfig
 from llglab.fields import SpinField, derivative, l2_norm, make_grid
 from llglab.llg import (
     BlowupSuspected,
@@ -105,6 +106,19 @@ class TestStep:
         with pytest.raises(ValueError):
             LlgConfig(grid=g, lam=1.0, t_end=1.0, dt=1e-5, scheme="euler")
 
+    @pytest.mark.parametrize("build", [
+        lambda g: LlgConfig(grid=g, lam=1.0, t_end=1.0, dt=-1e-3),
+        lambda g: LlgConfig(grid=g, lam=1.0, t_end=1.0, dt=np.nan),
+        lambda g: make_grid(1, 32, np.inf),
+        lambda g: CglConfig(lam=1.0, t_end=np.inf),
+        lambda g: CglConfig(lam=1.0, picard_tol=np.nan),
+        lambda g: CglConfig(lam=1.0, picard_max_iter=0),
+    ], ids=["llg_dt_negative", "llg_dt_nan", "grid_length_inf", "cgl_t_end_inf",
+            "cgl_picard_tol_nan", "cgl_picard_max_iter_0"])
+    def test_non_finite_or_non_positive_inputs_rejected(self, build):
+        with pytest.raises(ValueError):
+            build(make_grid(1, 32, TWO_PI))
+
     def test_rk2_second_order_in_dt(self):
         g = make_grid(1, 32, TWO_PI)
         m0 = equatorial(g, amplitude=0.2)
@@ -126,6 +140,17 @@ class TestStep:
         bad[0, 3] = np.nan
         with pytest.raises(BlowupSuspected):
             step(SpinField(g, bad), cfg)
+
+    def test_blowup_reports_time_of_last_good_state(self):
+        # the last good state is the step's input, at time 0 relative to the step
+        g = make_grid(1, 16, TWO_PI)
+        cfg = LlgConfig(grid=g, lam=1.0, t_end=1.0, dt=stability_cap(g, 1.0))
+        bad = constant_spin(g).values.copy()
+        bad[0, 3] = np.nan
+        with pytest.raises(BlowupSuspected) as exc:
+            step(SpinField(g, bad), cfg)
+        assert exc.value.time == 0.0
+        assert exc.value.step_index == 0
 
 
 class TestSolve:

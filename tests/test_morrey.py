@@ -98,9 +98,7 @@ class TestMorreyNorm:
         p1, p2, q = 2.0, 4.0, 2.0
         n1 = morrey_norm(g, f, p1, q, lat).value
         n2 = morrey_norm(g, f, p2, q, lat).value
-        from llglab.morrey import _offset_dist2
-
-        d2 = _offset_dist2(g)
+        d2 = g.wrapped_dist2
         c = max(
             (r ** (q - g.dim) * (d2 <= r * r).sum() * g.cell_volume)
             ** (1.0 / p1 - 1.0 / p2)
@@ -177,10 +175,8 @@ class TestParabolicNorm:
         cyl = ParabolicCylinder(center=(8, 8), t0=4.0, r0=r0)
         val = parabolic_morrey_norm(g, traj, cyl, subcylinders=False)
         # constant in time: integral = r0^2 * spatial ball mass
-        from llglab.morrey import _offset_dist2
-
         g2 = (traj.fields[0] ** 2).sum(axis=0)
-        d2 = np.roll(np.roll(_offset_dist2(g), 8, axis=0), 8, axis=1)
+        d2 = np.roll(np.roll(g.wrapped_dist2, 8, axis=0), 8, axis=1)
         mass = g2[d2 <= r0 * r0].sum() * g.cell_volume
         expected = (r0 ** (2 - (g.dim + 2)) * (r0 * r0 * mass)) ** 0.5
         assert val == pytest.approx(expected, rel=1e-12)
