@@ -99,12 +99,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_verify_semigroup(args) -> int:
-    grid = make_grid(args.dim, args.n, args.length)
-    params = SemigroupParams(lam=args.lam, grid=grid)
-    bump = spectral_bump(grid, width=grid.length / 48.0).astype(complex)
-    times = default_decay_times(grid, args.lam, num=args.num_t)
-    rep = verify_decay(bump, args.p, args.p_tilde, args.q, times, params,
-                       gradient_norm=args.gradient, c_max=args.c_max)
+    try:
+        grid = make_grid(args.dim, args.n, args.length)
+        params = SemigroupParams(lam=args.lam, grid=grid)
+        bump = spectral_bump(grid, width=grid.length / 48.0).astype(complex)
+        times = default_decay_times(grid, args.lam, num=args.num_t)
+        rep = verify_decay(bump, args.p, args.p_tilde, args.q, times, params,
+                           gradient_norm=args.gradient, c_max=args.c_max)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     tag = f"p{args.p:g}_pt{args.p_tilde:g}_q{args.q:g}" + ("_grad" if args.gradient else "")
     path = Path(args.out) / f"decay_{tag}.csv"
     _write_rows(path, rep.csv_rows())
@@ -113,21 +117,22 @@ def _cmd_verify_semigroup(args) -> int:
 
 
 def _cmd_cgl_solve(args) -> int:
-    grid, comps = load_snapshot(args.v0)
-    if comps.shape[0] != 2 * grid.dim:
-        print(f"error: snapshot holds {comps.shape[0]} components, expected "
-              f"{2 * grid.dim} (re/im pairs for {grid.dim} complex fields)",
-              file=sys.stderr)
-        return 2
-    v0 = as_complex_components(comps)
-    config = CglConfig(lam=args.lam, p=args.p, t_end=args.t_end,
-                       time_steps=args.steps, picard_tol=args.tol,
-                       duhamel_substeps=args.substeps)
     try:
+        grid, comps = load_snapshot(args.v0)
+        if comps.shape[0] != 2 * grid.dim:
+            raise ValueError(f"snapshot holds {comps.shape[0]} components, expected "
+                             f"{2 * grid.dim} (re/im pairs for {grid.dim} complex fields)")
+        v0 = as_complex_components(comps)
+        config = CglConfig(lam=args.lam, p=args.p, t_end=args.t_end,
+                           time_steps=args.steps, picard_tol=args.tol,
+                           duhamel_substeps=args.substeps)
         result = picard_iterate(grid, v0, config, track_xpt=True)
     except NonContraction as exc:
         print(f"non-contraction: {exc}", file=sys.stderr)
         return 1
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     out = Path(args.out)
     _write_rows(out / "iterations.csv", result.csv_rows())
     times = result.trajectory.times
@@ -141,19 +146,23 @@ def _cmd_cgl_solve(args) -> int:
 
 
 def _cmd_llg_run(args) -> int:
-    grid = make_grid(args.dim, args.n, args.length)
-    if args.dt is None:
-        frac = args.dt_fraction if args.dt_fraction else 0.5
-        dt = frac * stability_cap(grid, args.lam)
-    else:
-        dt = args.dt
-    config = LlgConfig(grid=grid, lam=args.lam, t_end=args.t_end, dt=dt,
-                       scheme=args.scheme)
-    spec = InitialDataSpec(kind=args.kind, amplitude=args.amplitude,
-                           wavenumber=args.wavenumber, width=args.width,
-                           mollification_k=args.mollification_k)
-    m0 = generate_initial_data(spec, grid, args.seed)
-    result = solve(m0, config, n_outputs=args.outputs)
+    try:
+        grid = make_grid(args.dim, args.n, args.length)
+        if args.dt is None:
+            frac = args.dt_fraction if args.dt_fraction else 0.5
+            dt = frac * stability_cap(grid, args.lam)
+        else:
+            dt = args.dt
+        config = LlgConfig(grid=grid, lam=args.lam, t_end=args.t_end, dt=dt,
+                           scheme=args.scheme)
+        spec = InitialDataSpec(kind=args.kind, amplitude=args.amplitude,
+                               wavenumber=args.wavenumber, width=args.width,
+                               mollification_k=args.mollification_k)
+        m0 = generate_initial_data(spec, grid, args.seed)
+        result = solve(m0, config, n_outputs=args.outputs)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     out = Path(args.out_dir)
     _write_rows(out / "ledger.csv", result.ledger.csv_rows())
     if args.snapshot_every > 0:

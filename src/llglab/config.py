@@ -5,7 +5,7 @@ Sections and keys (unknown ones are errors):
 [grid]          dim, n, length
 [initial_data]  kind, amplitude, wavenumber, width, mollification_k,
                 m_infinity (three floats), roughness_modes
-[llg]           lambda, t_end, dt | dt_fraction, scheme, outputs
+[llg]           lambda, t_end, dt | dt_fraction, scheme, outputs (>= 2)
 [cgl]           lambda, p, t_end, time_steps, duhamel_substeps, picard_tol,
                 picard_max_iter, smallness
 [experiments]   checks (whitespace/comma separated list)
@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from .cgl import CglConfig
 from .fields import Grid, make_grid
 from .initial_data import InitialDataSpec
-from .llg import LlgConfig, stability_cap
+from .llg import MIN_OUTPUTS, LlgConfig, stability_cap
 
 __all__ = ["ConfigError", "LabConfig", "parse_config", "KNOWN_CHECKS"]
 
@@ -168,12 +168,14 @@ def parse_config(path) -> LabConfig:
         if dt is None and frac is None:
             raise ConfigError("[llg] needs dt or dt_fraction")
         if dt is None:
-            dt = frac * stability_cap(grid, lam)
+            dt = frac * _construct("llg", stability_cap, grid, lam)
         llg_cfg = _construct(
             "llg", LlgConfig, grid=grid, lam=lam, t_end=t_end, dt=dt,
             scheme=_get(parser, "llg", "scheme", str, "projected-rk2"),
         )
         llg_outputs = _get(parser, "llg", "outputs", int, 9)
+        if llg_outputs < MIN_OUTPUTS:
+            raise ConfigError(f"[llg] outputs = {llg_outputs}: need at least {MIN_OUTPUTS}")
 
     cgl_cfg = None
     if parser.has_section("cgl"):

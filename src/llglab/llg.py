@@ -56,6 +56,8 @@ __all__ = [
 
 GRAD_BLOWUP_FACTOR = 1e6
 C_STAB = 0.4
+# A run records t = 0 and t_end at least; with one output nothing is integrated.
+MIN_OUTPUTS = 2
 
 _SCHEMES = ("projected-rk2", "projected-rk4")
 
@@ -76,6 +78,7 @@ def stability_cap(grid: Grid, lam: float) -> float:
     scales with (1 + lam); C_STAB = 0.4 keeps the scaled eigenvalue well
     inside both RK stability regions.
     """
+    require_finite_positive("damping parameter lam", lam)
     return C_STAB * grid.h**2 / ((1.0 + lam) * grid.dim * np.pi**2)
 
 
@@ -170,6 +173,8 @@ def solve(m0: SpinField, config: LlgConfig, output_times=None, n_outputs: int = 
     """
     grid = config.grid
     if output_times is None:
+        if n_outputs < MIN_OUTPUTS:
+            raise ValueError(f"n_outputs must be >= {MIN_OUTPUTS}, got {n_outputs}")
         output_times = np.linspace(0.0, config.t_end, n_outputs)
     output_times = np.asarray(output_times, dtype=float)
     if output_times[0] != 0.0 or np.any(np.diff(output_times) <= 0):

@@ -11,6 +11,29 @@ larger radius is not a ball), and centers run over a strided sub-lattice.
 Space-time variants measure trajectories: the parabolic norm integrates
 |f|^2 over cylinders B_r(x) x [t - r^2, t], and the trajectory norms take
 time-weighted suprema of the spatial norms (components r1, r2, r3).
+
+``morrey_norm`` evaluates every (center, radius) ball in batches and returns
+bit for bit what a plain loop over ``|f|**p [ball mask].sum()`` returns:
+
+* A rank table holds, for each center and grid point, the index of the
+  smallest radius whose closed ball contains the point (``searchsorted`` of
+  the squared radii against the origin's distance table, rolled to the
+  center), so ``rank <= j`` is exactly the mask ``dist2 <= r_j * r_j``.
+* Every lattice ball of one radius holds the same number K of points (the
+  balls are translates on the torus).  Compressing a block of rows with
+  ``rank <= j`` keeps each row's points in raster order, so each row sum
+  sees the same K-sequence, and the same pairwise summation, as
+  ``magp[mask].sum()``.
+* Vectorised ``np.power`` can differ from scalar ``pow`` in the last bit,
+  so the array of candidate values only shortlists the balls within a
+  relative 1e-9 of the maximum; the winner is decided among those by the
+  scalar expression and a strict ``>`` in center-major, radius-minor order,
+  which keeps the value, the witness and the first-wins tie-breaking.
+
+Memory: no temporary holds more than ``_CHUNK_ELEMS`` elements (or one field,
+when a field is larger), and the rank table (one byte per center and point)
+is cached, one lattice at a time, only when it fits in ``_TABLE_BYTES``;
+otherwise its rows are rebuilt chunk by chunk.
 """
 
 from __future__ import annotations
@@ -20,7 +43,7 @@ from itertools import product
 
 import numpy as np
 
-from .fields import Grid, Trajectory, gradient, pointwise_magnitude
+from .fields import Grid, Trajectory, gradient, pointwise_magnitude, require_finite_positive
 
 __all__ = [
     "BallLattice",
@@ -47,6 +70,7 @@ class BallLattice:
     def __post_init__(self):
         if len(self.radii) == 0:
             raise ValueError("lattice must carry at least one radius")
+        require_finite_positive("smallest radius", self.radii[0])
         for a, b in zip(self.radii, self.radii[1:]):
             if not b == 2.0 * a:
                 raise ValueError("radii must be strictly doubling")
@@ -106,6 +130,55 @@ def _validate_pq(grid: Grid, p: float, q: float) -> None:
         raise ValueError(f"q must lie in [0, max(2, n)], got {q}")
 
 
+# Engine limits (see the module docstring): elements per temporary, and the
+# byte budget for caching a whole rank table.
+_CHUNK_ELEMS = 1 << 16
+_TABLE_BYTES = 1 << 24
+_SHORTLIST_RTOL = 1e-9
+
+# Single-entry cache: {"key": (grid, lattice), "table": rank table}.
+_rank_cache: dict = {}
+
+
+def _rank_rows(grid: Grid, rank0: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """Rows of the rank table for the given centers: rank0 rolled to each center."""
+    n, dim = grid.n, grid.dim
+    index = []
+    for ax in range(dim):
+        shape = [1] * (dim + 1)
+        shape[ax + 1] = n
+        offsets = centers[:, ax].reshape((-1,) + (1,) * dim)
+        index.append((np.arange(n).reshape(shape) - offsets) % n)
+    return rank0[tuple(index)].reshape(len(centers), -1)
+
+
+def _ball_sums(grid: Grid, lattice: BallLattice, flat: np.ndarray) -> np.ndarray:
+    """Sum of ``flat`` (raster order) over every lattice ball, (centers, radii)."""
+    n_radii = len(lattice.radii)
+    key = (grid, lattice)
+    table = _rank_cache["table"] if _rank_cache.get("key") == key else None
+    if table is None:
+        r2 = np.array([r * r for r in lattice.radii])
+        rank0 = np.searchsorted(r2, grid.wrapped_dist2).astype(np.min_scalar_type(n_radii))
+        centers = np.array(lattice.centers, dtype=np.intp).reshape(lattice.n_centers, grid.dim)
+        if lattice.n_centers * rank0.nbytes <= _TABLE_BYTES:
+            _rank_cache.clear()  # drop the old table before building the new one
+            table = _rank_rows(grid, rank0, centers)
+            table.flags.writeable = False
+            _rank_cache.update(key=key, table=table)
+    sums = np.empty((lattice.n_centers, n_radii), dtype=flat.dtype)
+    step = max(1, _CHUNK_ELEMS // flat.size)
+    for lo in range(0, lattice.n_centers, step):
+        if table is not None:
+            block = table[lo:lo + step]
+        else:
+            block = _rank_rows(grid, rank0, centers[lo:lo + step])
+        src = np.broadcast_to(flat, block.shape)
+        for j in range(n_radii):
+            sums[lo:lo + step, j] = src[block <= j].reshape(len(block), -1).sum(axis=1)
+    return sums
+
+
 def morrey_norm(grid: Grid, values: np.ndarray, p: float, q: float,
                 lattice: BallLattice | None = None) -> MorreyReport:
     """Maximum over lattice balls of the r^(q-n)-weighted p-mass of |values|."""
@@ -117,22 +190,27 @@ def morrey_norm(grid: Grid, values: np.ndarray, p: float, q: float,
     if any(max(c) >= grid.n for c in lattice.centers):
         raise ValueError("lattice centers fall outside the grid")
     magp = pointwise_magnitude(grid, values) ** p
-    d2 = grid.wrapped_dist2
+    if not np.isfinite(magp).all():
+        raise ValueError(f"|values|**{p} is not finite everywhere")
+    sums = _ball_sums(grid, lattice, magp.ravel())
     hn = grid.h ** grid.dim
     ndim = grid.dim
+    weights = np.array([r ** (q - ndim) for r in lattice.radii])
+    approx = (weights * (sums * hn)) ** (1.0 / p)
+    # the scalar expression runs in the sums' precision (float32 for float32 fields)
+    rtol = max(_SHORTLIST_RTOL, 1e4 * np.finfo(np.result_type(sums, 1.0)).eps)
+    shortlist = np.flatnonzero(approx >= approx.max() * (1.0 - rtol))
     best_val = -1.0
     best_center = lattice.centers[0]
     best_radius = lattice.radii[0]
-    ax_all = tuple(range(ndim))
-    for center in lattice.centers:
-        rolled = np.roll(d2, shift=center, axis=ax_all)
-        for r in lattice.radii:
-            s = magp[rolled <= r * r].sum()
-            val = (r ** (q - ndim) * (s * hn)) ** (1.0 / p)
-            if val > best_val:
-                best_val = val
-                best_center = center
-                best_radius = r
+    for flat_index in shortlist:
+        i, j = divmod(int(flat_index), len(lattice.radii))
+        r = lattice.radii[j]
+        val = (r ** (q - ndim) * (sums[i, j] * hn)) ** (1.0 / p)
+        if val > best_val:
+            best_val = val
+            best_center = lattice.centers[i]
+            best_radius = r
     return MorreyReport(
         value=float(best_val),
         p=float(p),

@@ -40,6 +40,32 @@ def brute_force_morrey(grid, values, p, q):
     return best
 
 
+def reference_morrey_norm(grid, values, p, q, lattice):
+    """The per-(center, radius) loop morrey_norm must match bit for bit.
+
+    Returns (value, witness_center, witness_radius) with the same first-wins
+    tie-breaking: roll the distance table to each center, mask, sum.
+    """
+    magp = pointwise_mag(grid, values) ** p
+    d2 = grid.wrapped_dist2
+    hn = grid.h ** grid.dim
+    ndim = grid.dim
+    best_val = -1.0
+    best_center = lattice.centers[0]
+    best_radius = lattice.radii[0]
+    ax_all = tuple(range(ndim))
+    for center in lattice.centers:
+        rolled = np.roll(d2, shift=center, axis=ax_all)
+        for r in lattice.radii:
+            s = magp[rolled <= r * r].sum()
+            val = (r ** (q - ndim) * (s * hn)) ** (1.0 / p)
+            if val > best_val:
+                best_val = val
+                best_center = center
+                best_radius = r
+    return float(best_val), tuple(best_center), float(best_radius)
+
+
 def _lin_interp_integral(times, series, t_lo, t_hi):
     """Trapezoid of the linear interpolant, written independently."""
     grid_pts = [t_lo] + [t for t in times if t_lo < t < t_hi] + [t_hi]

@@ -9,6 +9,11 @@ from llglab.morrey import morrey_norm
 TWO_PI = 2.0 * np.pi
 
 
+def assert_one_error_line(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 class TestVerifySemigroup:
     def test_writes_csv_and_passes(self, tmp_path):
         out = tmp_path / "decay"
@@ -29,6 +34,13 @@ class TestVerifySemigroup:
         assert code == 0
         assert (out / "decay_p2_pt4_q2_grad.csv").exists()
 
+    @pytest.mark.parametrize("flags", [["--n", "12"], ["--lambda", "-1"], ["--q", "5"]],
+                             ids=["bad_n", "negative_lambda", "bad_q"])
+    def test_invalid_input_exit_code(self, tmp_path, capsys, flags):
+        code = main(["verify-semigroup", "--n", "16", "--out", str(tmp_path / "d")] + flags)
+        assert code == 2
+        assert_one_error_line(capsys)
+
 
 class TestLlgRun:
     def test_ledger_and_snapshots(self, tmp_path):
@@ -45,6 +57,18 @@ class TestLlgRun:
         assert (out / "m_0000.llgf").exists()
         assert (out / "m_0002.llgf").exists()
         assert not (out / "m_0001.llgf").exists()
+
+
+    @pytest.mark.parametrize("flags", [
+        ["--dt", "-1"],
+        ["--lambda", "-1"],
+        ["--outputs", "0"],
+    ], ids=["negative_dt", "lambda_minus_one", "zero_outputs"])
+    def test_invalid_input_exit_code(self, tmp_path, capsys, flags):
+        code = main(["llg", "run", "--dim", "1", "--n", "16", "--T", "0.01",
+                     "--out-dir", str(tmp_path / "llg")] + flags)
+        assert code == 2
+        assert_one_error_line(capsys)
 
 
 class TestCglSolve:
@@ -83,6 +107,23 @@ class TestCglSolve:
                      str(tmp_path / "o")])
         assert code == 2
 
+    @pytest.mark.parametrize("flags", [["--tol", "-1"], ["--T", "nan"]],
+                             ids=["negative_tol", "nan_t_end"])
+    def test_invalid_input_exit_code(self, tmp_path, capsys, flags):
+        _, _, path = self._write_v0(tmp_path)
+        code = main(["cgl", "solve", "--v0", str(path), "--out",
+                     str(tmp_path / "o")] + flags)
+        assert code == 2
+        assert_one_error_line(capsys)
+
+    @pytest.mark.parametrize("content", [None, b"", b"LLGF"], ids=["missing", "empty", "truncated"])
+    def test_unreadable_snapshot_exit_code(self, tmp_path, capsys, content):
+        path = tmp_path / "v0.llgf"
+        if content is not None:
+            path.write_bytes(content)
+        assert main(["cgl", "solve", "--v0", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert_one_error_line(capsys)
+
 
 class TestRunCommand:
     def test_config_error_exit_code(self, tmp_path):
@@ -100,3 +141,15 @@ class TestRunCommand:
         bad.write_text(body + "[experiments]\nchecks = exponent_window\n[output]\ndir = o\n")
         assert main(["run", "--config", str(bad)]) == 2
         assert f"config error: [{section}]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("llg_body,message", [
+        ("lambda = -1\nt_end = 0.01\ndt_fraction = 0.5\n", "[llg] damping parameter lam"),
+        ("lambda = 1\nt_end = 0.01\ndt_fraction = 0.5\noutputs = 0\n", "[llg] outputs"),
+        ("lambda = 1\nt_end = 0.01\ndt_fraction = 0.5\noutputs = 1\n", "[llg] outputs"),
+    ], ids=["lambda_before_dt_fraction", "zero_outputs", "one_output"])
+    def test_invalid_llg_section_exit_code(self, tmp_path, capsys, llg_body, message):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text("[grid]\ndim = 1\nn = 16\nlength = 1.0\n[llg]\n" + llg_body
+                       + "[experiments]\nchecks = energy\n[output]\ndir = o\n")
+        assert main(["run", "--config", str(bad)]) == 2
+        assert f"config error: {message}" in capsys.readouterr().err
