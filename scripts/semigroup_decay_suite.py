@@ -18,6 +18,7 @@ from llglab import (
     spectral_bump,
     verify_decay,
 )
+from llglab.runner import _write_rows
 
 
 def main(out_dir="decay_out", lam=1.0, c_max=50.0) -> int:
@@ -26,15 +27,13 @@ def main(out_dir="decay_out", lam=1.0, c_max=50.0) -> int:
     bump = spectral_bump(grid, width=grid.length / 48.0).astype(complex)
     times = default_decay_times(grid, lam)
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     all_ok = True
     for gradient_norm in (False, True):
         for p_tilde in (2.0, 4.0, 6.0):
             rep = verify_decay(bump, 2.0, p_tilde, 2.0, times, params,
                                gradient_norm=gradient_norm, c_max=c_max)
             tag = f"p2_pt{p_tilde:g}" + ("_grad" if gradient_norm else "")
-            with open(out / f"decay_{tag}.csv", "w", newline="\n") as fh:
-                fh.write("\n".join(rep.csv_rows()) + "\n")
+            _write_rows(out / f"decay_{tag}.csv", rep.csv_rows())
             status = "PASS" if rep.passed else "FAIL"
             print(f"[{status}] {tag}: max_ratio={rep.max_ratio:.4f} "
                   f"settling={rep.trend_ok}")

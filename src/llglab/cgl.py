@@ -304,8 +304,7 @@ def picard_iterate(grid: Grid, v0: np.ndarray, config: CglConfig,
                 )
             row = {"iter": it, "increment": inc}
             if track_xpt:
-                rep = xpt_norm(grid, Trajectory(times, u_new, kind="cgl_u"),
-                               config.p, lattice)
+                rep = xpt_norm(grid, Trajectory(times, u_new), config.p, lattice)
                 row.update(xpt_r1=rep.r1, xpt_r2=rep.r2, xpt_r3=rep.r3)
             iteration_log.append(row)
             if increments and inc > increments[-1]:
@@ -324,10 +323,7 @@ def picard_iterate(grid: Grid, v0: np.ndarray, config: CglConfig,
                 converged = True
                 break
 
-    traj = Trajectory(times, u_old, kind="cgl_u",
-                      meta={"scheme": "picard-midpoint-exponential",
-                            "substeps": config.duhamel_substeps,
-                            "p": config.p, "lam": config.lam})
+    traj = Trajectory(times, u_old)
     xpt = xpt_norm(grid, traj, config.p, lattice)
     return PicardResult(trajectory=traj, xpt=xpt, increments=increments,
                         converged=converged, iterations=len(increments),
@@ -388,7 +384,7 @@ def stability_experiment(grid: Grid, v0_a: np.ndarray, v0_b: np.ndarray,
         other = picard_iterate(grid, v0_a + pert_k, config, lattice)
         diff_fields = [ub - ua for ua, ub in
                        zip(base.trajectory.fields, other.trajectory.fields)]
-        diff_traj = Trajectory(base.trajectory.times, diff_fields, kind="cgl_u")
+        diff_traj = Trajectory(base.trajectory.times, diff_fields)
         num = xpt_norm(grid, diff_traj, config.p, lattice).total
         den = morrey_norm(grid, pert_k, 2.0, 2.0, lattice).value
         deltas.append(float(np.abs(pert_k).max()))

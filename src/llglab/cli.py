@@ -149,7 +149,7 @@ def _cmd_llg_run(args) -> int:
     try:
         grid = make_grid(args.dim, args.n, args.length)
         if args.dt is None:
-            frac = args.dt_fraction if args.dt_fraction else 0.5
+            frac = 0.5 if args.dt_fraction is None else args.dt_fraction
             dt = frac * stability_cap(grid, args.lam)
         else:
             dt = args.dt

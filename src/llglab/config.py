@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import configparser
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .cgl import CglConfig
 from .fields import Grid, make_grid
@@ -74,7 +74,6 @@ class LabConfig:
     llg: LlgConfig | None = None
     cgl: CglConfig | None = None
     llg_outputs: int = 9
-    raw: dict = field(default_factory=dict)
 
     @property
     def effective_seed(self) -> int:

@@ -13,7 +13,7 @@ multiplier (the standard real-output convention); even orders keep it.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -265,13 +265,11 @@ class SpinField:
     values: np.ndarray
 
     @classmethod
-    def from_values(cls, grid: Grid, values: np.ndarray, renormalize: bool = True):
+    def from_values(cls, grid: Grid, values: np.ndarray):
         values = np.asarray(values, dtype=float)
         if values.shape != (3,) + grid.shape:
             raise ValueError(f"spin field must have shape {(3,) + grid.shape}")
-        if renormalize:
-            values = normalize_spin(values)
-        return cls(grid=grid, values=values)
+        return cls(grid=grid, values=normalize_spin(values))
 
     def unit_defect(self) -> float:
         return float(np.abs(np.sqrt((self.values**2).sum(axis=0)) - 1.0).max())
@@ -279,12 +277,10 @@ class SpinField:
 
 @dataclass
 class Trajectory:
-    """Time-indexed sequence of field arrays with scheme metadata."""
+    """Time-indexed sequence of field arrays."""
 
     times: np.ndarray
     fields: list
-    kind: str = "generic"
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)

@@ -96,18 +96,15 @@ def build_frame(m: SpinField) -> TangentFrame:
 class GaugeState:
     """Frame coefficients of a spin field: u (spatial), u0 (time), connection a.
 
-    a0 is the time connection from frame differencing when available; the
-    elliptic split (a0_1, a0_2) is filled by gauge_fields_from_u.  theta is
-    the accumulated zero-mean gauge phase.
+    u0 is None when no time derivative was supplied.  The time connection is
+    not stored: the mild solver recovers its elliptic split from u alone
+    (gauge_fields_from_u).  theta is the accumulated zero-mean gauge phase.
     """
 
     u: np.ndarray
     u0: np.ndarray | None
     a: np.ndarray
-    a0: np.ndarray | None
     theta: np.ndarray
-    a0_1: np.ndarray | None = None
-    a0_2: np.ndarray | None = None
 
 
 def rotate_frame(frame: TangentFrame, theta: np.ndarray) -> TangentFrame:
@@ -126,49 +123,35 @@ def _project_components(dm: np.ndarray, frame: TangentFrame) -> np.ndarray:
     return (dm * frame.X).sum(axis=0) + 1j * (dm * frame.Y).sum(axis=0)
 
 
-def derive_gauge(grid: Grid, m: SpinField, dt_m: np.ndarray, frame: TangentFrame,
-                 frame_before: TangentFrame | None = None,
-                 frame_after: TangentFrame | None = None,
-                 dt_frame: float | None = None) -> GaugeState:
+def derive_gauge(grid: Grid, m: SpinField, dt_m: np.ndarray | None,
+                 frame: TangentFrame) -> GaugeState:
     """Compute (u, u0, a) from m, its time derivative, and a frame.
 
-    dt_m must be tangential.  The time connection a0 = <d_t X, Y> needs a
-    frame time derivative; when frames built on m(t +/- dt_frame) are
-    supplied it is centered-differenced, otherwise it is left unset (the
-    mild solver recovers the a0 split elliptically instead).
+    dt_m must be tangential.  With dt_m None only the spatial coefficients
+    are computed and u0 is left None.
     """
     mv = m.values
-    tangency = float(np.abs((np.asarray(dt_m) * mv).sum(axis=0)).max())
-    if tangency > 1e-8:
-        raise ValueError(f"dt_m is not tangential (defect {tangency:.3e})")
+    u0 = None
+    if dt_m is not None:
+        tangency = float(np.abs((np.asarray(dt_m) * mv).sum(axis=0)).max())
+        if tangency > 1e-8:
+            raise ValueError(f"dt_m is not tangential (defect {tangency:.3e})")
+        u0 = _project_components(np.asarray(dt_m), frame)
     dm = gradient(grid, mv)
     u = np.stack([_project_components(dm[k], frame) for k in range(grid.dim)])
-    u0 = _project_components(np.asarray(dt_m), frame)
     dX = gradient(grid, frame.X)
     a = np.stack([(dX[k] * frame.Y).sum(axis=0) for k in range(grid.dim)])
-    a0 = None
-    if frame_before is not None and frame_after is not None:
-        if not dt_frame or dt_frame <= 0:
-            raise ValueError("frame differencing needs dt_frame > 0")
-        dXt = (frame_after.X - frame_before.X) / (2.0 * dt_frame)
-        a0 = (dXt * frame.Y).sum(axis=0)
-    theta = np.zeros(grid.shape)
-    return GaugeState(u=u, u0=u0, a=a, a0=a0, theta=theta)
+    return GaugeState(u=u, u0=u0, a=a, theta=np.zeros(grid.shape))
 
 
 def gauge_transform(grid: Grid, state: GaugeState, theta: np.ndarray) -> GaugeState:
-    """Rotate the frame by a static phase: u -> e^{-i theta} u, a -> a + grad theta.
-
-    The phase is per-snapshot (time independent), so a0 is unchanged; the
-    elliptic a0 split is gauge dependent and gets invalidated.
-    """
+    """Rotate the frame by a static phase: u -> e^{-i theta} u, a -> a + grad theta."""
     theta = np.asarray(theta, dtype=float)
     phase = np.exp(-1j * theta)
     u = state.u * phase
     u0 = None if state.u0 is None else state.u0 * phase
     a = state.a + gradient(grid, theta)
-    return replace(state, u=u, u0=u0, a=a, theta=state.theta + theta,
-                   a0_1=None, a0_2=None)
+    return replace(state, u=u, u0=u0, a=a, theta=state.theta + theta)
 
 
 def coulomb_gauge_fix(grid: Grid, state: GaugeState) -> GaugeState:

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import Grid, SpinField, gradient, normalize_spin
+from .fields import Grid, SpinField, gradient, normalize_spin, require_finite_positive
+from .frames import build_frame
 from .morrey import BallLattice, ball_lattice, morrey_norm
 
 __all__ = [
@@ -50,8 +51,12 @@ class InitialDataSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
+        if not np.isfinite(self.amplitude):
+            raise ValueError(f"amplitude must be finite, got {self.amplitude}")
+        require_finite_positive("width", self.width)
+        require_finite_positive("mollification_k", self.mollification_k)
         norm = float(np.linalg.norm(self.m_infinity))
-        if abs(norm - 1.0) > 1e-9:
+        if not abs(norm - 1.0) <= 1e-9:
             raise ValueError("m_infinity must be a unit vector")
 
 
@@ -139,17 +144,6 @@ def mollify_and_project(grid: Grid, m_raw: SpinField, k: float,
     return projected, report
 
 
-def _tangent_basis(m_inf: np.ndarray):
-    """Orthonormal tangent pair at a unit vector (parallel-transport formula)."""
-    m1, m2, m3 = m_inf
-    denom = 1.0 + m3
-    if denom < 0.05:
-        raise ValueError("m_infinity too close to the south pole")
-    e1 = np.array([1.0 - m1 * m1 / denom, -m1 * m2 / denom, -m1])
-    e2 = np.array([-m1 * m2 / denom, 1.0 - m2 * m2 / denom, -m2])
-    return e1, e2
-
-
 def _random_band_limited(grid: Grid, rng: np.random.Generator, max_mode: int) -> np.ndarray:
     """Real random field with spectrum supported on |k_i| <= max_mode per axis."""
     coeffs = np.zeros(grid.shape, dtype=complex)
@@ -185,10 +179,9 @@ def generate_initial_data(spec: InitialDataSpec, grid: Grid, seed: int = 0) -> S
     m_inf = np.asarray(spec.m_infinity, dtype=float)
     m_inf = m_inf / np.linalg.norm(m_inf)
 
+    uniform = np.broadcast_to(m_inf.reshape((3,) + (1,) * grid.dim), (3,) + grid.shape)
     if spec.kind == "constant":
-        values = np.broadcast_to(m_inf.reshape((3,) + (1,) * grid.dim),
-                                 (3,) + grid.shape).copy()
-        return SpinField(grid, values)
+        return SpinField(grid, uniform.copy())
 
     if spec.kind == "equatorial_wave":
         x = grid.coordinates()[0]
@@ -199,10 +192,9 @@ def generate_initial_data(spec: InitialDataSpec, grid: Grid, seed: int = 0) -> S
     if spec.kind == "bump_chart":
         center = (grid.n // 2,) * grid.dim
         profile = spec.amplitude * spectral_bump(grid, spec.width, center)
-        e1, e2 = _tangent_basis(m_inf)
-        # geodesic exponential of profile * e1 at m_infinity
-        values = (np.cos(profile) * m_inf.reshape((3,) + (1,) * grid.dim)
-                  + np.sin(profile) * e1.reshape((3,) + (1,) * grid.dim))
+        # geodesic exponential of profile * X at m_infinity, X the frame's first axis
+        values = (np.cos(profile) * uniform
+                  + np.sin(profile) * build_frame(SpinField(grid, uniform)).X)
         return SpinField(grid, values)
 
     # rough_mollified

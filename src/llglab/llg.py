@@ -58,6 +58,8 @@ GRAD_BLOWUP_FACTOR = 1e6
 C_STAB = 0.4
 # A run records t = 0 and t_end at least; with one output nothing is integrated.
 MIN_OUTPUTS = 2
+# Energy-law tolerance, relative to E(0).
+ENERGY_TOL_FACTOR = 1e-4
 
 _SCHEMES = ("projected-rk2", "projected-rk4")
 
@@ -235,11 +237,8 @@ def solve(m0: SpinField, config: LlgConfig, output_times=None, n_outputs: int = 
         dissipation=np.asarray(dissip), sup_grad=np.asarray(supg),
         morrey22=np.asarray(mor22),
     )
-    traj = Trajectory(np.asarray(times_out), snaps, kind="spin",
-                      meta={"scheme": config.scheme, "dt": config.dt,
-                            "lam": config.lam})
-    return LlgResult(trajectory=traj, ledger=ledger,
-                     meta={"steps": step_index})
+    return LlgResult(trajectory=Trajectory(np.asarray(times_out), snaps),
+                     ledger=ledger, meta={"steps": step_index})
 
 
 # ---------------------------------------------------------------------------
@@ -257,10 +256,9 @@ class EnergyCheck:
     equality_ok: bool
 
 
-def check_energy_inequality(ledger: EnergyLedger, lam: float,
-                            tol_factor: float = 1e-4) -> EnergyCheck:
+def check_energy_inequality(ledger: EnergyLedger, lam: float) -> EnergyCheck:
     e0 = float(ledger.energy[0])
-    tol = tol_factor * e0 + 1e-10
+    tol = ENERGY_TOL_FACTOR * e0 + 1e-10
     combined = ledger.energy + lam / (1.0 + lam**2) * ledger.dissipation - e0
     worst = float(combined.max())
     max_abs = float(np.abs(combined).max())
@@ -310,10 +308,10 @@ class LocalEnergyCheck:
 
 
 def check_local_energy(grid: Grid, traj: Trajectory, cylinder: ParabolicCylinder,
-                       lam: float, cutoff=None) -> LocalEnergyCheck:
+                       lam: float) -> LocalEnergyCheck:
     """Cutoff energy inequality on a parabolic cylinder.
 
-    With phi supported in B_r0 and [t1, t2] the cylinder time span, checks
+    With phi = bump_cutoff on B_r0 and [t1, t2] the cylinder time span, checks
 
         lam * int int |d_t m|^2 phi^2 + (1+lam^2) int |grad m(t2)|^2 phi^2
         <= (1+lam^2) int |grad m(t1)|^2 phi^2
@@ -330,9 +328,7 @@ def check_local_energy(grid: Grid, traj: Trajectory, cylinder: ParabolicCylinder
     tol = 1e-10
     if times.min() > t1 + tol or times.max() < t2 - tol:
         raise ValueError("trajectory does not cover the cylinder")
-    if cutoff is None:
-        cutoff = bump_cutoff(grid, cylinder.center, r0)
-    phi, grad_phi = cutoff
+    phi, grad_phi = bump_cutoff(grid, cylinder.center, r0)
     phi2 = phi * phi
     gphi2 = (grad_phi**2).sum(axis=0)
     hn = grid.cell_volume

@@ -256,7 +256,7 @@ def _interp_integral(times: np.ndarray, series: np.ndarray, t_lo: float, t_hi: f
 
 
 def parabolic_morrey_norm(grid: Grid, traj: Trajectory, cylinder: ParabolicCylinder,
-                          spatial_stride: int = 1, subcylinders: bool = True) -> float:
+                          subcylinders: bool = True) -> float:
     """Sup over sampled sub-cylinders P_r(z) inside the given cylinder of
 
         (r**(2 - (n+2)) * int_{P_r(z)} |f|^2 dx dt) ** (1/2),
@@ -283,7 +283,7 @@ def parabolic_morrey_norm(grid: Grid, traj: Trajectory, cylinder: ParabolicCylin
             radii.append(r)
             r = 2.0 * r
         radii.append(r0)
-        centers = [c for c in product(range(0, grid.n, spatial_stride), repeat=grid.dim)]
+        centers = list(product(range(grid.n), repeat=grid.dim))
         t_candidates = list(times[(times <= t0 + tol)])
         if not any(abs(t - t0) <= tol for t in t_candidates):
             t_candidates.append(t0)

@@ -120,7 +120,7 @@ def _check_exponent_window(cfg: LabConfig, outdir: Path) -> CheckOutcome:
 def _check_picard(cfg: LabConfig, outdir: Path) -> CheckOutcome:
     grid = cfg.grid
     v0 = mild_initial_data(grid, generate_initial_data(cfg.initial_data, grid,
-                                                       cfg.effective_seed), cfg.cgl.lam)
+                                                       cfg.effective_seed))
     try:
         result = picard_iterate(grid, v0, cfg.cgl, track_xpt=True)
     except NonContraction as exc:
@@ -192,7 +192,7 @@ def _check_solution_decay(cfg: LabConfig, outdir: Path) -> CheckOutcome:
 def _check_stability(cfg: LabConfig, outdir: Path) -> CheckOutcome:
     grid = cfg.grid
     v0_a = mild_initial_data(grid, generate_initial_data(cfg.initial_data, grid,
-                                                         cfg.effective_seed), cfg.cgl.lam)
+                                                         cfg.effective_seed))
     x = grid.coordinates()[0]
     pert = np.zeros((grid.dim,) + grid.shape, dtype=complex)
     pert[0] = 1e-3 * np.exp(2j * 2.0 * np.pi * x / grid.length)

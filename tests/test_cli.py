@@ -63,7 +63,10 @@ class TestLlgRun:
         ["--dt", "-1"],
         ["--lambda", "-1"],
         ["--outputs", "0"],
-    ], ids=["negative_dt", "lambda_minus_one", "zero_outputs"])
+        ["--dt-fraction", "0"],
+        ["--amplitude", "nan"],
+    ], ids=["negative_dt", "lambda_minus_one", "zero_outputs", "zero_dt_fraction",
+            "nan_amplitude"])
     def test_invalid_input_exit_code(self, tmp_path, capsys, flags):
         code = main(["llg", "run", "--dim", "1", "--n", "16", "--T", "0.01",
                      "--out-dir", str(tmp_path / "llg")] + flags)
@@ -135,7 +138,13 @@ class TestRunCommand:
         ("grid", "[grid]\ndim = 2\nn = 12\nlength = 1.0\n"),
         ("initial_data", "[grid]\ndim = 2\nn = 16\nlength = 1.0\n"
                          "[initial_data]\nkind = equatorial_wave\nm_infinity = 0 0 2\n"),
-    ], ids=["grid", "initial_data"])
+        ("initial_data", "[grid]\ndim = 2\nn = 16\nlength = 1.0\n"
+                         "[initial_data]\nkind = equatorial_wave\namplitude = nan\n"),
+        ("initial_data", "[grid]\ndim = 2\nn = 16\nlength = 1.0\n"
+                         "[initial_data]\nkind = bump_chart\nwidth = nan\n"),
+        ("initial_data", "[grid]\ndim = 2\nn = 16\nlength = 1.0\n"
+                         "[initial_data]\nkind = bump_chart\namplitude = inf\n"),
+    ], ids=["grid", "initial_data", "nan_amplitude", "nan_width", "inf_amplitude"])
     def test_invalid_section_value_exit_code(self, tmp_path, capsys, section, body):
         bad = tmp_path / "bad.cfg"
         bad.write_text(body + "[experiments]\nchecks = exponent_window\n[output]\ndir = o\n")

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -6,11 +8,13 @@ from llglab.experiments import (
     cross_validate,
     cross_validate_refinement,
     decay_report,
+    mild_initial_data,
     uniqueness_experiment,
 )
 from llglab.fields import SpinField, make_grid
+from llglab.frames import build_frame, coulomb_gauge_fix, derive_gauge
 from llglab.initial_data import InitialDataSpec, generate_initial_data
-from llglab.llg import LlgConfig, solve, stability_cap
+from llglab.llg import LlgConfig, llg_rhs, solve, stability_cap
 from llglab.runner import run_config, run_experiment
 
 TWO_PI = 2.0 * np.pi
@@ -45,6 +49,23 @@ class TestCrossValidate:
             g, m0, lam=1.0, t_end=0.1, time_steps=8,
             duhamel_substeps=4, picard_tol=1e-12)
         assert ratio >= 2.0
+
+
+class TestMildInitialData:
+    def test_gauge_coefficients_without_llg_rhs(self, monkeypatch):
+        g = make_grid(2, 32, TWO_PI)
+        m0 = generate_initial_data(InitialDataSpec(kind="bump_chart", amplitude=0.4), g)
+        frame = build_frame(m0)
+        expected = coulomb_gauge_fix(
+            g, derive_gauge(g, m0, llg_rhs(g, m0.values, 1.0), frame)).u
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("llg_rhs evaluated")
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "llglab" and hasattr(module, "llg_rhs"):
+                monkeypatch.setattr(module, "llg_rhs", forbidden)
+        assert np.array_equal(mild_initial_data(g, m0), expected)
 
 
 class TestUniqueness:

@@ -125,6 +125,16 @@ class TestDeriveGauge:
         rebuilt = np.real(state.u[0]) * frame.X + np.imag(state.u[0]) * frame.Y
         assert np.abs(rebuilt - dm).max() < 1e-10
 
+    def test_without_time_derivative(self):
+        g = make_grid(2, 16, TWO_PI)
+        m = exp_map_field(g, seed=5)
+        frame = build_frame(m)
+        full = derive_gauge(g, m, llg_rhs(g, m.values, 1.0), frame)
+        spatial = derive_gauge(g, m, None, frame)
+        assert spatial.u0 is None
+        assert np.array_equal(spatial.u, full.u)
+        assert np.array_equal(spatial.a, full.a)
+
     def test_non_tangential_rejected(self):
         g = make_grid(1, 16, TWO_PI)
         m = constant_spin(g, (0, 0, 1))
@@ -133,14 +143,6 @@ class TestDeriveGauge:
         bad[2] = 1.0  # parallel to m
         with pytest.raises(ValueError):
             derive_gauge(g, m, bad, frame)
-
-    def test_frame_time_derivative_connection(self):
-        g = make_grid(1, 32, TWO_PI)
-        m = exp_map_field(g, seed=3)
-        frame = build_frame(m)
-        state = derive_gauge(g, m, llg_rhs(g, m.values, 1.0), frame,
-                             frame_before=frame, frame_after=frame, dt_frame=0.1)
-        assert np.abs(state.a0).max() == 0.0  # identical frames difference to zero
 
 
 class TestGaugeTransform:
@@ -191,7 +193,7 @@ class TestCoulombFix:
         phi = np.sin(x) * np.cos(y)
         a = np.stack([-derivative(g, phi, 1, 1), derivative(g, phi, 0, 1)])
         u = np.zeros((2,) + g.shape, dtype=complex)
-        state = GaugeState(u=u, u0=None, a=a, a0=None, theta=np.zeros(g.shape))
+        state = GaugeState(u=u, u0=None, a=a, theta=np.zeros(g.shape))
         fixed = coulomb_gauge_fix(g, state)
         assert np.abs(fixed.theta).max() < 1e-12
         assert np.abs(fixed.a - a).max() < 1e-12
@@ -202,7 +204,7 @@ class TestCoulombFix:
         phi = 0.4 * np.sin(x + y)  # mean zero
         a = gradient(g, phi)
         u = np.ones((2,) + g.shape, dtype=complex)
-        state = GaugeState(u=u, u0=None, a=a, a0=None, theta=np.zeros(g.shape))
+        state = GaugeState(u=u, u0=None, a=a, theta=np.zeros(g.shape))
         fixed = coulomb_gauge_fix(g, state)
         assert np.abs(fixed.a).max() < 1e-12
         assert np.abs(fixed.u - np.exp(1j * phi) * u).max() < 1e-12
@@ -212,7 +214,7 @@ class TestCoulombFix:
         rng = np.random.default_rng(0)
         a = rng.standard_normal((2,) + g.shape)
         u = np.zeros((2,) + g.shape, dtype=complex)
-        state = GaugeState(u=u, u0=None, a=a, a0=None, theta=np.zeros(g.shape))
+        state = GaugeState(u=u, u0=None, a=a, theta=np.zeros(g.shape))
         fixed = coulomb_gauge_fix(g, state)
         assert np.abs(divergence(g, fixed.a)).max() < 1e-10
 
@@ -222,7 +224,7 @@ class TestCoulombFix:
         a = rng.standard_normal((2,) + g.shape)
         u = (rng.standard_normal((2,) + g.shape)
              + 1j * rng.standard_normal((2,) + g.shape))
-        state = GaugeState(u=u, u0=None, a=a, a0=None, theta=np.zeros(g.shape))
+        state = GaugeState(u=u, u0=None, a=a, theta=np.zeros(g.shape))
         once = coulomb_gauge_fix(g, state)
         twice = coulomb_gauge_fix(g, once)
         assert np.abs(twice.u - once.u).max() < 1e-12
@@ -233,7 +235,7 @@ class TestCoulombFix:
         rng = np.random.default_rng(2)
         a = rng.standard_normal((2,) + g.shape)
         state = GaugeState(u=np.zeros((2,) + g.shape, dtype=complex), u0=None,
-                           a=a, a0=None, theta=np.zeros(g.shape))
+                           a=a, theta=np.zeros(g.shape))
         fixed = coulomb_gauge_fix(g, state)
         assert abs(fixed.theta.mean()) < 1e-14
 

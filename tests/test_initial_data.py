@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from llglab.fields import derivative, make_grid
+from llglab.frames import PoleProximity
 from llglab.initial_data import (
     InitialDataSpec,
     MollificationTooWeak,
@@ -23,6 +24,20 @@ class TestSpecValidation:
     def test_non_unit_background(self):
         with pytest.raises(ValueError):
             InitialDataSpec(kind="constant", m_infinity=(0.0, 0.0, 2.0))
+
+    @pytest.mark.parametrize("kind,values", [
+        ("equatorial_wave", {"amplitude": float("nan")}),
+        ("bump_chart", {"amplitude": float("inf")}),
+        ("bump_chart", {"width": float("nan")}),
+        ("bump_chart", {"width": 0.0}),
+        ("rough_mollified", {"mollification_k": float("inf")}),
+        ("rough_mollified", {"mollification_k": -4.0}),
+        ("constant", {"m_infinity": (0.0, 0.0, float("nan"))}),
+    ], ids=["nan_amplitude", "inf_amplitude", "nan_width", "zero_width", "inf_k",
+            "negative_k", "nan_background"])
+    def test_non_finite_or_non_positive_rejected(self, kind, values):
+        with pytest.raises(ValueError):
+            InitialDataSpec(kind=kind, **values)
 
 
 class TestGenerators:
@@ -47,6 +62,12 @@ class TestGenerators:
         m = generate_initial_data(spec, g)
         assert m.unit_defect() < 1e-14
         assert m.values[2].min() > -0.95
+
+    def test_bump_chart_south_pole_background_rejected(self):
+        g = make_grid(2, 16, TWO_PI)
+        spec = InitialDataSpec(kind="bump_chart", m_infinity=(0.0, 0.0, -1.0))
+        with pytest.raises(PoleProximity):
+            generate_initial_data(spec, g)
 
     def test_rough_mollified_deterministic_in_seed(self):
         g = make_grid(2, 32, TWO_PI)

@@ -216,7 +216,7 @@ class TestParabolicNorm:
         base = rng.standard_normal((grid.dim,) + grid.shape)
         times = np.linspace(2.0, 4.0, steps)
         fields = [base if constant else base * (1.0 + 0.3 * np.sin(t)) for t in times]
-        return Trajectory(times, fields, kind="grad")
+        return Trajectory(times, fields)
 
     def test_zero_trajectory(self):
         g = make_grid(2, 16, TWO_PI)
