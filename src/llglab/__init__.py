@@ -40,7 +40,6 @@ from .semigroup import (
     apply_grad_semigroup,
     apply_semigroup,
     default_decay_times,
-    duhamel_integral,
     verify_decay,
 )
 from .frames import (

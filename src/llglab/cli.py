@@ -21,10 +21,10 @@ import numpy as np
 
 from .cgl import CglConfig, NonContraction, picard_iterate
 from .fields import as_complex_components, float_repr, load_snapshot, make_grid, save_snapshot
-from .initial_data import InitialDataSpec, generate_initial_data, spectral_bump
+from .initial_data import InitialDataSpec, generate_initial_data
 from .llg import LlgConfig, solve, stability_cap
 from .runner import _write_rows, run_experiment
-from .semigroup import SemigroupParams, default_decay_times, verify_decay
+from .semigroup import DECAY_GRID, decay_datum, verify_decay
 
 
 def _add_grid_args(p: argparse.ArgumentParser) -> None:
@@ -57,7 +57,7 @@ def build_parser() -> argparse.ArgumentParser:
     ver_p = sub.add_parser("verify-semigroup",
                            help="one-sided decay checks, one CSV per case")
     _add_grid_args(ver_p)
-    ver_p.set_defaults(n=64)  # the decay window must clear the diffusion scale
+    ver_p.set_defaults(**dict(zip(("dim", "n", "length"), DECAY_GRID)))
     ver_p.add_argument("--lambda", dest="lam", type=float, default=1.0)
     ver_p.add_argument("--p", type=float, default=2.0)
     ver_p.add_argument("--p-tilde", type=float, default=4.0)
@@ -101,9 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_verify_semigroup(args) -> int:
     try:
         grid = make_grid(args.dim, args.n, args.length)
-        params = SemigroupParams(lam=args.lam, grid=grid)
-        bump = spectral_bump(grid, width=grid.length / 48.0).astype(complex)
-        times = default_decay_times(grid, args.lam, num=args.num_t)
+        params, bump, times = decay_datum(args.lam, grid, num=args.num_t)
         rep = verify_decay(bump, args.p, args.p_tilde, args.q, times, params,
                            gradient_norm=args.gradient, c_max=args.c_max)
     except ValueError as exc:

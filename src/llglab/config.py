@@ -76,6 +76,11 @@ class LabConfig:
     llg_outputs: int = 9
 
     @property
+    def lam(self) -> float:
+        """Damping for checks that need no solver block: [llg], else [cgl], else 1."""
+        return self.llg.lam if self.llg else (self.cgl.lam if self.cgl else 1.0)
+
+    @property
     def effective_seed(self) -> int:
         env = os.environ.get("LLGLAB_SEED")
         return int(env) if env else self.seed

@@ -89,6 +89,7 @@ def cross_validate(grid: Grid, m0: SpinField, lam: float, t_end: float,
 
 
 def cross_validate_refinement(grid: Grid, m0: SpinField, lam: float, t_end: float,
+                              direct_dt: float | None = None, time_steps: int = 16,
                               **kwargs):
     """Base run plus a simultaneous refinement halving every time scale.
 
@@ -96,8 +97,8 @@ def cross_validate_refinement(grid: Grid, m0: SpinField, lam: float, t_end: floa
     run halves the direct step and doubles the mild output resolution, which
     also halves the quadrature and interpolation node spacing.
     """
-    direct_dt = kwargs.pop("direct_dt", None) or stability_cap(grid, lam)
-    time_steps = kwargs.pop("time_steps", 16)
+    if direct_dt is None:
+        direct_dt = stability_cap(grid, lam)
     base = cross_validate(grid, m0, lam, t_end, direct_dt=direct_dt,
                           time_steps=time_steps, **kwargs)
     fine = cross_validate(grid, m0, lam, t_end, direct_dt=direct_dt / 2.0,

@@ -12,25 +12,20 @@ from pathlib import Path
 
 import numpy as np
 
-from .cgl import NonContraction, fixed_point_residual, picard_iterate, stability_experiment
+from .cgl import (
+    NonContraction,
+    exponent_window_check,
+    fixed_point_residual,
+    picard_iterate,
+    stability_experiment,
+)
 from .config import LabConfig, parse_config
-from .experiments import (
-    cross_validate,
-    decay_report,
-    uniqueness_experiment,
-)
-from .cgl import exponent_window_check
-from .experiments import mild_initial_data
-from .frames import build_frame, check_identities, coulomb_gauge_fix, derive_gauge
-from .initial_data import (
-    generate_initial_data,
-    mollify_and_project,
-    rough_raw_field,
-    spectral_bump,
-)
+from .experiments import cross_validate, decay_report, mild_initial_data, uniqueness_experiment
 from .fields import float_repr
+from .frames import build_frame, check_identities, coulomb_gauge_fix, derive_gauge
+from .initial_data import generate_initial_data, mollify_and_project, rough_raw_field
 from .llg import check_energy_inequality, llg_rhs, solve
-from .semigroup import SemigroupParams, default_decay_times, verify_decay
+from .semigroup import decay_datum, verify_decay
 
 __all__ = ["CheckOutcome", "run_experiment", "run_config"]
 
@@ -61,12 +56,11 @@ def _check_energy(cfg: LabConfig, outdir: Path) -> CheckOutcome:
 
 def _check_identities(cfg: LabConfig, outdir: Path) -> CheckOutcome:
     grid = cfg.grid
-    lam = cfg.llg.lam if cfg.llg else (cfg.cgl.lam if cfg.cgl else 1.0)
     m0 = generate_initial_data(cfg.initial_data, grid, cfg.effective_seed)
     frame = build_frame(m0)
-    dt_m = llg_rhs(grid, m0.values, lam)
+    dt_m = llg_rhs(grid, m0.values, cfg.lam)
     state = coulomb_gauge_fix(grid, derive_gauge(grid, m0, dt_m, frame))
-    res = check_identities(grid, m0, dt_m, frame, state, lam)
+    res = check_identities(grid, m0, dt_m, frame, state, cfg.lam)
     _write_rows(outdir / "identity_residuals.csv", [res.csv_header(), res.csv_row()])
     ok = (res.torsion <= 1e-8 and res.curvature <= 1e-8 and res.tension <= 1e-8
           and res.u0_equation <= 1e-8 and res.div_a <= 1e-10)
@@ -77,15 +71,7 @@ def _check_identities(cfg: LabConfig, outdir: Path) -> CheckOutcome:
 
 
 def _check_semigroup_decay(cfg: LabConfig, outdir: Path) -> CheckOutcome:
-    # runs on the canonical suite grid: the decay window must clear the
-    # grid's diffusion scale for the final decade to show genuine decay
-    from .fields import make_grid
-
-    grid = make_grid(2, 64, 2.0 * np.pi)
-    lam = cfg.llg.lam if cfg.llg else (cfg.cgl.lam if cfg.cgl else 1.0)
-    params = SemigroupParams(lam=lam, grid=grid)
-    bump = spectral_bump(grid, width=grid.length / 48.0).astype(complex)
-    times = default_decay_times(grid, lam)
+    params, bump, times = decay_datum(cfg.lam)
     all_pass = True
     details = []
     cases = [(2.0, 2.0, False), (2.0, 4.0, False), (2.0, 2.0, True), (2.0, 4.0, True)]

@@ -3,8 +3,8 @@
 S(t) solves d_t v = (lambda - i) * laplacian(v); each Fourier coefficient is
 multiplied by exp((i - lambda) |xi|^2 t).  The damping lambda > 0 makes the
 multiplier magnitude exp(-lambda |xi|^2 t) <= 1, so S(t) is non-expansive and
-smoothing.  This module also provides the Duhamel quadrature used by the
-mild solver and a one-sided numerical check of the norm-decay power laws.
+smoothing.  This module also provides a one-sided numerical check of the
+norm-decay power laws and the canonical datum it is run on.
 """
 
 from __future__ import annotations
@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import Grid, float_repr, gradient
+from .fields import Grid, float_repr, gradient, make_grid, require_finite_positive
+from .initial_data import spectral_bump
 from .morrey import BallLattice, ball_lattice, morrey_norm
 
 __all__ = [
@@ -23,8 +24,13 @@ __all__ = [
     "DecayReport",
     "verify_decay",
     "default_decay_times",
-    "duhamel_integral",
+    "DECAY_GRID",
+    "decay_datum",
 ]
+
+# (dim, N, L) of the canonical decay grid: the decay window must clear the
+# grid's diffusion scale for the final decade to show genuine decay
+DECAY_GRID = (2, 64, 2.0 * np.pi)
 
 
 @dataclass(frozen=True)
@@ -96,6 +102,16 @@ def default_decay_times(grid: Grid, lam: float, num: int = 13) -> np.ndarray:
     return np.logspace(np.log10(t_max) - 2.0, np.log10(t_max), num)
 
 
+def decay_datum(lam: float, grid: Grid | None = None, num: int = 13):
+    """The canonical decay datum on ``grid`` (default ``DECAY_GRID``):
+    (params, spectral bump of width L/48, ``num`` default decay times)."""
+    if grid is None:
+        grid = make_grid(*DECAY_GRID)
+    params = SemigroupParams(lam=lam, grid=grid)
+    bump = spectral_bump(grid, width=grid.length / 48.0).astype(complex)
+    return params, bump, default_decay_times(grid, lam, num)
+
+
 def verify_decay(values: np.ndarray, p: float, p_tilde: float, q: float,
                  t_list: np.ndarray, params: SemigroupParams,
                  gradient_norm: bool = False, c_max: float = 50.0,
@@ -105,6 +121,7 @@ def verify_decay(values: np.ndarray, p: float, p_tilde: float, q: float,
     The hidden constants of the continuum estimates are not reproducible, so
     only boundedness of the compensated ratio is tested, never slope equality.
     """
+    require_finite_positive("c_max", c_max)
     grid = params.grid
     n = grid.dim
     if not (p <= p_tilde <= p * (n + 1)):
@@ -141,24 +158,3 @@ def verify_decay(values: np.ndarray, p: float, p_tilde: float, q: float,
         c_max=float(c_max), trend_ok=trend_ok,
         passed=bool(max_ratio <= c_max and trend_ok),
     )
-
-
-def duhamel_integral(forcing, t: float, steps: int, params: SemigroupParams) -> np.ndarray:
-    """Approximate int_0^t S(t-s) F(s) ds by the midpoint exponential rule.
-
-    [0, t] is split into ``steps`` intervals; on each, the exact semigroup is
-    applied to the midpoint-sampled forcing.  Second order in the step size,
-    and exact in the stiff linear part since only true semigroup
-    applications occur.
-    """
-    if steps < 1:
-        raise ValueError("steps must be at least 1")
-    if t < 0:
-        raise ValueError("integration time must be nonnegative")
-    ds = t / steps
-    acc = None
-    for j in range(steps):
-        s = (j + 0.5) * ds
-        term = apply_semigroup(np.asarray(forcing(s), dtype=complex), t - s, params) * ds
-        acc = term if acc is None else acc + term
-    return acc

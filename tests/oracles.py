@@ -10,6 +10,8 @@ from itertools import product
 
 import numpy as np
 
+from llglab.semigroup import SemigroupParams, apply_semigroup
+
 
 def pointwise_mag(grid, values):
     if values.ndim == grid.dim:
@@ -157,3 +159,25 @@ def finite_difference_gradient(grid, values, axis):
     h = grid.h
     ax = values.ndim - grid.dim + axis
     return (np.roll(values, -1, axis=ax) - np.roll(values, 1, axis=ax)) / (2 * h)
+
+
+def reference_duhamel_integral(forcing, t: float, steps: int,
+                               params: SemigroupParams) -> np.ndarray:
+    """Approximate int_0^t S(t-s) F(s) ds by the midpoint exponential rule.
+
+    [0, t] is split into ``steps`` intervals; on each, the exact semigroup is
+    applied to the midpoint-sampled forcing.  Second order in the step size,
+    and exact in the stiff linear part since only true semigroup
+    applications occur.
+    """
+    if steps < 1:
+        raise ValueError("steps must be at least 1")
+    if t < 0:
+        raise ValueError("integration time must be nonnegative")
+    ds = t / steps
+    acc = None
+    for j in range(steps):
+        s = (j + 0.5) * ds
+        term = apply_semigroup(np.asarray(forcing(s), dtype=complex), t - s, params) * ds
+        acc = term if acc is None else acc + term
+    return acc

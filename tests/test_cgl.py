@@ -199,7 +199,8 @@ class TestPicard:
         # the solver's interval-recursive integral is the same composite
         # midpoint exponential rule as the standalone quadrature
         from llglab.cgl import _duhamel_trajectory, _forcing_at
-        from llglab.semigroup import SemigroupParams, apply_semigroup, duhamel_integral
+        from llglab.semigroup import SemigroupParams, apply_semigroup
+        from oracles import reference_duhamel_integral as duhamel_integral
 
         g = make_grid(2, 16, TWO_PI)
         v0 = normalized(g, bump_pair(g), 0.02)

@@ -34,8 +34,21 @@ class TestVerifySemigroup:
         assert code == 0
         assert (out / "decay_p2_pt4_q2_grad.csv").exists()
 
-    @pytest.mark.parametrize("flags", [["--n", "12"], ["--lambda", "-1"], ["--q", "5"]],
-                             ids=["bad_n", "negative_lambda", "bad_q"])
+    def test_same_datum_as_runner_check(self, tmp_path):
+        cfg = tmp_path / "decay.cfg"
+        cfg.write_text("[grid]\ndim = 1\nn = 16\nlength = 6.283185307179586\n"
+                       "[experiments]\nchecks = semigroup_decay\n"
+                       f"[output]\ndir = {tmp_path / 'run'}\n")
+        assert main(["run", "--config", str(cfg)]) == 0
+        assert main(["verify-semigroup", "--p", "2", "--p-tilde", "4", "--gradient",
+                     "--out", str(tmp_path / "cli")]) == 0
+        run_csv = (tmp_path / "run" / "decay_p2_pt4_grad.csv").read_bytes()
+        assert run_csv == (tmp_path / "cli" / "decay_p2_pt4_q2_grad.csv").read_bytes()
+
+    @pytest.mark.parametrize("flags", [["--n", "12"], ["--lambda", "-1"], ["--q", "5"],
+                                       ["--c-max", "nan"], ["--c-max", "-1"]],
+                             ids=["bad_n", "negative_lambda", "bad_q",
+                                  "nan_c_max", "negative_c_max"])
     def test_invalid_input_exit_code(self, tmp_path, capsys, flags):
         code = main(["verify-semigroup", "--n", "16", "--out", str(tmp_path / "d")] + flags)
         assert code == 2

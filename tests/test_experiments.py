@@ -50,6 +50,12 @@ class TestCrossValidate:
             duhamel_substeps=4, picard_tol=1e-12)
         assert ratio >= 2.0
 
+    def test_refinement_rejects_zero_direct_dt(self):
+        g = make_grid(2, 16, TWO_PI)
+        with pytest.raises(ValueError):
+            cross_validate_refinement(g, constant_spin(g), lam=1.0, t_end=0.05,
+                                      direct_dt=0.0, time_steps=4, duhamel_substeps=2)
+
 
 class TestMildInitialData:
     def test_gauge_coefficients_without_llg_rhs(self, monkeypatch):
