@@ -31,7 +31,7 @@ from scipy import integrate
 
 from .fields import Grid, Trajectory, gradient, l2_norm, require_finite_positive
 from .frames import gauge_fields_from_u
-from .morrey import BallLattice, ball_lattice, morrey_norm, xpt_norm, XptReport
+from .morrey import morrey_norm, xpt_norm, XptReport
 from .semigroup import SemigroupParams, apply_semigroup
 
 __all__ = [
@@ -259,7 +259,6 @@ def _duhamel_trajectory(grid: Grid, times: np.ndarray, u_old: list, lam: float,
 
 
 def picard_iterate(grid: Grid, v0: np.ndarray, config: CglConfig,
-                   lattice: BallLattice | None = None,
                    track_xpt: bool = False) -> PicardResult:
     """Iterate the Duhamel fixed point from u^0(t) = S(t) v0.
 
@@ -270,10 +269,8 @@ def picard_iterate(grid: Grid, v0: np.ndarray, config: CglConfig,
     v0 = np.asarray(v0, dtype=complex)
     if v0.shape != (grid.dim,) + grid.shape:
         raise ValueError(f"v0 must have shape {(grid.dim,) + grid.shape}")
-    if lattice is None:
-        lattice = ball_lattice(grid)
     params = SemigroupParams(lam=config.lam, grid=grid)
-    initial_norm = morrey_norm(grid, v0, 2.0, 2.0, lattice).value
+    initial_norm = morrey_norm(grid, v0, 2.0, 2.0).value
     warned = False
     if initial_norm > config.smallness:
         warnings.warn(
@@ -304,7 +301,7 @@ def picard_iterate(grid: Grid, v0: np.ndarray, config: CglConfig,
                 )
             row = {"iter": it, "increment": inc}
             if track_xpt:
-                rep = xpt_norm(grid, Trajectory(times, u_new), config.p, lattice)
+                rep = xpt_norm(grid, Trajectory(times, u_new), config.p)
                 row.update(xpt_r1=rep.r1, xpt_r2=rep.r2, xpt_r3=rep.r3)
             iteration_log.append(row)
             if increments and inc > increments[-1]:
@@ -324,7 +321,7 @@ def picard_iterate(grid: Grid, v0: np.ndarray, config: CglConfig,
                 break
 
     traj = Trajectory(times, u_old)
-    xpt = xpt_norm(grid, traj, config.p, lattice)
+    xpt = xpt_norm(grid, traj, config.p)
     return PicardResult(trajectory=traj, xpt=xpt, increments=increments,
                         converged=converged, iterations=len(increments),
                         initial_norm=initial_norm, warned_large_data=warned,
@@ -365,28 +362,25 @@ class StabilityReport:
 
 
 def stability_experiment(grid: Grid, v0_a: np.ndarray, v0_b: np.ndarray,
-                         config: CglConfig, halvings: int = 3,
-                         lattice: BallLattice | None = None) -> StabilityReport:
+                         config: CglConfig, halvings: int = 3) -> StabilityReport:
     """Solve from v0_a and from v0_a + (v0_b - v0_a)/2^k, k = 0..halvings-1,
     and report the trajectory-norm-to-data-norm response ratio series."""
-    if lattice is None:
-        lattice = ball_lattice(grid)
     v0_a = np.asarray(v0_a, dtype=complex)
     v0_b = np.asarray(v0_b, dtype=complex)
     perturbation = v0_b - v0_a
     if np.abs(perturbation).max() == 0.0:
         return StabilityReport(deltas=(), ratios=(), exact_zero=True)
-    base = picard_iterate(grid, v0_a, config, lattice)
+    base = picard_iterate(grid, v0_a, config)
     deltas = []
     ratios = []
     for k in range(halvings):
         pert_k = perturbation / (2.0**k)
-        other = picard_iterate(grid, v0_a + pert_k, config, lattice)
+        other = picard_iterate(grid, v0_a + pert_k, config)
         diff_fields = [ub - ua for ua, ub in
                        zip(base.trajectory.fields, other.trajectory.fields)]
         diff_traj = Trajectory(base.trajectory.times, diff_fields)
-        num = xpt_norm(grid, diff_traj, config.p, lattice).total
-        den = morrey_norm(grid, pert_k, 2.0, 2.0, lattice).value
+        num = xpt_norm(grid, diff_traj, config.p).total
+        den = morrey_norm(grid, pert_k, 2.0, 2.0).value
         deltas.append(float(np.abs(pert_k).max()))
         ratios.append(num / den)
     return StabilityReport(deltas=tuple(deltas), ratios=tuple(ratios), exact_zero=False)

@@ -82,8 +82,14 @@ class LabConfig:
 
     @property
     def effective_seed(self) -> int:
+        """The configured seed, unless the LLGLAB_SEED environment variable is set."""
         env = os.environ.get("LLGLAB_SEED")
-        return int(env) if env else self.seed
+        if not env:
+            return self.seed
+        try:
+            return int(env)
+        except ValueError:
+            raise ConfigError(f"LLGLAB_SEED = {env!r} is not an integer") from None
 
 
 def _get(parser, section, key, conv, default=None, required=False):
@@ -91,7 +97,10 @@ def _get(parser, section, key, conv, default=None, required=False):
         if required:
             raise ConfigError(f"[{section}] is missing required key '{key}'")
         return default
-    raw = parser.get(section, key)
+    try:
+        raw = parser.get(section, key)
+    except configparser.Error as exc:
+        raise ConfigError(f"[{section}] {key}: {exc}") from exc
     try:
         return conv(raw)
     except ConfigError:
@@ -111,8 +120,8 @@ def _construct(section, factory, *args, **kwargs):
 def parse_config(path) -> LabConfig:
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     try:
-        read = parser.read(path)
-    except configparser.Error as exc:
+        read = parser.read(path, encoding="utf-8")
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"malformed config: {exc}") from exc
     if not read:
         raise ConfigError(f"cannot read config file {path}")

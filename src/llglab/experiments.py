@@ -65,12 +65,13 @@ def cross_validate(grid: Grid, m0: SpinField, lam: float, t_end: float,
     """Relative L2 discrepancy of |grad m| between the two solvers over time."""
     if direct_dt is None:
         direct_dt = stability_cap(grid, lam)
-    v0 = mild_initial_data(grid, m0)
+    # both configs are built first, so bad input fails before either solve
+    llg_cfg = LlgConfig(grid=grid, lam=lam, t_end=t_end, dt=direct_dt)
     cgl_cfg = CglConfig(lam=lam, t_end=t_end, time_steps=time_steps,
                         duhamel_substeps=duhamel_substeps, picard_tol=picard_tol,
                         smallness=smallness)
+    v0 = mild_initial_data(grid, m0)
     mild = picard_iterate(grid, v0, cgl_cfg)
-    llg_cfg = LlgConfig(grid=grid, lam=lam, t_end=t_end, dt=direct_dt)
     direct = solve(m0, llg_cfg, output_times=mild.trajectory.times)
 
     discrepancies = []

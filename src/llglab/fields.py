@@ -12,6 +12,7 @@ multiplier (the standard real-output convention); even orders keep it.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 from functools import cached_property
@@ -337,10 +338,11 @@ def load_snapshot(path):
         if version != SNAPSHOT_VERSION:
             raise ValueError(f"unsupported snapshot version {version}")
         grid = make_grid(dim, n, length)
+        expected = 8 * ncomp * grid.num_points  # bytes of f64 samples
+        size = os.fstat(fh.fileno()).st_size - _HEADER.size
+        if size != expected:  # checked before the payload is read
+            raise ValueError(f"payload has {size} bytes, expected {expected}")
         raw = np.frombuffer(fh.read(), dtype="<f8")
-    expected = ncomp * grid.num_points
-    if raw.size != expected:
-        raise ValueError(f"payload has {raw.size} samples, expected {expected}")
     arr = raw.reshape(grid.shape + (ncomp,))
     return grid, np.moveaxis(arr, -1, 0).copy()
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .fields import Grid, SpinField, gradient, normalize_spin, require_finite_positive
 from .frames import build_frame
-from .morrey import BallLattice, ball_lattice, morrey_norm
+from .morrey import morrey_norm
 
 __all__ = [
     "MollificationTooWeak",
@@ -111,16 +111,13 @@ class MollifyReport:
         return self.grad_norm_smoothed / self.grad_norm_raw
 
 
-def mollify_and_project(grid: Grid, m_raw: SpinField, k: float,
-                        lattice: BallLattice | None = None):
+def mollify_and_project(grid: Grid, m_raw: SpinField, k: float):
     """Smooth a sphere-valued field with phi_k, then project to the sphere.
 
     Raises MollificationTooWeak when the smoothed modulus drops below 3/4
     somewhere (the projection's Lipschitz bound needs the 3/4 shell).
     Returns (projected SpinField, MollifyReport with the norm bookkeeping).
     """
-    if lattice is None:
-        lattice = ball_lattice(grid)
     mult = _mollifier_multiplier(grid, k)
     raw = m_raw.values
     smoothed = np.fft.ifftn(np.fft.fftn(raw, axes=grid.axes) * mult,
@@ -135,7 +132,7 @@ def mollify_and_project(grid: Grid, m_raw: SpinField, k: float,
     projected = SpinField(grid, smoothed / modulus)
 
     def grad_norm(mv):
-        return morrey_norm(grid, gradient(grid, mv), 2.0, 2.0, lattice).value
+        return morrey_norm(grid, gradient(grid, mv), 2.0, 2.0).value
 
     report = MollifyReport(
         min_modulus=min_mod, max_modulus=max_mod,

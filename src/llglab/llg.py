@@ -35,7 +35,7 @@ from .fields import (
     require_finite_positive,
     sup_norm,
 )
-from .morrey import BallLattice, ParabolicCylinder, ball_lattice, morrey_norm
+from .morrey import ParabolicCylinder, morrey_norm
 
 __all__ = [
     "BlowupSuspected",
@@ -164,8 +164,7 @@ class LlgResult:
     meta: dict = field(default_factory=dict)
 
 
-def solve(m0: SpinField, config: LlgConfig, output_times=None, n_outputs: int = 17,
-          lattice: BallLattice | None = None) -> LlgResult:
+def solve(m0: SpinField, config: LlgConfig, output_times=None, n_outputs: int = 17) -> LlgResult:
     """March m0 to t_end, recording snapshots and the energy ledger.
 
     The dissipation integral accumulates by trapezoid at every integrator
@@ -181,8 +180,6 @@ def solve(m0: SpinField, config: LlgConfig, output_times=None, n_outputs: int = 
     output_times = np.asarray(output_times, dtype=float)
     if output_times[0] != 0.0 or np.any(np.diff(output_times) <= 0):
         raise ValueError("output times must start at 0 and increase")
-    if lattice is None:
-        lattice = ball_lattice(grid)
 
     m = np.asarray(m0.values, dtype=float)
     if float(np.abs((m * m).sum(axis=0) - 1.0).max()) > 1e-10:
@@ -213,7 +210,7 @@ def solve(m0: SpinField, config: LlgConfig, output_times=None, n_outputs: int = 
         energies.append(0.5 * float((g * g).sum() * hn))
         dissip.append(dissipated)
         supg.append(sg)
-        mor22.append(morrey_norm(grid, g, 2.0, 2.0, lattice).value)
+        mor22.append(morrey_norm(grid, g, 2.0, 2.0).value)
 
     record(m)
     for i in range(len(output_times) - 1):

@@ -7,6 +7,10 @@ The spatial norm of a field f is the supremum over lattice balls of
 with wrapped Euclidean distance and closed balls.  Radii are dyadic
 multiples of the grid spacing capped at half the box length (a torus ball of
 larger radius is not a ball), and centers run over a strided sub-lattice.
+A ``BallLattice`` belongs to the grid it was built for and is checked once,
+when it is made; ``ball_lattice`` caches the default one per grid.  Only
+``morrey_norm`` takes a lattice, and it rejects one built for another grid;
+the trajectory norms, solvers and diagnostics measure on the default lattice.
 
 Space-time variants measure trajectories: the parabolic norm integrates
 |f|^2 over cylinders B_r(x) x [t - r^2, t], and the trajectory norms take
@@ -39,7 +43,9 @@ otherwise its rows are rebuilt chunk by chunk.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
+from numbers import Integral
 
 import numpy as np
 
@@ -61,13 +67,25 @@ __all__ = [
 
 @dataclass(frozen=True)
 class BallLattice:
-    """Centers (integer index tuples) and dyadic radii defining the search set."""
+    """Centers (integer index tuples) and dyadic radii on one grid.
 
+    Everything is checked once, here; ``morrey_norm`` only checks that it is
+    handed the grid the lattice was built for.
+    """
+
+    grid: Grid
     centers: tuple
     radii: tuple
     stride: int = 1
 
     def __post_init__(self):
+        if len(self.centers) == 0:
+            raise ValueError("lattice must carry at least one center")
+        n, dim = self.grid.n, self.grid.dim
+        for c in self.centers:
+            if not (isinstance(c, tuple) and len(c) == dim
+                    and all(isinstance(i, Integral) and 0 <= i < n for i in c)):
+                raise ValueError(f"center {c!r} is not a {dim}-tuple of indices in [0, {n})")
         if len(self.radii) == 0:
             raise ValueError("lattice must carry at least one radius")
         require_finite_positive("smallest radius", self.radii[0])
@@ -80,8 +98,11 @@ class BallLattice:
         return len(self.centers)
 
 
+@lru_cache(maxsize=16)
 def ball_lattice(grid: Grid, stride: int | None = None, r_max: float | None = None) -> BallLattice:
-    """Default search lattice: stride 2 for N >= 64 (cost control), else 1."""
+    """Default search lattice: stride 2 for N >= 64 (cost control), else 1.
+
+    Cached, so each lattice is built and checked once per process."""
     if stride is None:
         stride = 2 if grid.n >= 64 else 1
     if stride < 1:
@@ -97,7 +118,7 @@ def ball_lattice(grid: Grid, stride: int | None = None, r_max: float | None = No
     if not radii:
         raise ValueError("no admissible radius <= L/2; increase r_max")
     centers = tuple(product(range(0, grid.n, stride), repeat=grid.dim))
-    return BallLattice(centers=centers, radii=tuple(radii), stride=stride)
+    return BallLattice(grid=grid, centers=centers, radii=tuple(radii), stride=stride)
 
 
 @dataclass(frozen=True)
@@ -110,14 +131,6 @@ class MorreyReport:
     witness_center: tuple
     witness_radius: float
     lattice: BallLattice
-
-    def csv_header(self, dim: int) -> str:
-        coords = ",".join(f"witness_c{ax}" for ax in "xyz"[:dim])
-        return f"p,q,value,{coords},witness_r"
-
-    def csv_row(self, grid: Grid) -> str:
-        coords = ",".join(repr(c * grid.h) for c in self.witness_center)
-        return f"{self.p!r},{self.q!r},{self.value!r},{coords},{self.witness_radius!r}"
 
 
 def _validate_pq(grid: Grid, p: float, q: float) -> None:
@@ -136,7 +149,7 @@ _CHUNK_ELEMS = 1 << 16
 _TABLE_BYTES = 1 << 24
 _SHORTLIST_RTOL = 1e-9
 
-# Single-entry cache: {"key": (grid, lattice), "table": rank table}.
+# Single-entry cache: {"key": lattice, "table": rank table}.
 _rank_cache: dict = {}
 
 
@@ -152,11 +165,11 @@ def _rank_rows(grid: Grid, rank0: np.ndarray, centers: np.ndarray) -> np.ndarray
     return rank0[tuple(index)].reshape(len(centers), -1)
 
 
-def _ball_sums(grid: Grid, lattice: BallLattice, flat: np.ndarray) -> np.ndarray:
+def _ball_sums(lattice: BallLattice, flat: np.ndarray) -> np.ndarray:
     """Sum of ``flat`` (raster order) over every lattice ball, (centers, radii)."""
+    grid = lattice.grid
     n_radii = len(lattice.radii)
-    key = (grid, lattice)
-    table = _rank_cache["table"] if _rank_cache.get("key") == key else None
+    table = _rank_cache["table"] if _rank_cache.get("key") == lattice else None
     if table is None:
         r2 = np.array([r * r for r in lattice.radii])
         rank0 = np.searchsorted(r2, grid.wrapped_dist2).astype(np.min_scalar_type(n_radii))
@@ -165,7 +178,7 @@ def _ball_sums(grid: Grid, lattice: BallLattice, flat: np.ndarray) -> np.ndarray
             _rank_cache.clear()  # drop the old table before building the new one
             table = _rank_rows(grid, rank0, centers)
             table.flags.writeable = False
-            _rank_cache.update(key=key, table=table)
+            _rank_cache.update(key=lattice, table=table)
     sums = np.empty((lattice.n_centers, n_radii), dtype=flat.dtype)
     step = max(1, _CHUNK_ELEMS // flat.size)
     for lo in range(0, lattice.n_centers, step):
@@ -181,18 +194,18 @@ def _ball_sums(grid: Grid, lattice: BallLattice, flat: np.ndarray) -> np.ndarray
 
 def morrey_norm(grid: Grid, values: np.ndarray, p: float, q: float,
                 lattice: BallLattice | None = None) -> MorreyReport:
-    """Maximum over lattice balls of the r^(q-n)-weighted p-mass of |values|."""
+    """Maximum over lattice balls of the r^(q-n)-weighted p-mass of |values|.
+
+    ``lattice`` defaults to ``ball_lattice(grid)`` and must belong to ``grid``."""
     _validate_pq(grid, p, q)
     if lattice is None:
         lattice = ball_lattice(grid)
-    if lattice.n_centers == 0:
-        raise ValueError("empty lattice")
-    if any(max(c) >= grid.n for c in lattice.centers):
-        raise ValueError("lattice centers fall outside the grid")
+    elif lattice.grid != grid:
+        raise ValueError(f"lattice belongs to {lattice.grid}, not to {grid}")
     magp = pointwise_magnitude(grid, values) ** p
     if not np.isfinite(magp).all():
         raise ValueError(f"|values|**{p} is not finite everywhere")
-    sums = _ball_sums(grid, lattice, magp.ravel())
+    sums = _ball_sums(lattice, magp.ravel())
     hn = grid.h ** grid.dim
     ndim = grid.dim
     weights = np.array([r ** (q - ndim) for r in lattice.radii])
@@ -346,27 +359,24 @@ class XptReport:
         return self.r1 + self.r2 + self.r3
 
 
-def xpt_norm(grid: Grid, traj: Trajectory, p: float,
-             lattice: BallLattice | None = None) -> XptReport:
+def xpt_norm(grid: Grid, traj: Trajectory, p: float) -> XptReport:
     if p <= 2:
         raise ValueError(f"trajectory norm needs p > 2, got {p}")
     if len(traj) == 0:
         raise ValueError("empty trajectory")
-    if lattice is None:
-        lattice = ball_lattice(grid)
     r1 = r2 = r3 = 0.0
     t1 = t2 = t3 = float(traj.times[0])
     for t, u in zip(traj.times, traj.fields):
-        n3 = morrey_norm(grid, u, 2.0, 2.0, lattice).value
+        n3 = morrey_norm(grid, u, 2.0, 2.0).value
         if n3 > r3:
             r3, t3 = n3, float(t)
         if t > 0.0:
-            n1 = morrey_norm(grid, u, p, 2.0, lattice).value
+            n1 = morrey_norm(grid, u, p, 2.0).value
             w1 = t ** (0.5 - 1.0 / p) * n1
             if w1 > r1:
                 r1, t1 = w1, float(t)
             gu = gradient(grid, u)
-            n2 = morrey_norm(grid, gu, 2.0, 2.0, lattice).value
+            n2 = morrey_norm(grid, gu, 2.0, 2.0).value
             w2 = np.sqrt(t) * n2
             if w2 > r2:
                 r2, t2 = w2, float(t)
@@ -374,8 +384,7 @@ def xpt_norm(grid: Grid, traj: Trajectory, p: float,
                      t_end=float(traj.times[-1]), r1_time=t1, r2_time=t2, r3_time=t3)
 
 
-def ypt_norm(grid: Grid, traj: Trajectory, p: float,
-             lattice: BallLattice | None = None) -> float:
+def ypt_norm(grid: Grid, traj: Trajectory, p: float) -> float:
     """The r1 + r2 part of the trajectory norm (drops the plain sup)."""
-    rep = xpt_norm(grid, traj, p, lattice)
+    rep = xpt_norm(grid, traj, p)
     return rep.r1 + rep.r2

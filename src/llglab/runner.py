@@ -211,6 +211,7 @@ def run_config(cfg: LabConfig, out_dir=None, jobs: int = 1):
     Checks run serially whatever ``jobs`` says: they are GIL-bound Python
     loops, and a thread pool measured slower than serial.
     """
+    cfg.effective_seed  # a bad LLGLAB_SEED raises ConfigError before anything is written
     outdir = Path(out_dir or cfg.out_dir)
     outdir.mkdir(parents=True, exist_ok=True)
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from .fields import Grid, float_repr, gradient, make_grid, require_finite_positive
 from .initial_data import spectral_bump
-from .morrey import BallLattice, ball_lattice, morrey_norm
+from .morrey import morrey_norm
 
 __all__ = [
     "SemigroupParams",
@@ -114,8 +114,7 @@ def decay_datum(lam: float, grid: Grid | None = None, num: int = 13):
 
 def verify_decay(values: np.ndarray, p: float, p_tilde: float, q: float,
                  t_list: np.ndarray, params: SemigroupParams,
-                 gradient_norm: bool = False, c_max: float = 50.0,
-                 lattice: BallLattice | None = None) -> DecayReport:
+                 gradient_norm: bool = False, c_max: float = 50.0) -> DecayReport:
     """One-sided numerical check of a semigroup decay estimate.
 
     The hidden constants of the continuum estimates are not reproducible, so
@@ -132,9 +131,7 @@ def verify_decay(values: np.ndarray, p: float, p_tilde: float, q: float,
     t_list = np.sort(t_list)
     if t_list[-1] / t_list[0] < 100.0 * (1.0 - 1e-9):
         raise ValueError("t_list must span at least two decades")
-    if lattice is None:
-        lattice = ball_lattice(grid)
-    base = morrey_norm(grid, values, p, q, lattice).value
+    base = morrey_norm(grid, values, p, q).value
     if base == 0.0:
         raise ValueError("decay ratio undefined for the zero field")
     power = 0.5 * q * (1.0 / p - 1.0 / p_tilde)
@@ -146,7 +143,7 @@ def verify_decay(values: np.ndarray, p: float, p_tilde: float, q: float,
             out = apply_grad_semigroup(values, t, params)
         else:
             out = apply_semigroup(values, t, params)
-        norms[i] = morrey_norm(grid, out, p_tilde, q, lattice).value
+        norms[i] = morrey_norm(grid, out, p_tilde, q).value
     ratios = norms * t_list**power / base
     max_ratio = float(ratios.max())
     final = ratios[t_list >= t_list[-1] / 10.0]

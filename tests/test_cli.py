@@ -147,6 +147,22 @@ class TestRunCommand:
         bad.write_text("[grid]\ndim = 2\nn = 16\nlength = 1.0\nwhat = 3\n")
         assert main(["run", "--config", str(bad)]) == 2
 
+    def test_non_utf8_config_exit_code(self, tmp_path, capsys):
+        bad = tmp_path / "bad.cfg"
+        bad.write_bytes(b"\xff\xfe")
+        assert main(["run", "--config", str(bad)]) == 2
+        assert "config error: malformed config" in capsys.readouterr().err
+
+    def test_bad_seed_env_exit_code(self, tmp_path, capsys, monkeypatch):
+        cfg = tmp_path / "ok.cfg"
+        cfg.write_text("[grid]\ndim = 1\nn = 16\nlength = 1.0\n"
+                       "[experiments]\nchecks = exponent_window mollify\n[output]\n")
+        monkeypatch.setenv("LLGLAB_SEED", "abc")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "config error: LLGLAB_SEED = 'abc'" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("section,body", [
         ("grid", "[grid]\ndim = 2\nn = 12\nlength = 1.0\n"),
         ("initial_data", "[grid]\ndim = 2\nn = 16\nlength = 1.0\n"

@@ -1,0 +1,83 @@
+"""Property tests of the INI parser: whatever the file holds, only ConfigError escapes."""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from llglab.config import _SCHEMA, ConfigError, LabConfig, parse_config
+
+SECTIONS = sorted(_SCHEMA) + ["DEFAULT", "bogus"]
+KEYS = sorted(set().union(*_SCHEMA.values())) + ["bogus"]
+VALUES = st.one_of(
+    st.sampled_from(["", "0", "1", "2", "-1", "8", "16", "0.5", "1e-3", "1e308", "nan",
+                     "inf", "-inf", "0 0 1", "1 0", "equatorial_wave", "constant",
+                     "projected-rk4", "energy picard", "cross_solver,stability", "%",
+                     "%(dim)s", "\\x00", "9" * 5000]),
+    st.text(max_size=20),
+)
+
+
+@st.composite
+def ini_text(draw):
+    """Schema-shaped files (so values reach their converters) or junk, half each."""
+    schema_shaped = draw(st.booleans())
+    if schema_shaped:
+        sections = ["grid", "experiments", "output"] + draw(
+            st.lists(st.sampled_from(["initial_data", "llg", "cgl"]), unique=True))
+    else:
+        sections = draw(st.lists(st.one_of(st.sampled_from(SECTIONS), st.text(max_size=8)),
+                                 max_size=4))
+    lines = []
+    for section in sections:
+        lines.append(f"[{section}]")
+        known = st.sampled_from(sorted(_SCHEMA.get(section, KEYS)))
+        keys = known if schema_shaped else st.one_of(known, st.sampled_from(KEYS),
+                                                     st.text(max_size=8))
+        lines.extend(f"{key} = {draw(VALUES)}"
+                     for key in draw(st.lists(keys, max_size=8, unique=True)))
+        if not schema_shaped:
+            lines.extend(draw(st.lists(st.text(max_size=12), max_size=2)))
+    return "\n".join(lines) + "\n"
+
+
+def _parse_or_config_error(path):
+    try:
+        assert isinstance(parse_config(path), LabConfig)
+    except ConfigError:
+        pass
+
+
+@pytest.fixture(scope="module")
+def cfg_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "fuzz.cfg"
+
+
+@settings(max_examples=250)
+@given(text=ini_text())
+def test_random_ini_text_raises_only_config_error(cfg_path, text):
+    cfg_path.write_text(text, encoding="utf-8", errors="surrogatepass")
+    _parse_or_config_error(cfg_path)
+
+
+@settings(max_examples=200)
+@given(data=st.binary(max_size=200), valid_prefix=st.booleans())
+def test_random_bytes_raise_only_config_error(cfg_path, data, valid_prefix):
+    prefix = b"[grid]\ndim = 1\nn = 8\nlength = 1.0\n" if valid_prefix else b""
+    cfg_path.write_bytes(prefix + data)
+    _parse_or_config_error(cfg_path)
+
+
+@pytest.mark.parametrize("raw", [b"\xff\xfe", b"[grid]\ndim = \xe9\n"], ids=["bom", "latin1"])
+def test_non_utf8_file_is_config_error(tmp_path, raw):
+    path = tmp_path / "bad.cfg"
+    path.write_bytes(raw)
+    with pytest.raises(ConfigError, match="malformed config"):
+        parse_config(path)
+
+
+def test_interpolation_error_is_config_error(tmp_path):
+    path = tmp_path / "bad.cfg"
+    path.write_text("[grid]\ndim = 2\nn = 16\nlength = 1.0\n[experiments]\n"
+                    "[output]\ndir = 50%\n")
+    with pytest.raises(ConfigError, match=r"\[output\] dir"):
+        parse_config(path)

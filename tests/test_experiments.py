@@ -56,6 +56,16 @@ class TestCrossValidate:
             cross_validate_refinement(g, constant_spin(g), lam=1.0, t_end=0.05,
                                       direct_dt=0.0, time_steps=4, duhamel_substeps=2)
 
+    def test_bad_direct_dt_fails_before_mild_solve(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the mild solve ran before direct_dt was checked")
+
+        monkeypatch.setattr("llglab.experiments.picard_iterate", forbidden)
+        g = make_grid(2, 16, TWO_PI)
+        with pytest.raises(ValueError, match="dt"):
+            cross_validate(g, constant_spin(g), lam=1.0, t_end=0.05, direct_dt=0.0,
+                           time_steps=4, duhamel_substeps=2)
+
 
 class TestMildInitialData:
     def test_gauge_coefficients_without_llg_rhs(self, monkeypatch):
@@ -233,3 +243,14 @@ class TestRunner:
         assert cfg.effective_seed == 7
         monkeypatch.setenv("LLGLAB_SEED", "99")
         assert cfg.effective_seed == 99
+
+    def test_bad_seed_env_is_config_error(self, tmp_path, monkeypatch):
+        cfg_path = tmp_path / "seed.cfg"
+        cfg_path.write_text(SMOKE_TEMPLATE.format(checks="energy", outdir=tmp_path / "out"))
+        cfg = parse_config(cfg_path)
+        monkeypatch.setenv("LLGLAB_SEED", "abc")
+        with pytest.raises(ConfigError, match="LLGLAB_SEED"):
+            cfg.effective_seed
+        with pytest.raises(ConfigError, match="LLGLAB_SEED"):
+            run_config(cfg)
+        assert not (tmp_path / "out").exists()

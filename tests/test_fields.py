@@ -1,6 +1,10 @@
+import struct
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from llglab.fields import (
@@ -177,6 +181,54 @@ class TestSnapshots:
         assert comps.shape == (4, 16)
         assert np.array_equal(as_complex_components(comps), u)
 
+    @given(dim=st.integers(1, 3), n=st.sampled_from([8, 16]), ncomp=st.integers(1, 3),
+           complex_field=st.booleans(), length=st.floats(1e-3, 1e3), seed=st.integers(0, 99))
+    def test_round_trip_property(self, dim, n, ncomp, complex_field, length, seed):
+        g = make_grid(dim, n, length)
+        rng = np.random.default_rng(seed)
+        values = rng.standard_normal((ncomp,) + g.shape)
+        if complex_field:
+            values = values + 1j * rng.standard_normal((ncomp,) + g.shape)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "f.llgf"
+            save_snapshot(path, g, values)
+            g2, comps = load_snapshot(path)
+        assert g2 == g
+        assert np.array_equal(as_complex_components(comps) if complex_field else comps, values)
+
+    @settings(max_examples=5)
+    @given(dim=st.integers(1, 2), ncomp=st.integers(1, 2), extra=st.binary(min_size=1, max_size=9))
+    def test_every_truncation_or_extension_rejected(self, dim, ncomp, extra):
+        g = make_grid(dim, 8, TWO_PI)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "f.llgf"
+            save_snapshot(path, g, np.ones((ncomp,) + g.shape))
+            raw = path.read_bytes()
+            for cut in range(len(raw)):
+                path.write_bytes(raw[:cut])
+                with pytest.raises(ValueError):
+                    load_snapshot(path)
+            path.write_bytes(raw + extra)
+            with pytest.raises(ValueError, match="payload has"):
+                load_snapshot(path)
+
+    @given(fields=st.tuples(st.integers(0, 4), st.integers(0, 2**32 - 1),
+                            st.floats(allow_nan=True, allow_infinity=True),
+                            st.integers(0, 2**32 - 1)),
+           payload=st.binary(max_size=600))
+    def test_corrupt_header_raises_value_error(self, fields, payload):
+        dim, n, length, ncomp = fields
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "f.llgf"
+            path.write_bytes(struct.pack("<4sIIIdI", b"LLGF", 1, dim, n, length, ncomp)
+                             + payload)
+            try:
+                grid, comps = load_snapshot(path)
+            except ValueError:
+                return
+        assert comps.shape == (ncomp,) + grid.shape
+        assert len(payload) == 8 * comps.size
+
     def test_header_magic(self, tmp_path):
         path = tmp_path / "bad.llgf"
         path.write_bytes(b"NOPE" + bytes(24))
@@ -192,8 +244,6 @@ class TestSnapshots:
         save_snapshot(path, g, np.zeros(g.shape))
         raw = path.read_bytes()
         assert raw[:4] == b"LLGF"
-        import struct
-
         version, dim, n = struct.unpack("<III", raw[4:16])
         (length,) = struct.unpack("<d", raw[16:24])
         (ncomp,) = struct.unpack("<I", raw[24:28])

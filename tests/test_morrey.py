@@ -40,12 +40,34 @@ class TestBallLattice:
 
     def test_non_doubling_radii_rejected(self):
         with pytest.raises(ValueError):
-            BallLattice(centers=((0,),), radii=(0.1, 0.25))
+            BallLattice(grid=make_grid(1, 8, TWO_PI), centers=((0,),), radii=(0.1, 0.25))
 
     @pytest.mark.parametrize("radii", [(0.0, 0.0), (-0.125, -0.25), (np.inf,), (np.nan,)])
     def test_non_positive_or_non_finite_radii_rejected(self, radii):
         with pytest.raises(ValueError, match="smallest radius"):
-            BallLattice(centers=((0,),), radii=radii)
+            BallLattice(grid=make_grid(1, 8, TWO_PI), centers=((0,),), radii=radii)
+
+    @pytest.mark.parametrize("centers", [(), ((0,),), ((0, 0, 0),), ((0, 16),), ((-1, 0),),
+                                         ((0, 0), (0.5, 0)), (0,)],
+                             ids=["none", "short", "long", "index_n", "negative",
+                                  "non_integer", "not_a_tuple"])
+    def test_bad_centers_rejected_at_construction(self, centers):
+        with pytest.raises(ValueError, match="center"):
+            BallLattice(grid=make_grid(2, 16, TWO_PI), centers=centers, radii=(0.5,))
+
+    def test_default_lattice_built_once_per_grid(self):
+        g = make_grid(2, 16, TWO_PI)
+        lat = ball_lattice(g)
+        assert lat.grid == g
+        assert ball_lattice(make_grid(2, 16, TWO_PI)) is lat
+
+    @pytest.mark.parametrize("other", [(2, 32, TWO_PI), (2, 64, 10.0), (1, 64, TWO_PI)],
+                             ids=["other_n", "other_length", "other_dim"])
+    def test_lattice_of_another_grid_rejected(self, other):
+        g = make_grid(2, 64, TWO_PI)
+        lat = ball_lattice(make_grid(*other))
+        with pytest.raises(ValueError, match="lattice belongs to"):
+            morrey_norm(g, np.ones(g.shape), 2.0, 2.0, lat)
 
 
 class TestMorreyNorm:
@@ -91,7 +113,7 @@ class TestMorreyNorm:
         g = make_grid(1, 16, TWO_PI)
         f = random_field(g, seed)
         full = ball_lattice(g, stride=1)
-        small = BallLattice(centers=full.centers[::3], radii=full.radii[:2], stride=3)
+        small = BallLattice(grid=g, centers=full.centers[::3], radii=full.radii[:2], stride=3)
         assert (morrey_norm(g, f, 2.0, 1.0, small).value
                 <= morrey_norm(g, f, 2.0, 1.0, full).value)
 
@@ -145,14 +167,6 @@ class TestMorreyNorm:
             f[3, 4] = bad
         with pytest.raises(ValueError, match="not finite"):
             morrey_norm(g, f, 2.0, 2.0)
-
-    def test_csv_row_shape(self):
-        g = make_grid(2, 16, TWO_PI)
-        rep = morrey_norm(g, random_field(g, 1), 2.0, 2.0)
-        header = rep.csv_header(g.dim)
-        row = rep.csv_row(g)
-        assert header.count(",") == row.count(",")
-        assert header.startswith("p,q,value")
 
 
 def _report_tuple(rep):
@@ -279,7 +293,7 @@ class TestTrajectoryNorms:
         u[0] = 0.3 * np.exp(1j * x)
         traj = Trajectory(np.array([1.0]), [u])
         lat = ball_lattice(g, stride=1)
-        rep = xpt_norm(g, traj, 3.2, lat)
+        rep = xpt_norm(g, traj, 3.2)
         assert rep.r1 == pytest.approx(morrey_norm(g, u, 3.2, 2.0, lat).value, rel=1e-14)
         assert rep.r2 == pytest.approx(
             morrey_norm(g, gradient(g, u), 2.0, 2.0, lat).value, rel=1e-14)
