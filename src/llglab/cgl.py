@@ -288,6 +288,7 @@ def picard_iterate(grid: Grid, v0: np.ndarray, config: CglConfig,
     iteration_log: list = []
     converged = False
     grow_streak = 0
+    xpt = None
     with np.errstate(over="ignore", invalid="ignore"):
         for it in range(1, config.picard_max_iter + 1):
             integrals = _duhamel_trajectory(grid, times, u_old, config.lam,
@@ -301,8 +302,8 @@ def picard_iterate(grid: Grid, v0: np.ndarray, config: CglConfig,
                 )
             row = {"iter": it, "increment": inc}
             if track_xpt:
-                rep = xpt_norm(grid, Trajectory(times, u_new), config.p)
-                row.update(xpt_r1=rep.r1, xpt_r2=rep.r2, xpt_r3=rep.r3)
+                xpt = xpt_norm(grid, Trajectory(times, u_new), config.p)
+                row.update(xpt_r1=xpt.r1, xpt_r2=xpt.r2, xpt_r3=xpt.r3)
             iteration_log.append(row)
             if increments and inc > increments[-1]:
                 grow_streak += 1
@@ -321,7 +322,8 @@ def picard_iterate(grid: Grid, v0: np.ndarray, config: CglConfig,
                 break
 
     traj = Trajectory(times, u_old)
-    xpt = xpt_norm(grid, traj, config.p)
+    if xpt is None:  # untracked; a tracked run already measured the final iterate
+        xpt = xpt_norm(grid, traj, config.p)
     return PicardResult(trajectory=traj, xpt=xpt, increments=increments,
                         converged=converged, iterations=len(increments),
                         initial_norm=initial_norm, warned_large_data=warned,

@@ -20,9 +20,10 @@ from pathlib import Path
 import numpy as np
 
 from .cgl import CglConfig, NonContraction, picard_iterate
+from .config import ConfigError
 from .fields import as_complex_components, float_repr, load_snapshot, make_grid, save_snapshot
-from .initial_data import InitialDataSpec, generate_initial_data
-from .llg import LlgConfig, solve, stability_cap
+from .initial_data import KINDS, InitialDataSpec, generate_initial_data
+from .llg import SCHEMES, LlgConfig, solve, stability_cap
 from .runner import _write_rows, run_experiment
 from .semigroup import DECAY_GRID, decay_datum, verify_decay
 
@@ -34,13 +35,11 @@ def _add_grid_args(p: argparse.ArgumentParser) -> None:
 
 
 def _add_data_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--kind", default="equatorial_wave",
-                   choices=("constant", "equatorial_wave", "bump_chart",
-                            "rough_mollified"))
-    p.add_argument("--amplitude", type=float, default=0.1)
-    p.add_argument("--wavenumber", type=int, default=1)
-    p.add_argument("--width", type=float, default=0.5)
-    p.add_argument("--mollification-k", type=float, default=4.0)
+    p.add_argument("--kind", default="equatorial_wave", choices=KINDS)
+    p.add_argument("--amplitude", type=float, default=InitialDataSpec.amplitude)
+    p.add_argument("--wavenumber", type=int, default=InitialDataSpec.wavenumber)
+    p.add_argument("--width", type=float, default=InitialDataSpec.width)
+    p.add_argument("--mollification-k", type=float, default=InitialDataSpec.mollification_k)
     p.add_argument("--seed", type=int, default=0)
 
 
@@ -70,12 +69,12 @@ def build_parser() -> argparse.ArgumentParser:
     cgl_p = sub.add_parser("cgl", help="mild-solver commands")
     cgl_sub = cgl_p.add_subparsers(dest="cgl_command", required=True)
     solve_p = cgl_sub.add_parser("solve", help="run the Picard iteration")
-    solve_p.add_argument("--p", type=float, default=3.2)
+    solve_p.add_argument("--p", type=float, default=CglConfig.p)
     solve_p.add_argument("--lambda", dest="lam", type=float, default=1.0)
-    solve_p.add_argument("--T", dest="t_end", type=float, default=0.5)
-    solve_p.add_argument("--steps", type=int, default=16)
-    solve_p.add_argument("--tol", type=float, default=1e-8)
-    solve_p.add_argument("--substeps", type=int, default=8)
+    solve_p.add_argument("--T", dest="t_end", type=float, default=CglConfig.t_end)
+    solve_p.add_argument("--steps", type=int, default=CglConfig.time_steps)
+    solve_p.add_argument("--tol", type=float, default=CglConfig.picard_tol)
+    solve_p.add_argument("--substeps", type=int, default=CglConfig.duhamel_substeps)
     solve_p.add_argument("--v0", required=True,
                          help="LLGF snapshot with 2*dim components (re/im pairs)")
     solve_p.add_argument("--out", default="cgl_out")
@@ -88,9 +87,9 @@ def build_parser() -> argparse.ArgumentParser:
     run_llg.add_argument("--lambda", dest="lam", type=float, default=1.0)
     run_llg.add_argument("--T", dest="t_end", type=float, default=0.5)
     run_llg.add_argument("--dt", type=float, default=None)
-    run_llg.add_argument("--dt-fraction", type=float, default=None)
-    run_llg.add_argument("--scheme", default="projected-rk2",
-                         choices=("projected-rk2", "projected-rk4"))
+    run_llg.add_argument("--dt-fraction", type=float, default=None,
+                         help="step over the stability cap (default 0.5); not with --dt")
+    run_llg.add_argument("--scheme", default=LlgConfig.scheme, choices=SCHEMES)
     run_llg.add_argument("--outputs", type=int, default=17)
     run_llg.add_argument("--snapshot-every", type=int, default=0,
                          help="write every k-th output snapshot (0 = none)")
@@ -146,6 +145,8 @@ def _cmd_cgl_solve(args) -> int:
 def _cmd_llg_run(args) -> int:
     try:
         grid = make_grid(args.dim, args.n, args.length)
+        if args.dt is not None and args.dt_fraction is not None:
+            raise ValueError("--dt and --dt-fraction are both set; keep one")
         if args.dt is None:
             frac = 0.5 if args.dt_fraction is None else args.dt_fraction
             dt = frac * stability_cap(grid, args.lam)
@@ -174,8 +175,6 @@ def _cmd_llg_run(args) -> int:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if args.command == "run":
-        from .config import ConfigError
-
         try:
             return run_experiment(args.config, out_dir=args.out, jobs=args.jobs)
         except ConfigError as exc:

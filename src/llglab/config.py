@@ -11,11 +11,15 @@ Sections and keys (unknown ones are errors):
 [experiments]   checks (whitespace/comma separated list)
 [output]        dir, seed
 
-Checks needing a block fail validation when the block is missing.  The
-semigroup_decay check always runs on the fixed (dim 2, N 64, L 2*pi) grid,
-whatever [grid] says, and reads only lambda (from [llg], else [cgl], else 1)
-from the config.  The LLGLAB_SEED environment variable overrides the
-configured seed at run time.
+The parser only converts text and renames keys (lambda -> lam, dir ->
+out_dir, outputs -> llg_outputs): a key the file omits takes the default of
+its dataclass field (InitialDataSpec, LlgConfig, CglConfig, LabConfig), and
+those dataclasses validate the values.  The keys in _REQUIRED must be set,
+and [llg] sets exactly one of dt and dt_fraction.  Checks needing a block
+fail validation when the block is missing.  The semigroup_decay check always
+runs on the fixed (dim 2, N 64, L 2*pi) grid, whatever [grid] says, and
+reads only lambda (from [llg], else [cgl], else 1) from the config.  The
+LLGLAB_SEED environment variable overrides the configured seed at run time.
 """
 
 from __future__ import annotations
@@ -31,46 +35,72 @@ from .llg import MIN_OUTPUTS, LlgConfig, stability_cap
 
 __all__ = ["ConfigError", "LabConfig", "parse_config", "KNOWN_CHECKS"]
 
-KNOWN_CHECKS = (
-    "energy",
-    "identities",
-    "semigroup_decay",
-    "exponent_window",
-    "picard",
-    "mollify",
-    "cross_solver",
-    "uniqueness",
-    "solution_decay",
-    "stability",
-)
-
-_LLG_CHECKS = {"energy", "uniqueness", "cross_solver", "solution_decay"}
-_CGL_CHECKS = {"picard", "cross_solver", "stability"}
+# check -> the solver blocks it needs
+_CHECK_BLOCKS = {
+    "energy": ("llg",),
+    "identities": (),
+    "semigroup_decay": (),
+    "exponent_window": (),
+    "picard": ("cgl",),
+    "mollify": (),
+    "cross_solver": ("llg", "cgl"),
+    "uniqueness": ("llg",),
+    "solution_decay": ("llg",),
+    "stability": ("cgl",),
+}
+KNOWN_CHECKS = tuple(_CHECK_BLOCKS)
 
 
 class ConfigError(ValueError):
     """Configuration problem, annotated with section/key context."""
 
 
+def _three_floats(raw: str) -> tuple:
+    vals = tuple(float(v) for v in raw.split())
+    if len(vals) != 3:
+        raise ValueError("m_infinity needs exactly three components")
+    return vals
+
+
+def _check_list(raw: str) -> tuple:
+    checks = tuple(c for c in raw.replace(",", " ").split() if c)
+    for check in checks:
+        if check not in _CHECK_BLOCKS:
+            raise ConfigError(f"unknown check '{check}' (known: {', '.join(KNOWN_CHECKS)})")
+    return checks
+
+
+# section -> key -> converter from text
 _SCHEMA = {
-    "grid": {"dim", "n", "length"},
-    "initial_data": {"kind", "amplitude", "wavenumber", "width",
-                     "mollification_k", "m_infinity", "roughness_modes"},
-    "llg": {"lambda", "t_end", "dt", "dt_fraction", "scheme", "outputs"},
-    "cgl": {"lambda", "p", "t_end", "time_steps", "duhamel_substeps",
-            "picard_tol", "picard_max_iter", "smallness"},
-    "experiments": {"checks"},
-    "output": {"dir", "seed"},
+    "grid": {"dim": int, "n": int, "length": float},
+    "initial_data": {"kind": str, "amplitude": float, "wavenumber": int, "width": float,
+                     "mollification_k": float, "m_infinity": _three_floats,
+                     "roughness_modes": int},
+    "llg": {"lambda": float, "t_end": float, "dt": float, "dt_fraction": float,
+            "scheme": str, "outputs": int},
+    "cgl": {"lambda": float, "p": float, "t_end": float, "time_steps": int,
+            "duhamel_substeps": int, "picard_tol": float, "picard_max_iter": int,
+            "smallness": float},
+    "experiments": {"checks": _check_list},
+    "output": {"dir": str, "seed": int},
 }
+_REQUIRED = {
+    "grid": ("dim", "n", "length"),
+    "initial_data": ("kind",),
+    "llg": ("lambda", "t_end"),
+    "cgl": ("lambda", "t_end"),
+}
+# config key -> dataclass field, where the two differ
+_FIELD_NAMES = {"lambda": "lam", "dir": "out_dir", "outputs": "llg_outputs"}
 
 
 @dataclass
 class LabConfig:
     grid: Grid
-    initial_data: InitialDataSpec
-    checks: tuple
-    out_dir: str
-    seed: int
+    initial_data: InitialDataSpec = InitialDataSpec(kind="constant")
+    checks: tuple = ()
+    out_dir: str = "llglab_out"
+    seed: int = 0
     llg: LlgConfig | None = None
     cgl: CglConfig | None = None
     llg_outputs: int = 9
@@ -92,21 +122,25 @@ class LabConfig:
             raise ConfigError(f"LLGLAB_SEED = {env!r} is not an integer") from None
 
 
-def _get(parser, section, key, conv, default=None, required=False):
-    if not parser.has_option(section, key):
-        if required:
-            raise ConfigError(f"[{section}] is missing required key '{key}'")
-        return default
-    try:
-        raw = parser.get(section, key)
-    except configparser.Error as exc:
-        raise ConfigError(f"[{section}] {key}: {exc}") from exc
-    try:
-        return conv(raw)
-    except ConfigError:
-        raise
-    except Exception as exc:
-        raise ConfigError(f"[{section}] {key} = {raw!r}: {exc}") from exc
+def _read_section(parser, section) -> dict:
+    """The keys one section sets, converted and named as dataclass fields."""
+    values = {}
+    for key, conv in _SCHEMA[section].items():
+        if not parser.has_option(section, key):
+            if key in _REQUIRED.get(section, ()):
+                raise ConfigError(f"[{section}] is missing required key '{key}'")
+            continue
+        try:
+            raw = parser.get(section, key)
+        except configparser.Error as exc:
+            raise ConfigError(f"[{section}] {key}: {exc}") from exc
+        try:
+            values[_FIELD_NAMES.get(key, key)] = conv(raw)
+        except ConfigError:
+            raise
+        except Exception as exc:
+            raise ConfigError(f"[{section}] {key} = {raw!r}: {exc}") from exc
+    return values
 
 
 def _construct(section, factory, *args, **kwargs):
@@ -137,86 +171,37 @@ def parse_config(path) -> LabConfig:
         if not parser.has_section(required_section):
             raise ConfigError(f"missing required section [{required_section}]")
 
-    grid = _construct(
-        "grid", make_grid,
-        _get(parser, "grid", "dim", int, required=True),
-        _get(parser, "grid", "n", int, required=True),
-        _get(parser, "grid", "length", float, required=True),
-    )
-
+    grid = _construct("grid", make_grid, **_read_section(parser, "grid"))
+    lab = {"grid": grid}
     if parser.has_section("initial_data"):
-        def parse_minf(raw):
-            vals = tuple(float(v) for v in raw.split())
-            if len(vals) != 3:
-                raise ValueError("m_infinity needs exactly three components")
-            return vals
+        lab["initial_data"] = _construct("initial_data", InitialDataSpec,
+                                         **_read_section(parser, "initial_data"))
+    lab.update(_read_section(parser, "experiments"))
 
-        spec = _construct(
-            "initial_data", InitialDataSpec,
-            kind=_get(parser, "initial_data", "kind", str, required=True),
-            amplitude=_get(parser, "initial_data", "amplitude", float, 0.1),
-            wavenumber=_get(parser, "initial_data", "wavenumber", int, 1),
-            width=_get(parser, "initial_data", "width", float, 0.5),
-            mollification_k=_get(parser, "initial_data", "mollification_k", float, 4.0),
-            m_infinity=_get(parser, "initial_data", "m_infinity", parse_minf,
-                            (0.0, 0.0, 1.0)),
-            roughness_modes=_get(parser, "initial_data", "roughness_modes", int, None),
-        )
-    else:
-        spec = InitialDataSpec(kind="constant")
-
-    checks_raw = _get(parser, "experiments", "checks", str, "")
-    checks = tuple(c for c in checks_raw.replace(",", " ").split() if c)
-    for check in checks:
-        if check not in KNOWN_CHECKS:
-            raise ConfigError(f"unknown check '{check}' (known: {', '.join(KNOWN_CHECKS)})")
-
-    llg_cfg = None
-    llg_outputs = 9
     if parser.has_section("llg"):
-        lam = _get(parser, "llg", "lambda", float, required=True)
-        t_end = _get(parser, "llg", "t_end", float, required=True)
-        dt = _get(parser, "llg", "dt", float, None)
-        frac = _get(parser, "llg", "dt_fraction", float, None)
-        if dt is None and frac is None:
+        llg = _read_section(parser, "llg")
+        frac = llg.pop("dt_fraction", None)
+        if "dt" in llg and frac is not None:
+            raise ConfigError("[llg] sets both dt and dt_fraction; keep one")
+        if "dt" not in llg and frac is None:
             raise ConfigError("[llg] needs dt or dt_fraction")
-        if dt is None:
-            dt = frac * _construct("llg", stability_cap, grid, lam)
-        llg_cfg = _construct(
-            "llg", LlgConfig, grid=grid, lam=lam, t_end=t_end, dt=dt,
-            scheme=_get(parser, "llg", "scheme", str, "projected-rk2"),
-        )
-        llg_outputs = _get(parser, "llg", "outputs", int, 9)
-        if llg_outputs < MIN_OUTPUTS:
-            raise ConfigError(f"[llg] outputs = {llg_outputs}: need at least {MIN_OUTPUTS}")
+        if frac is not None:
+            llg["dt"] = frac * _construct("llg", stability_cap, grid, llg["lam"])
+        outputs = llg.pop("llg_outputs", None)
+        lab["llg"] = _construct("llg", LlgConfig, grid=grid, **llg)
+        if outputs is not None:
+            if outputs < MIN_OUTPUTS:
+                raise ConfigError(f"[llg] outputs = {outputs}: need at least {MIN_OUTPUTS}")
+            lab["llg_outputs"] = outputs
 
-    cgl_cfg = None
     if parser.has_section("cgl"):
-        cgl_cfg = _construct(
-            "cgl", CglConfig,
-            lam=_get(parser, "cgl", "lambda", float, required=True),
-            p=_get(parser, "cgl", "p", float, 3.2),
-            t_end=_get(parser, "cgl", "t_end", float, required=True),
-            time_steps=_get(parser, "cgl", "time_steps", int, 16),
-            duhamel_substeps=_get(parser, "cgl", "duhamel_substeps", int, 8),
-            picard_tol=_get(parser, "cgl", "picard_tol", float, 1e-8),
-            picard_max_iter=_get(parser, "cgl", "picard_max_iter", int, 40),
-            smallness=_get(parser, "cgl", "smallness", float, 0.05),
-        )
+        lab["cgl"] = _construct("cgl", CglConfig, **_read_section(parser, "cgl"))
 
-    for check in checks:
-        if check in _LLG_CHECKS and llg_cfg is None:
-            raise ConfigError(f"check '{check}' needs an [llg] section")
-        if check in _CGL_CHECKS and cgl_cfg is None:
-            raise ConfigError(f"check '{check}' needs a [cgl] section")
+    for check in lab.get("checks", ()):
+        for block in _CHECK_BLOCKS[check]:
+            if block not in lab:
+                article = "an" if block == "llg" else "a"
+                raise ConfigError(f"check '{check}' needs {article} [{block}] section")
 
-    return LabConfig(
-        grid=grid,
-        initial_data=spec,
-        checks=checks,
-        out_dir=_get(parser, "output", "dir", str, "llglab_out"),
-        seed=_get(parser, "output", "seed", int, 0),
-        llg=llg_cfg,
-        cgl=cgl_cfg,
-        llg_outputs=llg_outputs,
-    )
+    lab.update(_read_section(parser, "output"))
+    return LabConfig(**lab)

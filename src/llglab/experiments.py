@@ -30,7 +30,7 @@ from .fields import (
     sup_norm,
 )
 from .frames import build_frame, coulomb_gauge_fix, derive_gauge
-from .llg import LlgConfig, solve, stability_cap
+from .llg import SCHEMES, LlgConfig, solve, stability_cap
 
 __all__ = [
     "CrossValidationReport",
@@ -59,9 +59,9 @@ class CrossValidationReport:
 
 
 def cross_validate(grid: Grid, m0: SpinField, lam: float, t_end: float,
-                   direct_dt: float | None = None, time_steps: int = 16,
-                   duhamel_substeps: int = 8, picard_tol: float = 1e-12,
-                   smallness: float = 0.1) -> CrossValidationReport:
+                   direct_dt: float | None = None, time_steps: int = CglConfig.time_steps,
+                   duhamel_substeps: int = CglConfig.duhamel_substeps,
+                   picard_tol: float = 1e-12, smallness: float = 0.1) -> CrossValidationReport:
     """Relative L2 discrepancy of |grad m| between the two solvers over time."""
     if direct_dt is None:
         direct_dt = stability_cap(grid, lam)
@@ -90,8 +90,8 @@ def cross_validate(grid: Grid, m0: SpinField, lam: float, t_end: float,
 
 
 def cross_validate_refinement(grid: Grid, m0: SpinField, lam: float, t_end: float,
-                              direct_dt: float | None = None, time_steps: int = 16,
-                              **kwargs):
+                              direct_dt: float | None = None,
+                              time_steps: int = CglConfig.time_steps, **kwargs):
     """Base run plus a simultaneous refinement halving every time scale.
 
     Returns (base report, refined report, improvement ratio).  The refined
@@ -124,7 +124,7 @@ class UniquenessReport:
 
 def uniqueness_experiment(grid: Grid, m0: SpinField, lam: float, t_end: float,
                           dt: float | None = None, n_outputs: int = 9,
-                          schemes=("projected-rk2", "projected-rk4"),
+                          schemes=SCHEMES,
                           dt_ratio: float = 0.5) -> UniquenessReport:
     """Two discretizations of one run; Gronwall-compensated difference decay.
 

@@ -228,12 +228,17 @@ def inverse_laplacian_divergence(grid: Grid, vec: np.ndarray) -> np.ndarray:
 # norms and magnitudes
 
 
+def _require_grid_axes(grid: Grid, values: np.ndarray) -> None:
+    if values.shape[-grid.dim:] != grid.shape:
+        raise ValueError(f"array of shape {values.shape} does not end in the grid "
+                         f"axes {grid.shape}")
+
+
 def pointwise_magnitude(grid: Grid, values: np.ndarray) -> np.ndarray:
     """|f|(x): abs for scalar fields, Euclidean norm over leading axes else."""
     values = np.asarray(values)
+    _require_grid_axes(grid, values)
     lead = values.ndim - grid.dim
-    if lead < 0:
-        raise ValueError("array has fewer axes than the grid")
     if lead == 0:
         return np.abs(values)
     mag2 = (np.abs(values) ** 2).sum(axis=tuple(range(lead)))
@@ -242,6 +247,7 @@ def pointwise_magnitude(grid: Grid, values: np.ndarray) -> np.ndarray:
 
 def l2_norm(grid: Grid, values: np.ndarray) -> float:
     values = np.asarray(values)
+    _require_grid_axes(grid, values)
     return float(np.sqrt((np.abs(values) ** 2).sum() * grid.cell_volume))
 
 

@@ -39,6 +39,7 @@ from .morrey import ParabolicCylinder, morrey_norm
 
 __all__ = [
     "BlowupSuspected",
+    "SCHEMES",
     "LlgConfig",
     "stability_cap",
     "llg_rhs",
@@ -61,7 +62,7 @@ MIN_OUTPUTS = 2
 # Energy-law tolerance, relative to E(0).
 ENERGY_TOL_FACTOR = 1e-4
 
-_SCHEMES = ("projected-rk2", "projected-rk4")
+SCHEMES = ("projected-rk2", "projected-rk4")
 
 
 class BlowupSuspected(RuntimeError):
@@ -96,8 +97,8 @@ class LlgConfig:
         require_finite_positive("damping parameter lam", self.lam)
         require_finite_positive("t_end", self.t_end)
         require_finite_positive("dt", self.dt)
-        if self.scheme not in _SCHEMES:
-            raise ValueError(f"scheme must be one of {_SCHEMES}")
+        if self.scheme not in SCHEMES:
+            raise ValueError(f"scheme must be one of {SCHEMES}")
         cap = stability_cap(self.grid, self.lam)
         if self.dt > cap * (1.0 + 1e-12):
             raise ValueError(f"dt = {self.dt:.3e} exceeds the stability cap {cap:.3e}")

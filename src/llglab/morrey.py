@@ -257,6 +257,11 @@ class ParabolicCylinder:
     t0: float
     r0: float
 
+    def __post_init__(self):
+        if not np.isfinite(self.t0):
+            raise ValueError(f"cylinder top time t0 must be finite, got {self.t0}")
+        require_finite_positive("cylinder radius r0", self.r0)
+
 
 def _interp_integral(times: np.ndarray, series: np.ndarray, t_lo: float, t_hi: float) -> float:
     """Integral over [t_lo, t_hi] of the linear interpolant through the samples."""

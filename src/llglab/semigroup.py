@@ -41,14 +41,13 @@ class SemigroupParams:
     grid: Grid
 
     def __post_init__(self):
-        if not self.lam > 0:
-            raise ValueError(f"damping parameter must be positive, got {self.lam}")
+        require_finite_positive("damping parameter lam", self.lam)
 
 
 def apply_semigroup(values: np.ndarray, t: float, params: SemigroupParams) -> np.ndarray:
     """Apply S(t) spectrally; t = 0 returns the input unchanged (complex copy)."""
-    if t < 0:
-        raise ValueError(f"semigroup time must be nonnegative, got {t}")
+    if not 0 <= t < np.inf:
+        raise ValueError(f"semigroup time must be finite and nonnegative, got {t}")
     grid = params.grid
     values = np.asarray(values, dtype=complex)
     if t == 0:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy import special
 
+from llglab import cgl
 from llglab.cgl import (
     CglConfig,
     NonContraction,
@@ -15,7 +16,7 @@ from llglab.cgl import (
 from llglab.fields import l2_norm, make_grid
 from llglab.frames import gauge_fields_from_u
 from llglab.initial_data import spectral_bump
-from llglab.morrey import morrey_norm
+from llglab.morrey import morrey_norm, xpt_norm
 
 from oracles import nonlinearity_direct
 
@@ -146,6 +147,26 @@ class TestPicard:
         result = picard_iterate(g, v0, self.small_config())
         assert result.trajectory.times[0] == 0.0
         assert np.abs(result.trajectory.fields[0] - v0).max() < 1e-15
+
+    def test_tracked_solve_measures_each_iterate_once(self, monkeypatch):
+        g = make_grid(2, 16, TWO_PI)
+        v0 = normalized(g, bump_pair(g), 1e-3)
+        calls = []
+
+        def counting_xpt_norm(*args, **kwargs):
+            calls.append(args)
+            return xpt_norm(*args, **kwargs)
+
+        monkeypatch.setattr(cgl, "xpt_norm", counting_xpt_norm)
+        tracked = picard_iterate(g, v0, self.small_config(), track_xpt=True)
+        assert tracked.iterations >= 2
+        assert len(calls) == tracked.iterations
+        last = tracked.iteration_log[-1]
+        assert (last["xpt_r1"], last["xpt_r2"], last["xpt_r3"]) == (
+            tracked.xpt.r1, tracked.xpt.r2, tracked.xpt.r3)
+        untracked = picard_iterate(g, v0, self.small_config())
+        assert len(calls) == tracked.iterations + 1
+        assert untracked.xpt == tracked.xpt
 
     def test_large_data_raises_noncontraction(self):
         g = make_grid(2, 32, TWO_PI)

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from llglab.cli import main
+from llglab.cgl import CglConfig
+from llglab.cli import build_parser, main
 from llglab.fields import as_complex_components, load_snapshot, make_grid, save_snapshot
-from llglab.initial_data import spectral_bump
+from llglab.initial_data import InitialDataSpec, spectral_bump
+from llglab.llg import LlgConfig
 from llglab.morrey import morrey_norm
 
 TWO_PI = 2.0 * np.pi
@@ -12,6 +14,23 @@ TWO_PI = 2.0 * np.pi
 def assert_one_error_line(capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+class TestParserDefaults:
+    def test_cgl_solve_defaults_are_the_config_fields(self):
+        args = build_parser().parse_args(["cgl", "solve", "--v0", "v0.llgf"])
+        cfg = CglConfig(lam=args.lam)
+        assert (args.p, args.t_end, args.steps, args.tol, args.substeps) == (
+            cfg.p, cfg.t_end, cfg.time_steps, cfg.picard_tol, cfg.duhamel_substeps)
+
+    def test_llg_run_defaults_are_the_config_fields(self):
+        args = build_parser().parse_args(["llg", "run"])
+        spec = InitialDataSpec(kind=args.kind)
+        assert (args.amplitude, args.wavenumber, args.width, args.mollification_k) == (
+            spec.amplitude, spec.wavenumber, spec.width, spec.mollification_k)
+        grid = make_grid(args.dim, args.n, args.length)
+        assert args.scheme == LlgConfig(grid=grid, lam=args.lam, t_end=args.t_end,
+                                        dt=1e-6).scheme
 
 
 class TestVerifySemigroup:
@@ -78,8 +97,9 @@ class TestLlgRun:
         ["--outputs", "0"],
         ["--dt-fraction", "0"],
         ["--amplitude", "nan"],
+        ["--dt", "1e-5", "--dt-fraction", "0.5"],
     ], ids=["negative_dt", "lambda_minus_one", "zero_outputs", "zero_dt_fraction",
-            "nan_amplitude"])
+            "nan_amplitude", "dt_and_dt_fraction"])
     def test_invalid_input_exit_code(self, tmp_path, capsys, flags):
         code = main(["llg", "run", "--dim", "1", "--n", "16", "--T", "0.01",
                      "--out-dir", str(tmp_path / "llg")] + flags)
@@ -184,7 +204,10 @@ class TestRunCommand:
         ("lambda = -1\nt_end = 0.01\ndt_fraction = 0.5\n", "[llg] damping parameter lam"),
         ("lambda = 1\nt_end = 0.01\ndt_fraction = 0.5\noutputs = 0\n", "[llg] outputs"),
         ("lambda = 1\nt_end = 0.01\ndt_fraction = 0.5\noutputs = 1\n", "[llg] outputs"),
-    ], ids=["lambda_before_dt_fraction", "zero_outputs", "one_output"])
+        ("lambda = 1\nt_end = 0.01\n", "[llg] needs dt or dt_fraction"),
+        ("lambda = 1\nt_end = 0.01\ndt = 1e-5\ndt_fraction = 0.5\n", "[llg] sets both"),
+    ], ids=["lambda_before_dt_fraction", "zero_outputs", "one_output", "no_step",
+            "dt_and_dt_fraction"])
     def test_invalid_llg_section_exit_code(self, tmp_path, capsys, llg_body, message):
         bad = tmp_path / "bad.cfg"
         bad.write_text("[grid]\ndim = 1\nn = 16\nlength = 1.0\n[llg]\n" + llg_body

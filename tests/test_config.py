@@ -1,10 +1,15 @@
-"""Property tests of the INI parser: whatever the file holds, only ConfigError escapes."""
+"""Tests of the INI parser: whatever the file holds, only ConfigError escapes (property
+tests), and a key the file omits takes its dataclass default."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from llglab.cgl import CglConfig
 from llglab.config import _SCHEMA, ConfigError, LabConfig, parse_config
+from llglab.fields import make_grid
+from llglab.initial_data import InitialDataSpec
+from llglab.llg import LlgConfig
 
 SECTIONS = sorted(_SCHEMA) + ["DEFAULT", "bogus"]
 KEYS = sorted(set().union(*_SCHEMA.values())) + ["bogus"]
@@ -72,6 +77,51 @@ def test_non_utf8_file_is_config_error(tmp_path, raw):
     path = tmp_path / "bad.cfg"
     path.write_bytes(raw)
     with pytest.raises(ConfigError, match="malformed config"):
+        parse_config(path)
+
+
+REQUIRED_ONLY = """[grid]
+dim = 1
+n = 16
+length = 1.0
+[initial_data]
+kind = bump_chart
+[llg]
+lambda = 0.5
+t_end = 0.01
+dt = 1e-5
+[cgl]
+lambda = 0.5
+t_end = 0.2
+[experiments]
+[output]
+"""
+
+
+def test_omitted_keys_take_the_dataclass_defaults(tmp_path):
+    path = tmp_path / "minimal.cfg"
+    path.write_text(REQUIRED_ONLY)
+    grid = make_grid(1, 16, 1.0)
+    assert parse_config(path) == LabConfig(
+        grid=grid, initial_data=InitialDataSpec(kind="bump_chart"),
+        llg=LlgConfig(grid=grid, lam=0.5, t_end=0.01, dt=1e-5),
+        cgl=CglConfig(lam=0.5, t_end=0.2))
+
+
+def test_omitted_sections_take_the_dataclass_defaults(tmp_path):
+    path = tmp_path / "bare.cfg"
+    path.write_text("[grid]\ndim = 1\nn = 16\nlength = 1.0\n[experiments]\n[output]\n")
+    assert parse_config(path) == LabConfig(grid=make_grid(1, 16, 1.0))
+
+
+@pytest.mark.parametrize("section,line", [("grid", "length = 1.0"),
+                                          ("initial_data", "kind = bump_chart"),
+                                          ("llg", "t_end = 0.01"), ("cgl", "t_end = 0.2")])
+def test_required_key_missing(tmp_path, section, line):
+    path = tmp_path / "missing.cfg"
+    path.write_text(REQUIRED_ONLY.replace(line + "\n", ""))
+    key = line.split(" =")[0]
+    with pytest.raises(ConfigError, match=rf"\[{section}\] is missing required key '{key}'"):
         parse_config(path)
 
 

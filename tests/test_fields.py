@@ -14,12 +14,15 @@ from llglab.fields import (
     derivative,
     divergence,
     gradient,
+    l2_norm,
     laplacian,
     load_snapshot,
     make_grid,
+    pointwise_magnitude,
     save_snapshot,
     to_spectral,
 )
+from llglab.morrey import morrey_norm
 
 TWO_PI = 2.0 * np.pi
 
@@ -108,6 +111,19 @@ class TestDerivatives:
             derivative(g, f, 2, 1)
         with pytest.raises(ValueError):
             derivative(g, f, 0, 3)
+
+
+class TestNorms:
+    @pytest.mark.parametrize("shape", [(2, 32, 8), (2, 16), (16,), (16, 16, 2)],
+                             ids=["swapped_axes", "too_few_axes", "one_axis", "trailing"])
+    def test_field_off_the_grid_rejected(self, shape):
+        g = make_grid(2, 16, TWO_PI)
+        f = np.ones(shape)
+        for norm in (pointwise_magnitude, l2_norm):
+            with pytest.raises(ValueError, match="grid axes"):
+                norm(g, f)
+        with pytest.raises(ValueError, match="grid axes"):
+            morrey_norm(g, f, 2.0, 2.0)
 
 
 class TestSpectralProperties:

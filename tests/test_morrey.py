@@ -276,6 +276,14 @@ class TestParabolicNorm:
         with pytest.raises(ValueError):
             parabolic_morrey_norm(g, traj, ParabolicCylinder((8, 8), t0=4.0, r0=2.5))
 
+    @pytest.mark.parametrize("t0,r0", [(4.0, np.nan), (4.0, 0.0), (4.0, -0.5),
+                                       (4.0, np.inf), (np.nan, 1.0), (np.inf, 1.0)],
+                             ids=["nan_r0", "zero_r0", "negative_r0", "inf_r0",
+                                  "nan_t0", "inf_t0"])
+    def test_bad_cylinder_rejected(self, t0, r0):
+        with pytest.raises(ValueError, match="cylinder"):
+            ParabolicCylinder((8, 8), t0=t0, r0=r0)
+
 
 class TestTrajectoryNorms:
     def test_zero_trajectory(self):

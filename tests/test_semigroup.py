@@ -65,9 +65,19 @@ class TestApply:
         with pytest.raises(ValueError):
             apply_semigroup(np.zeros(16, dtype=complex), -0.1, params_1d)
 
+    @pytest.mark.parametrize("t", [np.nan, np.inf])
+    def test_non_finite_time_rejected(self, params_1d, t):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            apply_semigroup(np.ones(16, dtype=complex), t, params_1d)
+
     def test_nonpositive_damping_rejected(self):
         with pytest.raises(ValueError):
             SemigroupParams(lam=0.0, grid=make_grid(1, 16, TWO_PI))
+
+    @pytest.mark.parametrize("lam", [np.nan, np.inf])
+    def test_non_finite_damping_rejected(self, lam):
+        with pytest.raises(ValueError, match="finite and positive"):
+            SemigroupParams(lam=lam, grid=make_grid(1, 16, TWO_PI))
 
     def test_l2_strictly_decreasing(self, params_1d):
         f = band_limited(params_1d.grid, seed=2)
