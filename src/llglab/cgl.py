@@ -17,12 +17,16 @@ potential part.  The mild solution is the fixed point of
     u(t) = S(t) v0 + int_0^t S(t - s) F(u(s)) ds,
 
 iterated here on a uniform time grid with a composite midpoint exponential
-rule for the integral.  Contraction needs small initial data; large data is
-reported as NonContraction, never forced.
+rule for the integral.  The integral is accumulated in Fourier space, where
+S(t) is the diagonal multiplier exp((i - lam)|xi|^2 t): each forcing node
+costs one forward FFT, and each output time one inverse FFT.  Contraction
+needs small initial data; large data is reported as NonContraction, never
+forced.
 """
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass, field
 
@@ -32,7 +36,7 @@ from scipy import integrate
 from .fields import Grid, Trajectory, gradient, l2_norm, require_finite_positive
 from .frames import gauge_fields_from_u
 from .morrey import morrey_norm, xpt_norm, XptReport
-from .semigroup import SemigroupParams, apply_semigroup
+from .semigroup import SemigroupParams, apply_semigroup, semigroup_multiplier
 
 __all__ = [
     "CglConfig",
@@ -197,7 +201,7 @@ def nonlinearity_F(grid: Grid, u: np.ndarray, a: np.ndarray, a0_1: np.ndarray,
     imag_matrix = np.imag(u[:, None] * np.conj(u[None, :]))  # (l, k, *shape)
     f1 = mu * 1j * np.einsum("lk...,k...->l...", imag_matrix, u)
     gu = gradient(grid, u)  # (deriv axis, component, *shape)
-    advect = np.einsum("k...,kl...->l...", a.astype(complex), gu)
+    advect = np.einsum("k...,kl...->l...", a, gu)
     f2 = mu * 2j * advect - 1j * a0_1 * u
     a_sq = (a**2).sum(axis=0)
     f3 = -mu * a_sq * u - 1j * a0_2 * u
@@ -241,20 +245,31 @@ def _duhamel_trajectory(grid: Grid, times: np.ndarray, u_old: list, lam: float,
     with i * substeps midpoint nodes.  The gauge fields are recomputed from
     the (lagged) iterate at every quadrature node; u_old(s) is its linear
     interpolant in time.
+
+    The accumulator lives in Fourier space, where S(t) is a diagonal
+    multiplier: each node adds the spectrum of its forcing times the
+    multiplier of t_{i+1} - s, each interval multiplies by the multiplier of
+    dt, and each output time takes one inverse FFT.  Multipliers are cached
+    for the sweep, keyed on the time offset, so equal offsets share one
+    array: a dyadic uniform time grid computes substeps + 1 of them.
     """
+    axes = grid.axes
+    mult = functools.cache(functools.partial(semigroup_multiplier, params))
     integrals = [np.zeros_like(u_old[0])]
-    acc = np.zeros_like(u_old[0])
+    acc_hat = np.zeros_like(u_old[0], dtype=complex)
     for i in range(len(times) - 1):
         dt = times[i + 1] - times[i]
-        acc = apply_semigroup(acc, dt, params)
+        acc_hat *= mult(dt)
         sub = dt / substeps
         for j in range(substeps):
             s = times[i] + (j + 0.5) * sub
             w = (s - times[i]) / dt
             u_s = (1.0 - w) * u_old[i] + w * u_old[i + 1]
-            forcing = _forcing_at(grid, u_s, lam)
-            acc = acc + apply_semigroup(forcing, times[i + 1] - s, params) * sub
-        integrals.append(acc.copy())
+            spec = np.fft.fftn(_forcing_at(grid, u_s, lam), axes=axes)
+            spec *= mult(times[i + 1] - s)
+            spec *= sub
+            acc_hat += spec
+        integrals.append(np.fft.ifftn(acc_hat, axes=axes))
     return integrals
 
 

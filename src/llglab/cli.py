@@ -25,7 +25,7 @@ from .fields import as_complex_components, float_repr, load_snapshot, make_grid,
 from .initial_data import KINDS, InitialDataSpec, generate_initial_data
 from .llg import SCHEMES, LlgConfig, solve, stability_cap
 from .runner import _write_rows, run_experiment
-from .semigroup import DECAY_GRID, decay_datum, verify_decay
+from .semigroup import DECAY_C_MAX, DECAY_GRID, DECAY_NUM_T, decay_datum, verify_decay
 
 
 def _add_grid_args(p: argparse.ArgumentParser) -> None:
@@ -62,8 +62,8 @@ def build_parser() -> argparse.ArgumentParser:
     ver_p.add_argument("--p-tilde", type=float, default=4.0)
     ver_p.add_argument("--q", type=float, default=2.0)
     ver_p.add_argument("--gradient", action="store_true")
-    ver_p.add_argument("--num-t", type=int, default=13)
-    ver_p.add_argument("--c-max", type=float, default=50.0)
+    ver_p.add_argument("--num-t", type=int, default=DECAY_NUM_T)
+    ver_p.add_argument("--c-max", type=float, default=DECAY_C_MAX)
     ver_p.add_argument("--out", default="semigroup_out")
 
     cgl_p = sub.add_parser("cgl", help="mild-solver commands")

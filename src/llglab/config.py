@@ -16,7 +16,8 @@ out_dir, outputs -> llg_outputs): a key the file omits takes the default of
 its dataclass field (InitialDataSpec, LlgConfig, CglConfig, LabConfig), and
 those dataclasses validate the values.  The keys in _REQUIRED must be set,
 and [llg] sets exactly one of dt and dt_fraction.  Checks needing a block
-fail validation when the block is missing.  The semigroup_decay check always
+fail validation when the block is missing, and the cross_solver check needs
+equal [llg] and [cgl] lambda.  The semigroup_decay check always
 runs on the fixed (dim 2, N 64, L 2*pi) grid, whatever [grid] says, and
 reads only lambda (from [llg], else [cgl], else 1) from the config.  The
 LLGLAB_SEED environment variable overrides the configured seed at run time.
@@ -202,6 +203,9 @@ def parse_config(path) -> LabConfig:
             if block not in lab:
                 article = "an" if block == "llg" else "a"
                 raise ConfigError(f"check '{check}' needs {article} [{block}] section")
+    if "cross_solver" in lab.get("checks", ()) and lab["llg"].lam != lab["cgl"].lam:
+        raise ConfigError(f"check 'cross_solver' needs equal [llg] and [cgl] lambda, "
+                          f"got {lab['llg'].lam!r} and {lab['cgl'].lam!r}")
 
     lab.update(_read_section(parser, "output"))
     return LabConfig(**lab)

@@ -61,15 +61,17 @@ class CrossValidationReport:
 def cross_validate(grid: Grid, m0: SpinField, lam: float, t_end: float,
                    direct_dt: float | None = None, time_steps: int = CglConfig.time_steps,
                    duhamel_substeps: int = CglConfig.duhamel_substeps,
-                   picard_tol: float = 1e-12, smallness: float = 0.1) -> CrossValidationReport:
+                   picard_tol: float = 1e-12, smallness: float = 0.1,
+                   p: float = CglConfig.p,
+                   picard_max_iter: int = CglConfig.picard_max_iter) -> CrossValidationReport:
     """Relative L2 discrepancy of |grad m| between the two solvers over time."""
     if direct_dt is None:
         direct_dt = stability_cap(grid, lam)
     # both configs are built first, so bad input fails before either solve
     llg_cfg = LlgConfig(grid=grid, lam=lam, t_end=t_end, dt=direct_dt)
-    cgl_cfg = CglConfig(lam=lam, t_end=t_end, time_steps=time_steps,
+    cgl_cfg = CglConfig(lam=lam, p=p, t_end=t_end, time_steps=time_steps,
                         duhamel_substeps=duhamel_substeps, picard_tol=picard_tol,
-                        smallness=smallness)
+                        picard_max_iter=picard_max_iter, smallness=smallness)
     v0 = mild_initial_data(grid, m0)
     mild = picard_iterate(grid, v0, cgl_cfg)
     direct = solve(m0, llg_cfg, output_times=mild.trajectory.times)

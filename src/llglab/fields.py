@@ -8,6 +8,15 @@ single FFT pass.
 
 Derivatives are Fourier multipliers.  Odd-order derivatives zero the Nyquist
 multiplier (the standard real-output convention); even orders keep it.
+Real input goes through ``rfftn``/``irfftn`` on the half spectrum (the
+last grid axis keeps its N/2 + 1 non-negative modes) and comes back real;
+complex input goes through ``fftn``/``ifftn``.  Every operator makes one
+forward transform of its input and one inverse transform of its whole
+output stack: ``gradient`` multiplies the one spectrum by each axis's
+multiplier and inverts the ``(dim, ...)`` stack together, ``divergence``
+sums its components in spectral space, and ``inverse_laplacian_divergence``
+solves every right-hand side of a ``(dim, *batch, *grid)`` stack in the
+same call.
 """
 
 from __future__ import annotations
@@ -105,6 +114,19 @@ class Grid:
         return out
 
     @cached_property
+    def inv_k_squared_odd(self) -> np.ndarray:
+        """1 / k_squared_odd, zero where it vanishes (the mean and pure-Nyquist modes)."""
+        k2 = self.k_squared_odd
+        nz = k2 > 0
+        return np.where(nz, 1.0 / np.where(nz, k2, 1.0), 0.0)
+
+    @cached_property
+    def derivative_multipliers(self) -> tuple:
+        """First-derivative multipliers i*k_ax (Nyquist zeroed), one per axis."""
+        return tuple(1j * self.axis_table(ax, self.wavenumbers_odd)
+                     for ax in range(self.dim))
+
+    @cached_property
     def wrapped_offsets(self) -> np.ndarray:
         """Signed wrapped lattice offsets ((j + N/2) mod N - N/2) * h, j in [0, N)."""
         j = np.arange(self.n)
@@ -152,21 +174,36 @@ def to_spectral(grid: Grid, values: np.ndarray) -> np.ndarray:
     return np.fft.fftn(np.asarray(values), axes=grid.axes)
 
 
+def _forward(grid: Grid, values: np.ndarray):
+    """(spectrum, real_in): rfftn of real input, fftn of complex input."""
+    if np.isrealobj(values):
+        return np.fft.rfftn(values, axes=grid.axes), True
+    return np.fft.fftn(values, axes=grid.axes), False
+
+
+def _inverse(grid: Grid, spec: np.ndarray, real_in: bool) -> np.ndarray:
+    if real_in:
+        return np.fft.irfftn(spec, s=grid.shape, axes=grid.axes)
+    return np.fft.ifftn(spec, axes=grid.axes)
+
+
+def _layout(grid: Grid, mult, real_in: bool):
+    """A full-spectrum multiplier in the layout of ``_forward``'s spectrum:
+    its half-spectrum (rfftn) part for real input, unchanged otherwise."""
+    m = np.asarray(mult)
+    if real_in and m.ndim and m.shape[-1] == grid.n:
+        m = m[..., : grid.n // 2 + 1]
+    return m
+
+
 def _apply_multiplier(grid: Grid, values: np.ndarray, mult: np.ndarray) -> np.ndarray:
     """Multiply the spectral coefficients of ``values`` by ``mult``.
 
     Real input goes through the real transform and comes back real, so only
     multipliers that map real fields to real fields belong here.
     """
-    values = np.asarray(values)
-    axes = grid.axes
-    if np.isrealobj(values):
-        m = np.asarray(mult)
-        if m.ndim and m.shape[-1] == grid.n:
-            m = m[..., : grid.n // 2 + 1]
-        spec = np.fft.rfftn(values, axes=axes)
-        return np.fft.irfftn(spec * m, s=grid.shape, axes=axes)
-    return np.fft.ifftn(np.fft.fftn(values, axes=axes) * mult, axes=axes)
+    spec, real_in = _forward(grid, np.asarray(values))
+    return _inverse(grid, spec * _layout(grid, mult, real_in), real_in)
 
 
 def derivative(grid: Grid, values: np.ndarray, axis: int, order: int = 1) -> np.ndarray:
@@ -181,23 +218,37 @@ def derivative(grid: Grid, values: np.ndarray, axis: int, order: int = 1) -> np.
 
 
 def gradient(grid: Grid, values: np.ndarray) -> np.ndarray:
-    """Stack of first derivatives; output shape (dim, *values.shape)."""
-    return np.stack([derivative(grid, values, ax, 1) for ax in range(grid.dim)])
+    """Stack of first derivatives; output shape (dim, *values.shape).
+
+    One forward transform, one inverse of the whole stack; bitwise equal to
+    stacking ``derivative(grid, values, ax, 1)`` over the axes.
+    """
+    spec, real_in = _forward(grid, np.asarray(values))
+    return _inverse(grid, np.stack([spec * _layout(grid, m, real_in)
+                                    for m in grid.derivative_multipliers]), real_in)
 
 
 def laplacian(grid: Grid, values: np.ndarray) -> np.ndarray:
     return _apply_multiplier(grid, values, -grid.k_squared)
 
 
-def divergence(grid: Grid, vec: np.ndarray) -> np.ndarray:
-    """Divergence of a stack of components laid out along axis 0."""
+def _divergence_spectrum(grid: Grid, vec: np.ndarray):
+    """(spectrum of div vec, real_in) from one transform of the component stack."""
     vec = np.asarray(vec)
     if vec.shape[0] != grid.dim:
         raise ValueError(f"expected {grid.dim} components, got {vec.shape[0]}")
-    out = derivative(grid, vec[0], 0, 1)
+    spec, real_in = _forward(grid, vec)
+    mults = [_layout(grid, m, real_in) for m in grid.derivative_multipliers]
+    div_hat = spec[0] * mults[0]
     for ax in range(1, grid.dim):
-        out = out + derivative(grid, vec[ax], ax, 1)
-    return out
+        div_hat += spec[ax] * mults[ax]
+    return div_hat, real_in
+
+
+def divergence(grid: Grid, vec: np.ndarray) -> np.ndarray:
+    """Divergence of a stack of components laid out along axis 0."""
+    div_hat, real_in = _divergence_spectrum(grid, vec)
+    return _inverse(grid, div_hat, real_in)
 
 
 def inverse_laplacian_divergence(grid: Grid, vec: np.ndarray) -> np.ndarray:
@@ -207,21 +258,14 @@ def inverse_laplacian_divergence(grid: Grid, vec: np.ndarray) -> np.ndarray:
     ``gradient``/``divergence`` so that div(vec + grad(phi)) vanishes to
     machine precision on every mode.  Modes where all zeroed wavenumbers
     vanish (the mean and pure-Nyquist modes) are set to zero.
+
+    ``vec`` has shape ``(dim, *batch, *grid.shape)``: axis 0 holds the
+    components and every axis between it and the grid axes indexes
+    right-hand sides, all solved in one transform pair; phi has shape
+    ``(*batch, *grid.shape)``.
     """
-    vec = np.asarray(vec)
-    if vec.shape[0] != grid.dim:
-        raise ValueError(f"expected {grid.dim} components, got {vec.shape[0]}")
-    real_in = np.isrealobj(vec)
-    axes = grid.axes
-    spec = np.fft.fftn(vec, axes=axes)
-    div_hat = np.zeros(spec.shape[1:], dtype=complex)
-    for ax in range(grid.dim):
-        div_hat = div_hat + 1j * grid.axis_table(ax, grid.wavenumbers_odd) * spec[ax]
-    k2 = grid.k_squared_odd
-    nz = k2 > 0
-    phi_hat = np.where(nz, div_hat / np.where(nz, k2, 1.0), 0.0)
-    phi = np.fft.ifftn(phi_hat, axes=axes)
-    return phi.real if real_in else phi
+    div_hat, real_in = _divergence_spectrum(grid, vec)
+    return _inverse(grid, div_hat * _layout(grid, grid.inv_k_squared_odd, real_in), real_in)
 
 
 # ---------------------------------------------------------------------------

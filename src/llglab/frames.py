@@ -175,20 +175,18 @@ def gauge_fields_from_u(grid: Grid, u: np.ndarray, lam: float):
         -laplacian(a0_2)  = div [lam * Re((a.u) conj(u)) + Im((a.u) conj(u))],
 
     each solved spectrally with mean-zero right-hand sides and solutions.
-    Returns (a, a0_1, a0_2).
+    The dim right-hand sides of a go through one batched solve, and those of
+    a0_1 and a0_2 through another.  Returns (a, a0_1, a0_2).
     """
     u = np.asarray(u, dtype=complex)
     uc = np.conj(u)
-    a = np.stack([
-        inverse_laplacian_divergence(grid, np.imag(u[b] * uc))
-        for b in range(grid.dim)
-    ])
+    # rhs[k, b] = Im(u_b conj(u_k)): component k of the right-hand side of a_b
+    a = inverse_laplacian_divergence(grid, np.imag(u[None, :] * uc[:, None]))
     div_u = divergence(grid, u)
     w1 = uc * div_u
-    a0_1 = inverse_laplacian_divergence(grid, lam * np.imag(w1) - np.real(w1))
-    a_dot_u = (a * u).sum(axis=0)
-    w2 = a_dot_u * uc
-    a0_2 = inverse_laplacian_divergence(grid, lam * np.real(w2) + np.imag(w2))
+    w2 = (a * u).sum(axis=0) * uc
+    a0_1, a0_2 = inverse_laplacian_divergence(grid, np.stack(
+        [lam * np.imag(w1) - np.real(w1), lam * np.real(w2) + np.imag(w2)], axis=1))
     return a, a0_1, a0_2
 
 

@@ -139,11 +139,12 @@ def _check_mollify(cfg: LabConfig, outdir: Path) -> CheckOutcome:
 def _check_cross_solver(cfg: LabConfig, outdir: Path) -> CheckOutcome:
     grid = cfg.grid
     m0 = generate_initial_data(cfg.initial_data, grid, cfg.effective_seed)
-    rep = cross_validate(grid, m0, cfg.llg.lam, cfg.cgl.t_end,
+    rep = cross_validate(grid, m0, cfg.cgl.lam, cfg.cgl.t_end,
                          time_steps=cfg.cgl.time_steps,
                          duhamel_substeps=cfg.cgl.duhamel_substeps,
                          picard_tol=cfg.cgl.picard_tol,
-                         smallness=cfg.cgl.smallness)
+                         smallness=cfg.cgl.smallness, p=cfg.cgl.p,
+                         picard_max_iter=cfg.cgl.picard_max_iter)
     rows = ["t,rel_discrepancy"]
     rows += [f"{float_repr(t)},{float_repr(d)}" for t, d in zip(rep.times, rep.discrepancies)]
     _write_rows(outdir / "cross_solver.csv", rows)

@@ -19,18 +19,25 @@ from .morrey import morrey_norm
 
 __all__ = [
     "SemigroupParams",
+    "semigroup_multiplier",
     "apply_semigroup",
     "apply_grad_semigroup",
     "DecayReport",
     "verify_decay",
     "default_decay_times",
     "DECAY_GRID",
+    "DECAY_NUM_T",
+    "DECAY_C_MAX",
     "decay_datum",
 ]
 
 # (dim, N, L) of the canonical decay grid: the decay window must clear the
 # grid's diffusion scale for the final decade to show genuine decay
 DECAY_GRID = (2, 64, 2.0 * np.pi)
+# sample times of the canonical decay series, and the bound on its
+# compensated ratio
+DECAY_NUM_T = 13
+DECAY_C_MAX = 50.0
 
 
 @dataclass(frozen=True)
@@ -44,6 +51,11 @@ class SemigroupParams:
         require_finite_positive("damping parameter lam", self.lam)
 
 
+def semigroup_multiplier(params: SemigroupParams, t: float) -> np.ndarray:
+    """The Fourier multiplier of S(t), exp((i - lambda) |xi|^2 t), fft layout."""
+    return np.exp((1j - params.lam) * params.grid.k_squared * t)
+
+
 def apply_semigroup(values: np.ndarray, t: float, params: SemigroupParams) -> np.ndarray:
     """Apply S(t) spectrally; t = 0 returns the input unchanged (complex copy)."""
     if not 0 <= t < np.inf:
@@ -52,9 +64,8 @@ def apply_semigroup(values: np.ndarray, t: float, params: SemigroupParams) -> np
     values = np.asarray(values, dtype=complex)
     if t == 0:
         return values.copy()
-    mult = np.exp((1j - params.lam) * grid.k_squared * t)
     spec = np.fft.fftn(values, axes=grid.axes)
-    return np.fft.ifftn(spec * mult, axes=grid.axes)
+    return np.fft.ifftn(spec * semigroup_multiplier(params, t), axes=grid.axes)
 
 
 def apply_grad_semigroup(values: np.ndarray, t: float, params: SemigroupParams) -> np.ndarray:
@@ -94,14 +105,14 @@ class DecayReport:
             yield f"{float_repr(t)},{float_repr(n)},{float_repr(r)}"
 
 
-def default_decay_times(grid: Grid, lam: float, num: int = 13) -> np.ndarray:
+def default_decay_times(grid: Grid, lam: float, num: int = DECAY_NUM_T) -> np.ndarray:
     """Log-spaced times spanning two decades, capped so the slowest mode's
     wrap-around/decay-to-constant effects stay below ~10% of the norm."""
     t_max = 0.1 * grid.length**2 / (4.0 * np.pi**2 * lam)
     return np.logspace(np.log10(t_max) - 2.0, np.log10(t_max), num)
 
 
-def decay_datum(lam: float, grid: Grid | None = None, num: int = 13):
+def decay_datum(lam: float, grid: Grid | None = None, num: int = DECAY_NUM_T):
     """The canonical decay datum on ``grid`` (default ``DECAY_GRID``):
     (params, spectral bump of width L/48, ``num`` default decay times)."""
     if grid is None:
@@ -113,7 +124,7 @@ def decay_datum(lam: float, grid: Grid | None = None, num: int = 13):
 
 def verify_decay(values: np.ndarray, p: float, p_tilde: float, q: float,
                  t_list: np.ndarray, params: SemigroupParams,
-                 gradient_norm: bool = False, c_max: float = 50.0) -> DecayReport:
+                 gradient_norm: bool = False, c_max: float = DECAY_C_MAX) -> DecayReport:
     """One-sided numerical check of a semigroup decay estimate.
 
     The hidden constants of the continuum estimates are not reproducible, so

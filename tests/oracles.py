@@ -10,6 +10,8 @@ from itertools import product
 
 import numpy as np
 
+from llglab.cgl import _forcing_at
+from llglab.fields import derivative, inverse_laplacian_divergence
 from llglab.semigroup import SemigroupParams, apply_semigroup
 
 
@@ -136,8 +138,6 @@ def brute_force_parabolic(grid, times, fields, center, t0, r0, stride=1):
 def nonlinearity_direct(grid, u, a, a0_1, a0_2, lam):
     """The full nonlinearity written literally, component by component,
     without the cubic/transport/quintic split."""
-    from llglab.fields import derivative
-
     n = grid.dim
     mu = lam - 1j
     out = np.zeros_like(u)
@@ -181,3 +181,45 @@ def reference_duhamel_integral(forcing, t: float, steps: int,
         term = apply_semigroup(np.asarray(forcing(s), dtype=complex), t - s, params) * ds
         acc = term if acc is None else acc + term
     return acc
+
+
+def reference_duhamel_trajectory(grid, times, u_old, lam, substeps, params):
+    """The per-operator Duhamel sweep, in physical space.
+
+    Every node's forcing goes through its own apply_semigroup and the
+    accumulator through one more per interval: two FFTs and a fresh
+    multiplier per call.  cgl._duhamel_trajectory accumulates the same rule
+    in Fourier space and must agree to rounding.
+    """
+    integrals = [np.zeros_like(u_old[0])]
+    acc = np.zeros_like(u_old[0])
+    for i in range(len(times) - 1):
+        dt = times[i + 1] - times[i]
+        acc = apply_semigroup(acc, dt, params)
+        sub = dt / substeps
+        for j in range(substeps):
+            s = times[i] + (j + 0.5) * sub
+            w = (s - times[i]) / dt
+            u_s = (1.0 - w) * u_old[i] + w * u_old[i + 1]
+            forcing = _forcing_at(grid, u_s, lam)
+            acc = acc + apply_semigroup(forcing, times[i + 1] - s, params) * sub
+        integrals.append(acc.copy())
+    return integrals
+
+
+def reference_gauge_fields(grid, u, lam):
+    """gauge_fields_from_u with one elliptic solve per right-hand side and
+    div u summed from per-axis derivatives in physical space."""
+    u = np.asarray(u, dtype=complex)
+    uc = np.conj(u)
+    a = np.stack([
+        inverse_laplacian_divergence(grid, np.imag(u[b] * uc))
+        for b in range(grid.dim)
+    ])
+    div_u = sum(derivative(grid, u[k], k, 1) for k in range(grid.dim))
+    w1 = uc * div_u
+    a0_1 = inverse_laplacian_divergence(grid, lam * np.imag(w1) - np.real(w1))
+    a_dot_u = (a * u).sum(axis=0)
+    w2 = a_dot_u * uc
+    a0_2 = inverse_laplacian_divergence(grid, lam * np.real(w2) + np.imag(w2))
+    return a, a0_1, a0_2

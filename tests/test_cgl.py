@@ -18,7 +18,7 @@ from llglab.frames import gauge_fields_from_u
 from llglab.initial_data import spectral_bump
 from llglab.morrey import morrey_norm, xpt_norm
 
-from oracles import nonlinearity_direct
+from oracles import nonlinearity_direct, reference_duhamel_trajectory
 
 TWO_PI = 2.0 * np.pi
 
@@ -241,6 +241,49 @@ class TestPicard:
             direct = duhamel_integral(forcing, times[i], i * sub, params)
             scale = max(np.abs(direct).max(), 1e-300)
             assert np.abs(integrals[i] - direct).max() < 1e-12 * max(scale, 1.0)
+
+
+class TestSpectralSweep:
+    """The Fourier-space Duhamel accumulator against the per-operator sweep."""
+
+    @pytest.mark.parametrize("dim,n,substeps", [(1, 16, 2), (2, 16, 3), (3, 8, 2)])
+    def test_matches_per_operator_sweep(self, dim, n, substeps):
+        from llglab.cgl import _duhamel_trajectory
+        from llglab.semigroup import SemigroupParams
+
+        g = make_grid(dim, n, TWO_PI)
+        rng = np.random.default_rng(50 + dim)
+        lam = 0.8
+        params = SemigroupParams(lam=lam, grid=g)
+        times = np.linspace(0.0, 0.3, 4)
+        shape = (dim,) + g.shape
+        u_old = [0.3 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+                 for _ in times]
+        got = _duhamel_trajectory(g, times, u_old, lam, substeps, params)
+        want = reference_duhamel_trajectory(g, times, u_old, lam, substeps, params)
+        scale = max(np.abs(w).max() for w in want)
+        assert scale > 0 and len(got) == len(want)
+        for x, y in zip(got, want):
+            assert x.shape == y.shape
+            assert np.abs(x - y).max() <= 1e-13 * scale
+
+    def test_one_multiplier_per_distinct_offset(self, monkeypatch):
+        from llglab.cgl import _duhamel_trajectory
+        from llglab.semigroup import SemigroupParams, semigroup_multiplier
+
+        offsets = []
+
+        def counted(params, t):
+            offsets.append(t)
+            return semigroup_multiplier(params, t)
+
+        monkeypatch.setattr(cgl, "semigroup_multiplier", counted)
+        g = make_grid(2, 16, TWO_PI)
+        v0 = normalized(g, bump_pair(g), 0.02)
+        params = SemigroupParams(lam=1.0, grid=g)
+        times = np.linspace(0.0, 0.5, 9)  # dyadic steps: equal offsets in every interval
+        _duhamel_trajectory(g, times, [v0] * len(times), 1.0, 4, params)
+        assert len(offsets) == len(set(offsets)) == 4 + 1
 
 
 class TestStability:

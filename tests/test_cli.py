@@ -7,6 +7,7 @@ from llglab.fields import as_complex_components, load_snapshot, make_grid, save_
 from llglab.initial_data import InitialDataSpec, spectral_bump
 from llglab.llg import LlgConfig
 from llglab.morrey import morrey_norm
+from llglab.semigroup import DECAY_C_MAX, DECAY_GRID, DECAY_NUM_T
 
 TWO_PI = 2.0 * np.pi
 
@@ -31,6 +32,11 @@ class TestParserDefaults:
         grid = make_grid(args.dim, args.n, args.length)
         assert args.scheme == LlgConfig(grid=grid, lam=args.lam, t_end=args.t_end,
                                         dt=1e-6).scheme
+
+    def test_verify_semigroup_defaults_are_the_semigroup_owners(self):
+        args = build_parser().parse_args(["verify-semigroup"])
+        assert (args.dim, args.n, args.length) == DECAY_GRID
+        assert (args.num_t, args.c_max) == (DECAY_NUM_T, DECAY_C_MAX)
 
 
 class TestVerifySemigroup:
@@ -214,3 +220,15 @@ class TestRunCommand:
                        + "[experiments]\nchecks = energy\n[output]\ndir = o\n")
         assert main(["run", "--config", str(bad)]) == 2
         assert f"config error: {message}" in capsys.readouterr().err
+
+    def test_cross_solver_lambda_mismatch_exit_code(self, tmp_path, capsys):
+        bad = tmp_path / "bad.cfg"
+        out = tmp_path / "out"
+        bad.write_text("[grid]\ndim = 1\nn = 16\nlength = 1.0\n"
+                       "[llg]\nlambda = 1.0\nt_end = 0.01\ndt_fraction = 0.5\n"
+                       "[cgl]\nlambda = 0.5\nt_end = 0.01\n"
+                       "[experiments]\nchecks = cross_solver\n[output]\n")
+        assert main(["run", "--config", str(bad), "--out", str(out)]) == 2
+        assert ("config error: check 'cross_solver' needs equal [llg] and [cgl] lambda"
+                in capsys.readouterr().err)
+        assert not out.exists()

@@ -3,6 +3,7 @@ import sys
 import numpy as np
 import pytest
 
+from llglab.cgl import picard_iterate
 from llglab.config import ConfigError, parse_config
 from llglab.experiments import (
     cross_validate,
@@ -65,6 +66,47 @@ class TestCrossValidate:
         with pytest.raises(ValueError, match="dt"):
             cross_validate(g, constant_spin(g), lam=1.0, t_end=0.05, direct_dt=0.0,
                            time_steps=4, duhamel_substeps=2)
+
+
+    def test_mild_solve_takes_p_and_iteration_cap(self):
+        g = make_grid(2, 16, TWO_PI)
+        m0 = generate_initial_data(
+            InitialDataSpec(kind="equatorial_wave", amplitude=0.01), g)
+        rep = cross_validate(g, m0, lam=1.0, t_end=0.05, time_steps=4,
+                             duhamel_substeps=2, p=3.1, picard_max_iter=1)
+        assert rep.mild_iterations == 1
+
+    def test_runner_passes_the_whole_cgl_section(self, tmp_path, monkeypatch):
+        seen = []
+
+        def spy(grid, v0, config, track_xpt=False):
+            seen.append(config)
+            return picard_iterate(grid, v0, config, track_xpt)
+
+        monkeypatch.setattr("llglab.experiments.picard_iterate", spy)
+        cfg = tmp_path / "cross.cfg"
+        cfg.write_text(
+            "[grid]\ndim = 2\nn = 16\nlength = 6.283185307179586\n"
+            "[initial_data]\nkind = equatorial_wave\namplitude = 0.01\n"
+            "[llg]\nlambda = 0.8\nt_end = 0.05\ndt_fraction = 1.0\n"
+            "[cgl]\nlambda = 0.8\np = 3.1\nt_end = 0.05\ntime_steps = 4\n"
+            "duhamel_substeps = 2\npicard_max_iter = 1\nsmallness = 1.0\n"
+            "[experiments]\nchecks = cross_solver\n[output]\n")
+        parsed = parse_config(cfg)
+        run_config(parsed, out_dir=tmp_path / "out")
+        assert seen == [parsed.cgl]
+
+    def test_lambda_mismatch_rejected(self, tmp_path):
+        cfg = tmp_path / "cross.cfg"
+        body = ("[grid]\ndim = 1\nn = 16\nlength = 1.0\n"
+                "[llg]\nlambda = 1.0\nt_end = 0.01\ndt_fraction = 0.5\n"
+                "[cgl]\nlambda = 0.5\nt_end = 0.01\n"
+                "[experiments]\nchecks = {checks}\n[output]\n")
+        cfg.write_text(body.format(checks="cross_solver"))
+        with pytest.raises(ConfigError, match=r"\[llg\] and \[cgl\] lambda, got 1.0 and 0.5"):
+            parse_config(cfg)
+        cfg.write_text(body.format(checks="energy picard"))
+        assert parse_config(cfg).cgl.lam == 0.5
 
 
 class TestMildInitialData:

@@ -14,6 +14,7 @@ from llglab.fields import (
     derivative,
     divergence,
     gradient,
+    inverse_laplacian_divergence,
     l2_norm,
     laplacian,
     load_snapshot,
@@ -111,6 +112,70 @@ class TestDerivatives:
             derivative(g, f, 2, 1)
         with pytest.raises(ValueError):
             derivative(g, f, 0, 3)
+
+
+GRIDS_1_TO_3D = [(1, 16), (2, 16), (3, 8)]
+
+
+def random_field(grid, lead, complex_field, seed):
+    rng = np.random.default_rng(seed)
+    out = rng.standard_normal(lead + grid.shape)
+    if complex_field:
+        out = out + 1j * rng.standard_normal(lead + grid.shape)
+    return out
+
+
+class TestBatchedSpectral:
+    """One forward transform and one inverse of the whole stack per operator."""
+
+    @pytest.mark.parametrize("dim,n", GRIDS_1_TO_3D)
+    @pytest.mark.parametrize("lead", [(), (2,), (3,)])
+    @pytest.mark.parametrize("complex_field", [False, True])
+    def test_gradient_equals_per_axis_stack(self, dim, n, lead, complex_field):
+        g = make_grid(dim, n, TWO_PI)
+        f = random_field(g, lead, complex_field, seed=dim + len(lead))
+        stacked = np.stack([derivative(g, f, ax, 1) for ax in range(dim)])
+        out = gradient(g, f)
+        assert out.dtype == stacked.dtype
+        assert np.array_equal(out, stacked)
+
+    @pytest.mark.parametrize("dim,n", GRIDS_1_TO_3D)
+    @pytest.mark.parametrize("complex_field", [False, True])
+    def test_divergence_matches_per_axis_sum(self, dim, n, complex_field):
+        g = make_grid(dim, n, TWO_PI)
+        vec = random_field(g, (dim, 2), complex_field, seed=10 + dim)
+        per_axis = sum(derivative(g, vec[ax], ax, 1) for ax in range(dim))
+        out = divergence(g, vec)
+        assert np.isrealobj(out) == (not complex_field)
+        assert np.abs(out - per_axis).max() <= 1e-14 * np.abs(per_axis).max()
+
+    @pytest.mark.parametrize("dim,n", GRIDS_1_TO_3D)
+    @pytest.mark.parametrize("complex_field", [False, True])
+    def test_batched_poisson_equals_per_rhs_solves(self, dim, n, complex_field):
+        g = make_grid(dim, n, TWO_PI)
+        vec = random_field(g, (dim, 3), complex_field, seed=20 + dim)
+        phi = inverse_laplacian_divergence(g, vec)
+        assert phi.shape == (3,) + g.shape
+        assert np.isrealobj(phi) == (not complex_field)
+        per_rhs = np.stack([inverse_laplacian_divergence(g, vec[:, j]) for j in range(3)])
+        assert np.array_equal(phi, per_rhs)
+
+    @pytest.mark.parametrize("dim,n", GRIDS_1_TO_3D)
+    def test_batched_poisson_leaves_no_divergence(self, dim, n):
+        g = make_grid(dim, n, TWO_PI)
+        vec = random_field(g, (dim, 3), False, seed=30 + dim)
+        phi = inverse_laplacian_divergence(g, vec)
+        residual = divergence(g, vec + gradient(g, phi))
+        assert np.isrealobj(phi)
+        assert np.abs(residual).max() <= 1e-14 * np.abs(divergence(g, vec)).max()
+
+    def test_real_poisson_is_real_part_of_complex_solve(self):
+        g = make_grid(2, 32, TWO_PI)
+        vec = random_field(g, (2,), False, seed=5)
+        real = inverse_laplacian_divergence(g, vec)
+        cplx = inverse_laplacian_divergence(g, vec.astype(complex))
+        assert np.abs(real - cplx.real).max() <= 1e-15 * np.abs(real).max()
+        assert np.abs(cplx.imag).max() <= 1e-15 * np.abs(real).max()
 
 
 class TestNorms:

@@ -24,7 +24,7 @@ from llglab.frames import (
 )
 from llglab.llg import llg_rhs
 
-from oracles import finite_difference_gradient
+from oracles import finite_difference_gradient, reference_gauge_fields
 
 TWO_PI = 2.0 * np.pi
 
@@ -292,6 +292,16 @@ class TestGaugeFields:
         u = self.band_limited_u(g, seed=8)
         a, _, _ = gauge_fields_from_u(g, u, 1.0)
         assert np.abs(divergence(g, a)).max() < 1e-10
+
+    @pytest.mark.parametrize("dim,n", [(1, 16), (2, 16), (3, 8)])
+    def test_batched_solves_match_per_component_formulas(self, dim, n):
+        g = make_grid(dim, n, TWO_PI)
+        rng = np.random.default_rng(40 + dim)
+        u = rng.standard_normal((dim,) + g.shape) + 1j * rng.standard_normal((dim,) + g.shape)
+        lam = 0.7
+        for got, want in zip(gauge_fields_from_u(g, u, lam), reference_gauge_fields(g, u, lam)):
+            assert got.shape == want.shape and np.isrealobj(got)
+            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
 class TestIdentities:
