@@ -225,7 +225,6 @@ class PicardResult:
     converged: bool
     iterations: int
     initial_norm: float
-    warned_large_data: bool
     iteration_log: list = field(default_factory=list)
 
     def csv_rows(self):
@@ -286,14 +285,12 @@ def picard_iterate(grid: Grid, v0: np.ndarray, config: CglConfig,
         raise ValueError(f"v0 must have shape {(grid.dim,) + grid.shape}")
     params = SemigroupParams(lam=config.lam, grid=grid)
     initial_norm = morrey_norm(grid, v0, 2.0, 2.0).value
-    warned = False
     if initial_norm > config.smallness:
         warnings.warn(
             f"initial data norm {initial_norm:.3e} exceeds the contraction "
             f"threshold {config.smallness}; iteration may not converge",
             SmallnessWarning,
         )
-        warned = True
 
     times = np.linspace(0.0, config.t_end, config.time_steps + 1)
     free = [apply_semigroup(v0, t, params) for t in times]
@@ -341,8 +338,7 @@ def picard_iterate(grid: Grid, v0: np.ndarray, config: CglConfig,
         xpt = xpt_norm(grid, traj, config.p)
     return PicardResult(trajectory=traj, xpt=xpt, increments=increments,
                         converged=converged, iterations=len(increments),
-                        initial_norm=initial_norm, warned_large_data=warned,
-                        iteration_log=iteration_log)
+                        initial_norm=initial_norm, iteration_log=iteration_log)
 
 
 def fixed_point_residual(grid: Grid, result: PicardResult, v0: np.ndarray,

@@ -1,6 +1,6 @@
 """Command line entry points.
 
-    llglab run --config CFG [--out DIR] [--jobs N]
+    llglab run --config CFG [--out DIR]
     llglab verify-semigroup --p 2 --p-tilde 4 --q 2 [--gradient] ...
     llglab cgl solve --p 3.2 --lambda 1.0 --T 0.5 --steps 16 --tol 1e-8
                      --v0 SNAPSHOT [--substeps 8] [--out DIR]
@@ -50,8 +50,6 @@ def build_parser() -> argparse.ArgumentParser:
     run_p = sub.add_parser("run", help="execute a config-declared experiment pipeline")
     run_p.add_argument("--config", required=True)
     run_p.add_argument("--out", default=None)
-    run_p.add_argument("--jobs", type=int, default=1,
-                       help="accepted for compatibility; checks run serially")
 
     ver_p = sub.add_parser("verify-semigroup",
                            help="one-sided decay checks, one CSV per case")
@@ -176,7 +174,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if args.command == "run":
         try:
-            return run_experiment(args.config, out_dir=args.out, jobs=args.jobs)
+            return run_experiment(args.config, out_dir=args.out)
         except ConfigError as exc:
             print(f"config error: {exc}", file=sys.stderr)
             return 2

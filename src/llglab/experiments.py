@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cgl import CglConfig, picard_iterate
+from .cgl import CglConfig, PicardResult, picard_iterate
 from .fields import (
     Grid,
     SpinField,
@@ -58,24 +58,36 @@ class CrossValidationReport:
     mild_iterations: int
 
 
+def direct_config(grid: Grid, lam: float, t_end: float,
+                  direct_dt: float | None = None) -> LlgConfig:
+    """Config of the direct run compared with a mild solve; no step means the stability cap."""
+    if direct_dt is None:
+        direct_dt = stability_cap(grid, lam)
+    return LlgConfig(grid=grid, lam=lam, t_end=t_end, dt=direct_dt)
+
+
 def cross_validate(grid: Grid, m0: SpinField, lam: float, t_end: float,
                    direct_dt: float | None = None, time_steps: int = CglConfig.time_steps,
                    duhamel_substeps: int = CglConfig.duhamel_substeps,
-                   picard_tol: float = 1e-12, smallness: float = 0.1,
+                   picard_tol: float = CglConfig.picard_tol,
+                   smallness: float = CglConfig.smallness,
                    p: float = CglConfig.p,
                    picard_max_iter: int = CglConfig.picard_max_iter) -> CrossValidationReport:
     """Relative L2 discrepancy of |grad m| between the two solvers over time."""
-    if direct_dt is None:
-        direct_dt = stability_cap(grid, lam)
     # both configs are built first, so bad input fails before either solve
-    llg_cfg = LlgConfig(grid=grid, lam=lam, t_end=t_end, dt=direct_dt)
+    llg_cfg = direct_config(grid, lam, t_end, direct_dt)
     cgl_cfg = CglConfig(lam=lam, p=p, t_end=t_end, time_steps=time_steps,
                         duhamel_substeps=duhamel_substeps, picard_tol=picard_tol,
                         picard_max_iter=picard_max_iter, smallness=smallness)
     v0 = mild_initial_data(grid, m0)
     mild = picard_iterate(grid, v0, cgl_cfg)
-    direct = solve(m0, llg_cfg, output_times=mild.trajectory.times)
+    return compare_with_mild(grid, m0, mild, llg_cfg)
 
+
+def compare_with_mild(grid: Grid, m0: SpinField, mild: PicardResult,
+                      llg_cfg: LlgConfig) -> CrossValidationReport:
+    """Run the direct solve at the output times of a finished mild solve and compare."""
+    direct = solve(m0, llg_cfg, output_times=mild.trajectory.times)
     discrepancies = []
     for mv, u in zip(direct.trajectory.fields, mild.trajectory.fields):
         g_direct = pointwise_magnitude(grid, gradient(grid, mv))
@@ -100,8 +112,7 @@ def cross_validate_refinement(grid: Grid, m0: SpinField, lam: float, t_end: floa
     run halves the direct step and doubles the mild output resolution, which
     also halves the quadrature and interpolation node spacing.
     """
-    if direct_dt is None:
-        direct_dt = stability_cap(grid, lam)
+    direct_dt = direct_config(grid, lam, t_end, direct_dt).dt
     base = cross_validate(grid, m0, lam, t_end, direct_dt=direct_dt,
                           time_steps=time_steps, **kwargs)
     fine = cross_validate(grid, m0, lam, t_end, direct_dt=direct_dt / 2.0,

@@ -1,5 +1,10 @@
 """Experiment orchestration: run the checks a config declares, write CSVs.
 
+The checks of one run share its datum m0, the gauge datum v0, the direct run
+and the mild solve, each made when a check first reads it: a run makes each
+solve once, and a check run alone pays only for what it reads.  A solve that
+raises keeps nothing, so every check that reads it sees the same error.
+
 Every PASS/FAIL in the summary is recomputable from the emitted CSVs alone;
 files contain no timestamps, and a fixed seed gives byte-identical output
 trees across runs.
@@ -8,6 +13,7 @@ trees across runs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +26,8 @@ from .cgl import (
     stability_experiment,
 )
 from .config import LabConfig, parse_config
-from .experiments import cross_validate, decay_report, mild_initial_data, uniqueness_experiment
+from .experiments import (compare_with_mild, decay_report, direct_config, mild_initial_data,
+                          uniqueness_experiment)
 from .fields import float_repr
 from .frames import build_frame, check_identities, coulomb_gauge_fix, derive_gauge
 from .initial_data import generate_initial_data, mollify_and_project, rough_raw_field
@@ -37,6 +44,34 @@ class CheckOutcome:
     detail: str
 
 
+class _Run:
+    """The datum and solves the checks of one run share, each made on first read.
+
+    Every check gets the same arrays, so a check must not write to them.
+    """
+
+    def __init__(self, cfg: LabConfig):
+        self.cfg, self.grid = cfg, cfg.grid
+
+    @cached_property
+    def m0(self):
+        return generate_initial_data(self.cfg.initial_data, self.grid, self.cfg.effective_seed)
+
+    @cached_property
+    def v0(self):
+        return mild_initial_data(self.grid, self.m0)
+
+    @cached_property
+    def direct(self):
+        return solve(self.m0, self.cfg.llg, n_outputs=self.cfg.llg_outputs)
+
+    @cached_property
+    def mild(self):
+        # only the picard check reads the per-iteration trajectory norms
+        return picard_iterate(self.grid, self.v0, self.cfg.cgl,
+                              track_xpt="picard" in self.cfg.checks)
+
+
 def _write_rows(path: Path, rows) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="\n") as fh:
@@ -44,23 +79,20 @@ def _write_rows(path: Path, rows) -> None:
             fh.write(row + "\n")
 
 
-def _check_energy(cfg: LabConfig, outdir: Path) -> CheckOutcome:
-    m0 = generate_initial_data(cfg.initial_data, cfg.grid, cfg.effective_seed)
-    result = solve(m0, cfg.llg, n_outputs=cfg.llg_outputs)
-    _write_rows(outdir / "energy_ledger.csv", result.ledger.csv_rows())
-    check = check_energy_inequality(result.ledger, cfg.llg.lam)
+def _check_energy(run: _Run, outdir: Path) -> CheckOutcome:
+    _write_rows(outdir / "energy_ledger.csv", run.direct.ledger.csv_rows())
+    check = check_energy_inequality(run.direct.ledger, run.cfg.llg.lam)
     status = "PASS" if check.passed else "FAIL"
     return CheckOutcome("energy", status,
                         f"worst_violation={check.worst_violation!r} tol={check.tolerance!r}")
 
 
-def _check_identities(cfg: LabConfig, outdir: Path) -> CheckOutcome:
-    grid = cfg.grid
-    m0 = generate_initial_data(cfg.initial_data, grid, cfg.effective_seed)
+def _check_identities(run: _Run, outdir: Path) -> CheckOutcome:
+    grid, m0, lam = run.grid, run.m0, run.cfg.lam
     frame = build_frame(m0)
-    dt_m = llg_rhs(grid, m0.values, cfg.lam)
+    dt_m = llg_rhs(grid, m0.values, lam)
     state = coulomb_gauge_fix(grid, derive_gauge(grid, m0, dt_m, frame))
-    res = check_identities(grid, m0, dt_m, frame, state, cfg.lam)
+    res = check_identities(grid, m0, dt_m, frame, state, lam)
     _write_rows(outdir / "identity_residuals.csv", [res.csv_header(), res.csv_row()])
     ok = (res.torsion <= 1e-8 and res.curvature <= 1e-8 and res.tension <= 1e-8
           and res.u0_equation <= 1e-8 and res.div_a <= 1e-10)
@@ -70,8 +102,8 @@ def _check_identities(cfg: LabConfig, outdir: Path) -> CheckOutcome:
                         f"div_a={res.div_a:.2e}")
 
 
-def _check_semigroup_decay(cfg: LabConfig, outdir: Path) -> CheckOutcome:
-    params, bump, times = decay_datum(cfg.lam)
+def _check_semigroup_decay(run: _Run, outdir: Path) -> CheckOutcome:
+    params, bump, times = decay_datum(run.cfg.lam)
     all_pass = True
     details = []
     cases = [(2.0, 2.0, False), (2.0, 4.0, False), (2.0, 2.0, True), (2.0, 4.0, True)]
@@ -85,7 +117,7 @@ def _check_semigroup_decay(cfg: LabConfig, outdir: Path) -> CheckOutcome:
                         " ".join(details))
 
 
-def _check_exponent_window(cfg: LabConfig, outdir: Path) -> CheckOutcome:
+def _check_exponent_window(run: _Run, outdir: Path) -> CheckOutcome:
     ps = np.linspace(2.5, 4.0, 200)
     rows = ["p,valid,first_failing,delta1,delta2"]
     ok = True
@@ -103,29 +135,25 @@ def _check_exponent_window(cfg: LabConfig, outdir: Path) -> CheckOutcome:
                         "window matches (3, 10/3) on the scan")
 
 
-def _check_picard(cfg: LabConfig, outdir: Path) -> CheckOutcome:
-    grid = cfg.grid
-    v0 = mild_initial_data(grid, generate_initial_data(cfg.initial_data, grid,
-                                                       cfg.effective_seed))
+def _check_picard(run: _Run, outdir: Path) -> CheckOutcome:
     try:
-        result = picard_iterate(grid, v0, cfg.cgl, track_xpt=True)
+        result = run.mild
     except NonContraction as exc:
         return CheckOutcome("picard", "FAIL", f"non-contraction: {exc}")
     _write_rows(outdir / "picard_iterations.csv", result.csv_rows())
-    resid = fixed_point_residual(grid, result, v0, cfg.cgl)
-    ok = result.converged and resid <= 10.0 * cfg.cgl.picard_tol
+    resid = fixed_point_residual(run.grid, result, run.v0, run.cfg.cgl)
+    ok = result.converged and resid <= 10.0 * run.cfg.cgl.picard_tol
     return CheckOutcome("picard", "PASS" if ok else "FAIL",
                         f"iterations={result.iterations} residual={resid:.3e}")
 
 
-def _check_mollify(cfg: LabConfig, outdir: Path) -> CheckOutcome:
-    grid = cfg.grid
-    spec = cfg.initial_data
+def _check_mollify(run: _Run, outdir: Path) -> CheckOutcome:
+    spec = run.cfg.initial_data
     rows = ["k,min_modulus,max_modulus,grad_raw,grad_smoothed,amplification"]
     ok = True
-    raw = rough_raw_field(grid, spec.amplitude, spec.m_infinity, cfg.effective_seed)
+    raw = rough_raw_field(run.grid, spec.amplitude, spec.m_infinity, run.cfg.effective_seed)
     for k in (2.0, 4.0, 8.0):
-        projected, rep = mollify_and_project(grid, raw, k)
+        projected, rep = mollify_and_project(run.grid, raw, k)
         ok &= rep.min_modulus >= 0.75 and rep.max_modulus <= 1.0 + 1e-12
         ok &= rep.amplification <= 8.0
         rows.append(f"{k!r},{rep.min_modulus!r},{rep.max_modulus!r},"
@@ -136,15 +164,9 @@ def _check_mollify(cfg: LabConfig, outdir: Path) -> CheckOutcome:
                         "modulus in [3/4, 1] and amplification <= 8")
 
 
-def _check_cross_solver(cfg: LabConfig, outdir: Path) -> CheckOutcome:
-    grid = cfg.grid
-    m0 = generate_initial_data(cfg.initial_data, grid, cfg.effective_seed)
-    rep = cross_validate(grid, m0, cfg.cgl.lam, cfg.cgl.t_end,
-                         time_steps=cfg.cgl.time_steps,
-                         duhamel_substeps=cfg.cgl.duhamel_substeps,
-                         picard_tol=cfg.cgl.picard_tol,
-                         smallness=cfg.cgl.smallness, p=cfg.cgl.p,
-                         picard_max_iter=cfg.cgl.picard_max_iter)
+def _check_cross_solver(run: _Run, outdir: Path) -> CheckOutcome:
+    llg_cfg = direct_config(run.grid, run.cfg.cgl.lam, run.cfg.cgl.t_end)
+    rep = compare_with_mild(run.grid, run.m0, run.mild, llg_cfg)
     rows = ["t,rel_discrepancy"]
     rows += [f"{float_repr(t)},{float_repr(d)}" for t, d in zip(rep.times, rep.discrepancies)]
     _write_rows(outdir / "cross_solver.csv", rows)
@@ -153,11 +175,10 @@ def _check_cross_solver(cfg: LabConfig, outdir: Path) -> CheckOutcome:
                         f"sup_discrepancy={rep.sup_discrepancy:.3e}")
 
 
-def _check_uniqueness(cfg: LabConfig, outdir: Path) -> CheckOutcome:
-    grid = cfg.grid
-    m0 = generate_initial_data(cfg.initial_data, grid, cfg.effective_seed)
-    rep = uniqueness_experiment(grid, m0, cfg.llg.lam, cfg.llg.t_end,
-                                dt=cfg.llg.dt, n_outputs=cfg.llg_outputs)
+def _check_uniqueness(run: _Run, outdir: Path) -> CheckOutcome:
+    llg = run.cfg.llg
+    rep = uniqueness_experiment(run.grid, run.m0, llg.lam, llg.t_end,
+                                dt=llg.dt, n_outputs=run.cfg.llg_outputs)
     rows = ["t,difference,compensated"]
     rows += [f"{float_repr(t)},{float_repr(d)},{float_repr(c)}"
              for t, d, c in zip(rep.times, rep.differences, rep.compensated)]
@@ -166,24 +187,19 @@ def _check_uniqueness(cfg: LabConfig, outdir: Path) -> CheckOutcome:
                         f"transient_steps={rep.transient_steps} exact_zero={rep.exact_zero}")
 
 
-def _check_solution_decay(cfg: LabConfig, outdir: Path) -> CheckOutcome:
-    grid = cfg.grid
-    m0 = generate_initial_data(cfg.initial_data, grid, cfg.effective_seed)
-    result = solve(m0, cfg.llg, n_outputs=cfg.llg_outputs)
-    table = decay_report(grid, result.trajectory)
+def _check_solution_decay(run: _Run, outdir: Path) -> CheckOutcome:
+    table = decay_report(run.grid, run.direct.trajectory)
     _write_rows(outdir / "solution_decay.csv", table.csv_rows())
     return CheckOutcome("solution_decay", "PASS" if table.passed else "FAIL",
                         f"max_comp1={float_repr(table.first_order.max())}")
 
 
-def _check_stability(cfg: LabConfig, outdir: Path) -> CheckOutcome:
-    grid = cfg.grid
-    v0_a = mild_initial_data(grid, generate_initial_data(cfg.initial_data, grid,
-                                                         cfg.effective_seed))
+def _check_stability(run: _Run, outdir: Path) -> CheckOutcome:
+    grid, v0_a = run.grid, run.v0
     x = grid.coordinates()[0]
     pert = np.zeros((grid.dim,) + grid.shape, dtype=complex)
     pert[0] = 1e-3 * np.exp(2j * 2.0 * np.pi * x / grid.length)
-    rep = stability_experiment(grid, v0_a, v0_a + pert, cfg.cgl, halvings=3)
+    rep = stability_experiment(grid, v0_a, v0_a + pert, run.cfg.cgl, halvings=3)
     rows = ["delta,ratio"]
     rows += [f"{float_repr(d)},{float_repr(r)}" for d, r in zip(rep.deltas, rep.ratios)]
     _write_rows(outdir / "stability.csv", rows)
@@ -210,15 +226,17 @@ def run_config(cfg: LabConfig, out_dir=None, jobs: int = 1):
     """Execute the declared checks; returns (outcomes, summary path).
 
     Checks run serially whatever ``jobs`` says: they are GIL-bound Python
-    loops, and a thread pool measured slower than serial.
+    loops, and a thread pool measured slower than serial.  ``jobs`` is kept
+    only because ``bench/workloads.py`` passes it.
     """
     cfg.effective_seed  # a bad LLGLAB_SEED raises ConfigError before anything is written
     outdir = Path(out_dir or cfg.out_dir)
     outdir.mkdir(parents=True, exist_ok=True)
+    run = _Run(cfg)
 
     def run_one(name):
         try:
-            return _CHECK_FUNCS[name](cfg, outdir)
+            return _CHECK_FUNCS[name](run, outdir)
         except Exception as exc:  # noqa: BLE001 - surfaced in the summary
             return CheckOutcome(name, "ERROR", f"{type(exc).__name__}: {exc}")
 
@@ -231,10 +249,10 @@ def run_config(cfg: LabConfig, out_dir=None, jobs: int = 1):
     return outcomes, summary
 
 
-def run_experiment(config_path, out_dir=None, jobs: int = 1) -> int:
+def run_experiment(config_path, out_dir=None) -> int:
     """Parse, run, and report; exit code 0 iff every declared check passes."""
     cfg = parse_config(config_path)
-    outcomes, summary = run_config(cfg, out_dir=out_dir, jobs=jobs)
+    outcomes, summary = run_config(cfg, out_dir=out_dir)
     for o in outcomes:
         print(f"[{o.status}] {o.name}: {o.detail}")
     print(f"summary written to {summary}")

@@ -5,6 +5,7 @@ tests.
 """
 
 import filecmp
+import hashlib
 import time
 import warnings
 from pathlib import Path
@@ -277,3 +278,25 @@ def test_c11_smoke_determinism(tmp_path):
         assert files1 == files2 and files1
         match, mismatch, errors = filecmp.cmpfiles(out1, out2, files1, shallow=False)
         assert not mismatch and not errors
+
+
+# sha256 of the configs/smoke.cfg output tree, pinned with numpy 2.4.6: each
+# file adds its relative path, a NUL byte and its bytes, in sorted path order
+SMOKE_TREE_DIGEST = "440946e6a8c2cc0ef0cb5a01ecaf30416fbe44145316b5d581662224df112c06"
+SMOKE_DIGEST_NUMPY = "2.4.6"
+
+
+def test_smoke_tree_digest(tmp_path, monkeypatch):
+    monkeypatch.delenv("LLGLAB_SEED", raising=False)
+    config = Path(__file__).resolve().parents[1] / "configs" / "smoke.cfg"
+    out = tmp_path / "smoke_out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert L.run_experiment(config, out_dir=out) == 0
+    h = hashlib.sha256()
+    for path in sorted(p for p in out.rglob("*") if p.is_file()):
+        h.update(str(path.relative_to(out)).encode() + b"\0")
+        h.update(path.read_bytes())
+    assert h.hexdigest() == SMOKE_TREE_DIGEST, (
+        f"the smoke output tree changed: digest {h.hexdigest()}; the pinned digest "
+        f"was taken with numpy {SMOKE_DIGEST_NUMPY}, this run uses numpy {np.__version__}")

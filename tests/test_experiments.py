@@ -1,9 +1,11 @@
+import inspect
 import sys
 
 import numpy as np
 import pytest
 
-from llglab.cgl import picard_iterate
+from llglab import experiments, runner
+from llglab.cgl import CglConfig, NonContraction, picard_iterate
 from llglab.config import ConfigError, parse_config
 from llglab.experiments import (
     cross_validate,
@@ -68,6 +70,13 @@ class TestCrossValidate:
                            time_steps=4, duhamel_substeps=2)
 
 
+    def test_mild_keywords_default_to_the_config_fields(self):
+        params = inspect.signature(cross_validate).parameters
+        names = ("p", "time_steps", "duhamel_substeps", "picard_tol", "picard_max_iter",
+                 "smallness")
+        cfg = CglConfig(lam=1.0, t_end=1.0)
+        assert {n: params[n].default for n in names} == {n: getattr(cfg, n) for n in names}
+
     def test_mild_solve_takes_p_and_iteration_cap(self):
         g = make_grid(2, 16, TWO_PI)
         m0 = generate_initial_data(
@@ -83,7 +92,7 @@ class TestCrossValidate:
             seen.append(config)
             return picard_iterate(grid, v0, config, track_xpt)
 
-        monkeypatch.setattr("llglab.experiments.picard_iterate", spy)
+        monkeypatch.setattr("llglab.runner.picard_iterate", spy)
         cfg = tmp_path / "cross.cfg"
         cfg.write_text(
             "[grid]\ndim = 2\nn = 16\nlength = 6.283185307179586\n"
@@ -219,7 +228,62 @@ seed = 7
 """
 
 
+CGL_BLOCK = """
+[cgl]
+lambda = 1.0
+p = 3.2
+t_end = 0.05
+time_steps = 4
+duhamel_substeps = 2
+picard_tol = 1e-10
+smallness = 1.0
+
+"""
+SHARED_SOLVES = "energy solution_decay picard cross_solver"
+
+
 class TestRunner:
+    @staticmethod
+    def config_with_cgl(tmp_path, checks, outdir):
+        path = tmp_path / f"{outdir}.cfg"
+        text = SMOKE_TEMPLATE.format(checks=checks, outdir=tmp_path / outdir)
+        path.write_text(text.replace("[experiments]", CGL_BLOCK + "[experiments]"))
+        return parse_config(path)
+
+    def test_run_makes_each_solve_once(self, tmp_path, monkeypatch):
+        calls = []
+        for module in (runner, experiments):
+            for name in ("solve", "picard_iterate"):
+                def spy(*args, _name=name, _original=getattr(module, name), **kwargs):
+                    calls.append(_name)
+                    return _original(*args, **kwargs)
+
+                monkeypatch.setattr(module, name, spy)
+        outcomes, _ = run_config(self.config_with_cgl(tmp_path, SHARED_SOLVES, "out"))
+        assert [o.status for o in outcomes] == ["PASS"] * 4
+        assert sorted(calls) == ["picard_iterate", "solve", "solve"]
+
+    def test_checks_alone_write_the_bytes_of_the_full_run(self, tmp_path):
+        run_config(self.config_with_cgl(tmp_path, SHARED_SOLVES, "full"))
+        for check in ("solution_decay", "cross_solver"):
+            run_config(self.config_with_cgl(tmp_path, check, check))
+            name = f"{check}.csv"
+            assert (tmp_path / check / name).read_bytes() == (tmp_path / "full" / name).read_bytes()
+
+    def test_a_failed_mild_solve_is_not_kept(self, tmp_path, monkeypatch):
+        calls = []
+
+        def diverge(*args, **kwargs):
+            calls.append(1)
+            raise NonContraction("increments grew", [1.0, 2.0])
+
+        monkeypatch.setattr(runner, "picard_iterate", diverge)
+        outcomes, _ = run_config(self.config_with_cgl(tmp_path, "picard cross_solver", "out"))
+        assert [(o.status, o.detail) for o in outcomes] == [
+            ("FAIL", "non-contraction: increments grew"),
+            ("ERROR", "NonContraction: increments grew")]
+        assert len(calls) == 2
+
     def test_empty_check_list_exit_zero(self, tmp_path):
         cfg_path = tmp_path / "empty.cfg"
         cfg_path.write_text(SMOKE_TEMPLATE.format(checks="", outdir=tmp_path / "out"))
