@@ -201,7 +201,11 @@ def nonlinearity_F(grid: Grid, u: np.ndarray, a: np.ndarray, a0_1: np.ndarray,
     imag_matrix = np.imag(u[:, None] * np.conj(u[None, :]))  # (l, k, *shape)
     f1 = mu * 1j * np.einsum("lk...,k...->l...", imag_matrix, u)
     gu = gradient(grid, u)  # (deriv axis, component, *shape)
-    advect = np.einsum("k...,kl...->l...", a, gu)
+    # sum_k a_k d_k u accumulated from zero, as np.einsum("k...,kl...->l...")
+    # sums it, so the bytes (signed zeros included) are the einsum's
+    advect = np.zeros_like(gu[0])
+    for k in range(grid.dim):
+        advect += a[k] * gu[k]
     f2 = mu * 2j * advect - 1j * a0_1 * u
     a_sq = (a**2).sum(axis=0)
     f3 = -mu * a_sq * u - 1j * a0_2 * u

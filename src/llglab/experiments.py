@@ -30,7 +30,7 @@ from .fields import (
     sup_norm,
 )
 from .frames import build_frame, coulomb_gauge_fix, derive_gauge
-from .llg import SCHEMES, LlgConfig, solve, stability_cap
+from .llg import SCHEMES, LlgConfig, LlgResult, solve, stability_cap
 
 __all__ = [
     "CrossValidationReport",
@@ -81,13 +81,14 @@ def cross_validate(grid: Grid, m0: SpinField, lam: float, t_end: float,
                         picard_max_iter=picard_max_iter, smallness=smallness)
     v0 = mild_initial_data(grid, m0)
     mild = picard_iterate(grid, v0, cgl_cfg)
-    return compare_with_mild(grid, m0, mild, llg_cfg)
-
-
-def compare_with_mild(grid: Grid, m0: SpinField, mild: PicardResult,
-                      llg_cfg: LlgConfig) -> CrossValidationReport:
-    """Run the direct solve at the output times of a finished mild solve and compare."""
     direct = solve(m0, llg_cfg, output_times=mild.trajectory.times)
+    return compare_with_mild(grid, mild, direct)
+
+
+def compare_with_mild(grid: Grid, mild: PicardResult, direct: LlgResult) -> CrossValidationReport:
+    """Compare |grad m| of a direct run with a mild solve, both at the mild output times."""
+    if not np.array_equal(direct.trajectory.times, mild.trajectory.times):
+        raise ValueError("the direct run must record the mild solve's output times")
     discrepancies = []
     for mv, u in zip(direct.trajectory.fields, mild.trajectory.fields):
         g_direct = pointwise_magnitude(grid, gradient(grid, mv))
@@ -147,8 +148,7 @@ def uniqueness_experiment(grid: Grid, m0: SpinField, lam: float, t_end: float,
     Identical discretizations give an exact-zero difference.  Large-data
     runs may legitimately fail the monotonicity and come back INCONCLUSIVE.
     """
-    if dt is None:
-        dt = stability_cap(grid, lam)
+    dt = direct_config(grid, lam, t_end, dt).dt
     cfg_a = LlgConfig(grid=grid, lam=lam, t_end=t_end, dt=dt, scheme=schemes[0])
     cfg_b = LlgConfig(grid=grid, lam=lam, t_end=t_end, dt=dt * dt_ratio,
                       scheme=schemes[1])

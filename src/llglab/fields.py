@@ -308,6 +308,21 @@ def normalize_spin(values: np.ndarray) -> np.ndarray:
     return values / norms
 
 
+def _cross(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """a x b over axis 0, each component formed as numpy's cross product forms it
+    (a1*b2 - a2*b1, ...), so the bytes are the same, but on contiguous component
+    rows and without its axis moves.  ``out`` must not share memory with a or b.
+    """
+    if out is None:
+        out = np.empty(np.shape(a), np.result_type(a, b))
+    tmp = np.empty_like(out[0])
+    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        np.multiply(a[j], b[k], out=out[i])
+        np.multiply(a[k], b[j], out=tmp)
+        out[i] -= tmp
+    return out
+
+
 @dataclass(frozen=True)
 class SpinField:
     """Unit-sphere-valued field; values have shape (3, *grid.shape)."""

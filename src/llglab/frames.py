@@ -24,6 +24,7 @@ import numpy as np
 from .fields import (
     Grid,
     SpinField,
+    _cross,
     divergence,
     gradient,
     inverse_laplacian_divergence,
@@ -63,7 +64,7 @@ class TangentFrame:
     def defects(self, m: np.ndarray) -> dict:
         """Sup-norm violations of the frame invariants, for diagnostics."""
         X, Y = self.X, self.Y
-        cross = np.cross(X, Y, axis=0)
+        cross = _cross(X, Y)
         return {
             "unit_X": float(np.abs((X**2).sum(axis=0) - 1.0).max()),
             "unit_Y": float(np.abs((Y**2).sum(axis=0) - 1.0).max()),

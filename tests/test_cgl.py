@@ -97,6 +97,19 @@ class TestNonlinearity:
         assert np.abs(parts.f1).max() == 0.0
         assert np.abs(parts.total).max() == 0.0
 
+    def test_transport_part_is_bitwise_the_einsum(self):
+        g = make_grid(2, 16, TWO_PI)
+        rng = np.random.default_rng(8)
+        u = (rng.standard_normal((2,) + g.shape)
+             + 1j * rng.standard_normal((2,) + g.shape))
+        u[:, ::2] = 0.0
+        a, a01, a02 = gauge_fields_from_u(g, u, 0.7)
+        a[0, 1::3] = -0.0
+        mu = 0.7 - 1j
+        advect = np.einsum("k...,kl...->l...", a, cgl.gradient(g, u))
+        expected = mu * 2j * advect - 1j * a01 * u
+        assert nonlinearity_F(g, u, a, a01, a02, 0.7).f2.tobytes() == expected.tobytes()
+
     def test_matches_unsplit_expression(self):
         g = make_grid(2, 16, TWO_PI)
         rng = np.random.default_rng(3)

@@ -1,5 +1,6 @@
 import inspect
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -250,7 +251,8 @@ class TestRunner:
         path.write_text(text.replace("[experiments]", CGL_BLOCK + "[experiments]"))
         return parse_config(path)
 
-    def test_run_makes_each_solve_once(self, tmp_path, monkeypatch):
+    @staticmethod
+    def spy_on_solves(monkeypatch):
         calls = []
         for module in (runner, experiments):
             for name in ("solve", "picard_iterate"):
@@ -259,7 +261,21 @@ class TestRunner:
                     return _original(*args, **kwargs)
 
                 monkeypatch.setattr(module, name, spy)
+        return calls
+
+    def test_run_makes_each_solve_once(self, tmp_path, monkeypatch):
+        # [llg] and the cross_solver direct run ask for the same config and
+        # output times (stability-cap step, 5 outputs to t = 0.05): one solve
+        calls = self.spy_on_solves(monkeypatch)
         outcomes, _ = run_config(self.config_with_cgl(tmp_path, SHARED_SOLVES, "out"))
+        assert [o.status for o in outcomes] == ["PASS"] * 4
+        assert sorted(calls) == ["picard_iterate", "solve"]
+
+    def test_direct_runs_at_other_times_are_solved_apart(self, tmp_path, monkeypatch):
+        calls = self.spy_on_solves(monkeypatch)
+        cfg = self.config_with_cgl(tmp_path, SHARED_SOLVES, "out")
+        cfg = replace(cfg, cgl=replace(cfg.cgl, time_steps=2))
+        outcomes, _ = run_config(cfg)
         assert [o.status for o in outcomes] == ["PASS"] * 4
         assert sorted(calls) == ["picard_iterate", "solve", "solve"]
 

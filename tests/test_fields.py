@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from llglab.fields import (
     SpinField,
     Trajectory,
+    _cross,
     as_complex_components,
     derivative,
     divergence,
@@ -230,6 +231,20 @@ class TestSpinField:
         raw = np.stack([np.full(g.shape, 2.0), np.zeros(g.shape), np.ones(g.shape)])
         m = SpinField.from_values(g, raw)
         assert m.unit_defect() < 1e-15
+
+
+    def test_cross_is_bitwise_numpy_cross(self):
+        # signed zeros included: components that vanish or flip sign on zero
+        rng = np.random.default_rng(5)
+        a = rng.standard_normal((3, 8, 8))
+        b = rng.standard_normal((3, 8, 8))
+        a[2, ::2] = 0.0
+        b[0, 1::2] = -0.0
+        b[1] = np.where(a[1] > 0, -0.0, b[1])
+        for x, y in ((a, b), (b, a), (a, a)):
+            out = _cross(x, y)
+            assert out.flags.c_contiguous
+            assert out.tobytes() == np.cross(x, y, axis=0).tobytes()
 
 
 class TestTrajectory:

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from llglab.cgl import CglConfig
-from llglab.fields import SpinField, derivative, l2_norm, make_grid
+from llglab.fields import SpinField, derivative, l2_norm, make_grid, normalize_spin
 from llglab.llg import (
+    SCHEMES,
     BlowupSuspected,
     LlgConfig,
     bump_cutoff,
@@ -16,6 +17,8 @@ from llglab.llg import (
     step,
 )
 from llglab.morrey import ParabolicCylinder
+
+from oracles import reference_llg_march, reference_llg_rhs
 
 TWO_PI = 2.0 * np.pi
 
@@ -80,6 +83,47 @@ class TestRhs:
         m = tilted_smooth(g)
         rhs = llg_rhs(g, m.values, 0.8)
         assert np.abs((rhs * m.values).sum(axis=0)).max() < 1e-10
+
+
+class TestBitwiseOracle:
+    """llg_rhs and solve against the np.cross formulas in tests/oracles, byte for byte."""
+
+    @pytest.mark.parametrize("lam", [0.1, 1.0, 3.0])
+    @pytest.mark.parametrize("dim,n", [(1, 64), (2, 32), (3, 8)])
+    def test_rhs_on_random_unit_fields(self, dim, n, lam):
+        g = make_grid(dim, n, TWO_PI)
+        m = normalize_spin(np.random.default_rng(10 * dim + n).standard_normal((3,) + g.shape))
+        before = m.tobytes()
+        rhs = llg_rhs(g, m, lam)
+        ref = reference_llg_rhs(g, m, lam)
+        assert (rhs == ref).all()
+        assert rhs.tobytes() == ref.tobytes()
+        assert m.tobytes() == before
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_rhs_on_fields_with_exact_zeros(self, dim):
+        # signed zeros decide the bytes where components vanish identically
+        g = make_grid(dim, 8, TWO_PI)
+        for m in (constant_spin(g).values, equatorial(g, amplitude=0.3).values):
+            for lam in (0.1, 1.0, 3.0):
+                assert llg_rhs(g, m, lam).tobytes() == reference_llg_rhs(g, m, lam).tobytes()
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_solve_matches_the_reference_march(self, scheme):
+        g = make_grid(2, 16, TWO_PI)
+        rng = np.random.default_rng(2)
+        values = rng.standard_normal((3,) + g.shape) * 0.3
+        values[2] += 1.0
+        m0 = SpinField.from_values(g, values)
+        lam, dt, steps = 1.0, 2.0**-10, 8  # dt and steps * dt exact, dt below the cap
+        cfg = LlgConfig(grid=g, lam=lam, t_end=steps * dt, dt=dt, scheme=scheme)
+        before = m0.values.tobytes()
+        res = solve(m0, cfg, output_times=[0.0, steps * dt])
+        m_ref, dissipated = reference_llg_march(g, m0.values, lam, dt, steps, scheme)
+        assert res.meta["steps"] == steps
+        assert res.trajectory.fields[-1].tobytes() == m_ref.tobytes()
+        assert res.ledger.dissipation[-1] == dissipated
+        assert m0.values.tobytes() == before
 
 
 class TestStep:
