@@ -32,7 +32,6 @@ from .morrey import (
     morrey_norm,
     parabolic_morrey_norm,
     xpt_norm,
-    ypt_norm,
 )
 from .semigroup import (
     DecayReport,

@@ -106,6 +106,13 @@ class Grid:
         return out
 
     @cached_property
+    def laplacian_multipliers(self) -> tuple:
+        """-|xi|^2 in the layouts of ``_forward``'s spectrum, indexed by ``real_in``:
+        the full spectrum (complex input), then its half (rfftn) part."""
+        full = -self.k_squared
+        return full, np.ascontiguousarray(full[..., : self.n // 2 + 1])
+
+    @cached_property
     def k_squared_odd(self) -> np.ndarray:
         """Sum of squared Nyquist-zeroed wavenumbers, consistent with div/grad."""
         out = np.zeros(self.shape)
@@ -229,7 +236,8 @@ def gradient(grid: Grid, values: np.ndarray) -> np.ndarray:
 
 
 def laplacian(grid: Grid, values: np.ndarray) -> np.ndarray:
-    return _apply_multiplier(grid, values, -grid.k_squared)
+    spec, real_in = _forward(grid, np.asarray(values))
+    return _inverse(grid, spec * grid.laplacian_multipliers[real_in], real_in)
 
 
 def _divergence_spectrum(grid: Grid, vec: np.ndarray):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from llglab.fields import (
     SpinField,
     Trajectory,
+    _apply_multiplier,
     _cross,
     as_complex_components,
     derivative,
@@ -94,6 +95,21 @@ class TestDerivatives:
         x, y = g.coordinates()
         f = np.sin(x) + np.cos(y)
         assert np.abs(laplacian(g, f) + f).max() < 1e-12
+
+    @pytest.mark.parametrize("dim,n", [(1, 16), (2, 16), (3, 8)])
+    def test_laplacian_is_bitwise_the_negated_k_squared_multiplier(self, dim, n):
+        # the cached half-spectrum -|k|^2 does the arithmetic of negating and
+        # slicing grid.k_squared on every call
+        g = make_grid(dim, n, TWO_PI)
+        full, half = g.laplacian_multipliers
+        assert np.array_equal(full, -g.k_squared)
+        assert np.array_equal(half, (-g.k_squared)[..., : n // 2 + 1])
+        rng = np.random.default_rng(dim)
+        real = rng.standard_normal((3,) + g.shape)
+        for f in (real, real[0], real + 1j * rng.standard_normal(real.shape)):
+            new, old = laplacian(g, f), _apply_multiplier(g, f, -g.k_squared)
+            assert new.dtype == old.dtype
+            assert new.tobytes() == old.tobytes()
 
     def test_div_grad_equals_laplacian_on_band_limited(self):
         g = make_grid(2, 32, TWO_PI)

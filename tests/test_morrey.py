@@ -13,7 +13,6 @@ from llglab.morrey import (
     parabolic_morrey_norm,
     recompute_witness,
     xpt_norm,
-    ypt_norm,
 )
 
 from oracles import brute_force_morrey, brute_force_parabolic, reference_morrey_norm
@@ -224,6 +223,73 @@ class TestBatchedEngine:
         assert uncached[1] == reference_morrey_norm(g, f, 2.0, 1.0, lat)
 
 
+def _table_nbytes():
+    cache = morrey._rank_cache
+    return cache["table"].nbytes + sum(idx.nbytes for idx in cache["index"])
+
+
+class TestHybridTables:
+    """Gathered radii (index tables) and scanned radii (rank table), with ==."""
+
+    LATTICES = {1: (32, 3, 4), 2: (16, 3, 4), 3: (8, 1, 2)}  # dim: n, stride, every-radius r_max/h
+
+    def _lattice(self, dim, budget, monkeypatch):
+        n, stride, r_cells = self.LATTICES[dim]
+        g = make_grid(dim, n, TWO_PI)
+        lat = ball_lattice(g, stride=stride, r_max=r_cells * g.h if budget == "every" else None)
+        itemsize = np.min_scalar_type(g.num_points - 1).itemsize
+        if budget == "some":  # the rank table and the smallest ball's index table
+            monkeypatch.setattr(morrey, "_TABLE_BYTES",
+                                lat.n_centers * (g.num_points + (2 * dim + 1) * itemsize))
+        elif budget == "none":  # the rank table only
+            monkeypatch.setattr(morrey, "_TABLE_BYTES", lat.n_centers * g.num_points)
+        monkeypatch.setattr(morrey, "_rank_cache", {})
+        return g, lat
+
+    @pytest.mark.parametrize("chunk", ["default", "ragged"])
+    @pytest.mark.parametrize("budget", ["every", "some", "none"])
+    @pytest.mark.parametrize("field", ["random", "constant"])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_bitwise_equal_to_reference_loop(self, monkeypatch, dim, field, budget, chunk):
+        g, lat = self._lattice(dim, budget, monkeypatch)
+        if chunk == "ragged":
+            monkeypatch.setattr(morrey, "_CHUNK_ELEMS", 5 * g.num_points + 1)
+        if field == "random":
+            f = random_field(g, seed=7 * dim)
+        else:  # every ball of one radius ties; the first center must win
+            f = np.full((2,) + g.shape, 0.3)
+        for p, q in ((1.0, 0.0), (2.0, 2.0), (3.2, 1.0)):
+            assert (_report_tuple(morrey_norm(g, f, p, q, lat))
+                    == reference_morrey_norm(g, f, p, q, lat)), (p, q)
+        index = morrey._rank_cache["index"]
+        expected = {"every": len(lat.radii), "some": 1, "none": 0}[budget]
+        assert len(index) == expected
+        assert _table_nbytes() <= morrey._TABLE_BYTES
+        if chunk == "ragged":  # the scan, the build and some gathers end on a short chunk
+            widths = [idx.shape[1] for idx in index] + [g.num_points]
+            assert any(lat.n_centers % max(1, morrey._CHUNK_ELEMS // k) for k in widths)
+
+    def test_index_tables_hold_each_ball_in_raster_order(self, monkeypatch):
+        g, lat = self._lattice(2, "every", monkeypatch)
+        morrey_norm(g, np.ones(g.shape), 2.0, 2.0, lat)
+        for center, *rows in zip(lat.centers, *morrey._rank_cache["index"]):
+            rolled = np.roll(g.wrapped_dist2, shift=center, axis=(0, 1)).ravel()
+            for r, row in zip(lat.radii, rows):
+                assert np.array_equal(row, np.flatnonzero(rolled <= r * r))
+
+    @pytest.mark.parametrize("dim,n", [(1, 64), (2, 32), (2, 64), (3, 16)])
+    def test_default_lattice_tables_fit_the_budget(self, monkeypatch, dim, n):
+        monkeypatch.setattr(morrey, "_rank_cache", {})
+        g = make_grid(dim, n, TWO_PI)
+        f = random_field(g, seed=n)
+        rep = morrey_norm(g, f, 2.0, 2.0)
+        assert recompute_witness(g, f, rep) == rep.value
+        assert _table_nbytes() <= morrey._TABLE_BYTES
+        half = g.num_points / 2
+        gathered = [idx.shape[1] for idx in morrey._rank_cache["index"]]
+        assert all(k <= half for k in gathered)
+
+
 class TestParabolicNorm:
     def _trajectory(self, grid, seed, steps=8, constant=False):
         rng = np.random.default_rng(seed)
@@ -292,7 +358,6 @@ class TestTrajectoryNorms:
         traj = Trajectory(times, [np.zeros((2,) + g.shape, dtype=complex)] * 4)
         rep = xpt_norm(g, traj, 3.2)
         assert (rep.r1, rep.r2, rep.r3) == (0.0, 0.0, 0.0)
-        assert ypt_norm(g, traj, 3.2) == 0.0
 
     def test_single_time_unit_powers(self):
         g = make_grid(2, 16, TWO_PI)
@@ -319,15 +384,6 @@ class TestTrajectoryNorms:
         assert rep.r1_time == 2.0
         assert rep.r2_time == 2.0
         assert rep.r3_time == 2.0
-
-    def test_ypt_below_xpt(self):
-        g = make_grid(2, 16, TWO_PI)
-        rng = np.random.default_rng(11)
-        times = np.linspace(0.0, 1.0, 3)
-        fields = [rng.standard_normal((2,) + g.shape)
-                  + 1j * rng.standard_normal((2,) + g.shape) for _ in times]
-        traj = Trajectory(times, fields)
-        assert ypt_norm(g, traj, 3.2) <= xpt_norm(g, traj, 3.2).total
 
     def test_validation(self):
         g = make_grid(2, 16, TWO_PI)
