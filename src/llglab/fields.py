@@ -33,7 +33,6 @@ __all__ = [
     "make_grid",
     "SpinField",
     "Trajectory",
-    "to_spectral",
     "derivative",
     "gradient",
     "laplacian",
@@ -175,10 +174,6 @@ def make_grid(dim: int, n: int, length: float) -> Grid:
 
 # ---------------------------------------------------------------------------
 # spectral transforms and derivatives
-
-
-def to_spectral(grid: Grid, values: np.ndarray) -> np.ndarray:
-    return np.fft.fftn(np.asarray(values), axes=grid.axes)
 
 
 def _forward(grid: Grid, values: np.ndarray):

@@ -16,43 +16,47 @@ Space-time variants measure trajectories: the parabolic norm integrates
 |f|^2 over cylinders B_r(x) x [t - r^2, t], and the trajectory norms take
 time-weighted suprema of the spatial norms (components r1, r2, r3).
 
-``morrey_norm`` evaluates every (center, radius) ball in batches and returns
-bit for bit what a plain loop over ``|f|**p [ball mask].sum()`` returns:
+``morrey_norm`` screens every (center, radius) ball with one FFT convolution,
+sums exactly only the balls that can win, and returns bit for bit what a
+plain loop over ``|f|**p [ball mask].sum()`` returns:
 
-* A rank table holds, for each center and grid point, the index of the
-  smallest radius whose closed ball contains the point (``searchsorted`` of
-  the squared radii against the origin's distance table, rolled to the
-  center), so ``rank <= j`` is exactly the mask ``dist2 <= r_j * r_j``.
-* Every lattice ball of one radius holds the same number K of points (the
-  balls are translates on the torus).  A radius whose ball holds at most
-  ``_GATHER_SHARE`` (half) of the grid is summed by a gather: its index
-  table holds each center's K flat indices in raster order, and a row sum
-  of ``flat.take(row)`` is the ball's sum.  The larger radii compress a
-  block of rank rows with ``rank <= j``, which also keeps each row's points
-  in raster order.  Either way each row sum sees the same K-sequence, and
-  the same pairwise summation, as ``magp[mask].sum()``.
-* Vectorised ``np.power`` can differ from scalar ``pow`` in the last bit,
-  so the array of candidate values only shortlists the balls within a
-  relative 1e-9 of the maximum; the winner is decided among those by the
-  scalar expression and a strict ``>`` in center-major, radius-minor order,
-  which keeps the value, the witness and the first-wins tie-breaking.
+* Screen.  One ``rfftn`` of ``|f|**p`` (in float64) times the cached
+  spectrum of each radius's ball indicator, and one batched ``irfftn``
+  sampled at the lattice centers, estimate every ball's sum (a torus ball is
+  symmetric, so the convolution is the ball sum).  ``_screen`` bounds each
+  estimate's distance from the exact sum by the FFT rounding of the
+  transform, the product and the inverse (Higham, *Accuracy and Stability of
+  Numerical Algorithms*, Thm 24.2, times ``_FFT_SAFETY``) plus twice the
+  rounding bound of a K-term sum in the sums' dtype in any order (eq. 4.4),
+  which holds whatever order numpy's pairwise summation adds in.
+* Shortlist.  The bounds give each ball's value an upper and a lower bound.
+  A ball is summed exactly only if its upper bound reaches the largest lower
+  bound, less a relative ``_SHORTLIST_RTOL`` (at least 1e4 ulps of the sums'
+  dtype) for vectorised against scalar ``pow``.  The FFT only prunes; every
+  value the norm reports comes from an exact sum.
+* Exact sums.  A rank table holds, for each center and grid point, the
+  index of the smallest radius whose closed ball contains the point
+  (``searchsorted`` of the squared radii against the origin's distance
+  table, rolled to the center), so ``rank <= j`` is exactly the mask
+  ``dist2 <= r_j * r_j``.  Compressing a shortlisted center's rank row with
+  ``rank <= j`` keeps the ball's points in raster order, so each row sum sees
+  the same sequence, and the same pairwise summation, as ``magp[mask].sum()``.
+* Winner.  The scalar expression and a strict ``>`` in center-major,
+  radius-minor order pick the winner among the shortlist, which keeps the
+  value, the witness and the first-wins tie-breaking.  Every ball that ties
+  the winner bitwise is shortlisted; ``MorreyReport.exact_sums`` counts the
+  shortlist.
 
-Cost of one call with the tables cached: ``n_centers * sum(K_j)`` gathered
-points over the indexed radii, plus ``n_centers * N**dim`` byte comparisons
-and a compression per scanned radius.  At 2-D N=64 stride 2 the five
-indexed radii hold 5 + 13 + 49 + 197 + 797 points and only the largest
-radius (3,207 of 4,096 points) is scanned.
+Cost of one call with the tables cached: an FFT of one field and an inverse
+FFT of one field per radius, then ``N**dim`` byte comparisons and a
+compression per shortlisted ball.
 
-Memory: no temporary holds more than ``_CHUNK_ELEMS`` elements (or one field,
-when a field is larger).  The rank table (one byte per center and point) and
-the index tables (the smallest unsigned type that holds ``N**dim - 1`` per
-center and ball point) share one budget, ``_TABLE_BYTES``, and one cache
-that holds the last lattice used.  Radii are indexed smallest first while
-everything fits; the tables are built chunk by chunk, from one compression
-of the rank rows for the largest indexed radius, and each smaller radius
-keeps the points of the next larger ball whose rank it admits.  When the
-rank table alone does not fit, nothing is cached and its rows are rebuilt
-chunk by chunk for every call.
+Memory: the screen holds one field per radius; no exact-sum temporary holds
+more than ``_CHUNK_ELEMS`` elements (or one field, when a field is larger).
+One cache holds the tables of the last lattice used: the origin's rank
+table, a half spectrum per radius and, when it fits ``_TABLE_BYTES``, the
+rank table (one byte per center and point).  Otherwise the shortlisted rank
+rows are rebuilt chunk by chunk for every call.
 """
 
 from __future__ import annotations
@@ -63,6 +67,7 @@ from itertools import product
 from numbers import Integral
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .fields import Grid, Trajectory, gradient, pointwise_magnitude, require_finite_positive
 
@@ -137,7 +142,8 @@ def ball_lattice(grid: Grid, stride: int | None = None, r_max: float | None = No
 
 @dataclass(frozen=True)
 class MorreyReport:
-    """Norm value plus the maximizing (center, radius) witness."""
+    """Norm value plus the maximizing (center, radius) witness, and how many
+    balls the engine summed exactly (the rest were pruned by the screen)."""
 
     value: float
     p: float
@@ -145,6 +151,7 @@ class MorreyReport:
     witness_center: tuple
     witness_radius: float
     lattice: BallLattice
+    exact_sums: int
 
 
 def _validate_pq(grid: Grid, p: float, q: float) -> None:
@@ -158,120 +165,91 @@ def _validate_pq(grid: Grid, p: float, q: float) -> None:
 
 
 # Engine limits (see the module docstring): elements per temporary, the byte
-# budget for caching a lattice's tables, and the largest share of the grid a
-# ball may hold and still be summed by a gather from an index table.
+# budget for caching a lattice's rank table, the relative slack between
+# vectorised and scalar ``pow``, and the safety factor of the FFT error bound.
 _CHUNK_ELEMS = 1 << 16
 _TABLE_BYTES = 1 << 24
-_GATHER_SHARE = 0.5
 _SHORTLIST_RTOL = 1e-9
+_FFT_SAFETY = 4.0
 
-# Single-entry cache: {"key": lattice, "table": rank table,
-# "index": one (n_centers, K_j) raster-order index table per gathered radius j}.
+# Single-entry cache: {"key": lattice, "rank0": the origin's rank table,
+# "centers", "flat": their raster indices, "table": rank table or None,
+# "counts": points per ball, "spectra": rfftn of each radius's ball indicator}.
 _rank_cache: dict = {}
 
 
 def _rank_rows(grid: Grid, rank0: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """Rows of the rank table for the given centers: rank0 rolled to each center."""
-    n, dim = grid.n, grid.dim
-    index = []
-    for ax in range(dim):
-        shape = [1] * (dim + 1)
-        shape[ax + 1] = n
-        offsets = centers[:, ax].reshape((-1,) + (1,) * dim)
-        index.append((np.arange(n).reshape(shape) - offsets) % n)
-    return rank0[tuple(index)].reshape(len(centers), -1)
+    """Rows of the rank table for the given centers: rank0 rolled to each center,
+    read as the window of the doubled table that starts at -center (mod N)."""
+    windows = sliding_window_view(np.tile(rank0, (2,) * grid.dim), rank0.shape)
+    return windows[tuple(((-centers) % grid.n).T)].reshape(len(centers), -1)
 
 
-def _index_tables(table: np.ndarray, counts: np.ndarray, n_gathered: int) -> tuple:
-    """Raster-order index tables of the first ``n_gathered`` radii, chunk by chunk.
-
-    One compression of each block of rank rows serves the largest of those
-    radii; every smaller radius keeps the points of the next larger ball whose
-    rank it admits, which preserves raster order."""
-    n_centers, size = table.shape
-    positions = np.arange(size, dtype=np.min_scalar_type(size - 1))
-    index = [np.empty((n_centers, int(k)), dtype=positions.dtype)
-             for k in counts[:n_gathered]]
-    top = n_gathered - 1
-    step = max(1, _CHUNK_ELEMS // size)
-    for lo in range(0, n_centers, step):
-        block = table[lo:lo + step]
-        keep = block <= top
-        cols = np.broadcast_to(positions, block.shape)[keep].reshape(len(block), -1)
-        ranks = block[keep].reshape(len(block), -1)
-        index[top][lo:lo + step] = cols
-        for j in range(top - 1, -1, -1):
-            keep = ranks <= j
-            cols = cols[keep].reshape(len(block), -1)
-            ranks = ranks[keep].reshape(len(block), -1)
-            index[j][lo:lo + step] = cols
-    for idx in index:
-        idx.flags.writeable = False
-    return tuple(index)
-
-
-def _cached_tables(lattice: BallLattice, rank0: np.ndarray, centers: np.ndarray) -> dict:
-    """The lattice's rank table and as many index tables as fit in ``_TABLE_BYTES``.
-
-    Radii whose ball holds at most ``_GATHER_SHARE`` of the grid are indexed,
-    smallest first, while the rank table and the index tables fit the budget
-    together.  Returns an empty dict when the rank table alone does not fit."""
+def _tables(lattice: BallLattice) -> dict:
+    """The lattice's cached tables; the rank table only if it fits ``_TABLE_BYTES``."""
+    if _rank_cache.get("key") == lattice:
+        return _rank_cache
     grid = lattice.grid
     n_radii = len(lattice.radii)
-    table_bytes = lattice.n_centers * rank0.size
-    if table_bytes > _TABLE_BYTES:
-        return {}
-    counts = np.cumsum(np.bincount(rank0.ravel(), minlength=n_radii + 1))[:n_radii]
-    itemsize = np.min_scalar_type(rank0.size - 1).itemsize
-    spent = table_bytes + np.cumsum(lattice.n_centers * counts * itemsize)
-    n_gathered = int(np.count_nonzero((counts <= _GATHER_SHARE * rank0.size)
-                                      & (spent <= _TABLE_BYTES)))
+    r2 = np.array([r * r for r in lattice.radii])
+    rank0 = np.searchsorted(r2, grid.wrapped_dist2).astype(np.min_scalar_type(n_radii))
+    centers = np.array(lattice.centers, dtype=np.intp).reshape(lattice.n_centers, grid.dim)
     _rank_cache.clear()  # drop the old tables before building the new ones
-    table = _rank_rows(grid, rank0, centers)
-    table.flags.writeable = False
-    index = _index_tables(table, counts, n_gathered) if n_gathered else ()
-    _rank_cache.update(key=lattice, table=table, index=index)
+    table = None
+    if lattice.n_centers * rank0.size <= _TABLE_BYTES:
+        table = _rank_rows(grid, rank0, centers)
+        table.flags.writeable = False
+    balls = rank0 <= np.arange(n_radii).reshape((-1,) + (1,) * grid.dim)
+    _rank_cache.update(key=lattice, rank0=rank0, centers=centers, table=table,
+                       flat=np.ravel_multi_index(tuple(centers.T), grid.shape),
+                       counts=np.count_nonzero(balls.reshape(n_radii, -1), axis=1),
+                       spectra=np.fft.rfftn(balls.astype(float), axes=grid.axes))
     return _rank_cache
 
 
-def _ball_sums(lattice: BallLattice, flat: np.ndarray) -> np.ndarray:
-    """Sum of ``flat`` (raster order) over every lattice ball, (centers, radii)."""
-    grid = lattice.grid
+def _screen(tables: dict, magp: np.ndarray) -> tuple:
+    """FFT estimates of every lattice ball's sum of ``magp``, (centers, radii),
+    and a bound on their distance from the exact sums (module docstring)."""
+    grid = tables["key"].grid
+    x = magp.astype(float, copy=False)
+    conv = np.fft.irfftn(np.fft.rfftn(x, axes=grid.axes) * tables["spectra"],
+                         s=grid.shape, axes=grid.axes)
+    approx = conv.reshape(len(conv), -1)[:, tables["flat"]].T
+    counts = tables["counts"]
+    # Higham Thm 24.2: relative 2-norm error of one transform of log2(N**dim)
+    # radix-2 stages, eta = u + gamma_4 (sqrt(2) + u) per stage
+    u = 0.5 * np.finfo(float).eps
+    stage = u + 4 * u / (1 - 4 * u) * (np.sqrt(2) + u)
+    eta = _FFT_SAFETY * grid.dim * np.ceil(np.log2(grid.n)) * stage
+    # forward transform, ball spectrum (|spectrum| <= K points), product and
+    # inverse; the sup norm is at most the 2-norm
+    fft_err = eta / (1 - eta) * (3 * counts * np.sqrt(np.vdot(x, x)) + np.sqrt(counts) * x.sum())
+    # summing K terms in the sums' dtype, in whatever order numpy adds them:
+    # K - 1 roundings, gamma_(K-1) (Higham eq. 4.4), doubled for a margin where
+    # it is tight (balls of a few points)
+    u_sum = 0.5 * np.finfo(np.result_type(magp, 1.0)).eps
+    gamma = 2 * (counts - 1) * u_sum / (1 - (counts - 1) * u_sum)
+    return approx, fft_err + gamma * (approx + fft_err)
+
+
+def _exact_sums(tables: dict, flat: np.ndarray, shortlist: np.ndarray) -> np.ndarray:
+    """(centers, radii) array holding the exact sum of ``flat`` (raster order)
+    over each shortlisted ball; the other entries are left unset."""
+    lattice = tables["key"]
     n_radii = len(lattice.radii)
-    cache = _rank_cache if _rank_cache.get("key") == lattice else None
-    if cache is None:
-        r2 = np.array([r * r for r in lattice.radii])
-        rank0 = np.searchsorted(r2, grid.wrapped_dist2).astype(np.min_scalar_type(n_radii))
-        centers = np.array(lattice.centers, dtype=np.intp).reshape(lattice.n_centers, grid.dim)
-        cache = _cached_tables(lattice, rank0, centers)
-    table = cache.get("table")
-    index = cache.get("index", ())
     sums = np.empty((lattice.n_centers, n_radii), dtype=flat.dtype)
-    if index:
-        # Reused for every chunk: a fresh half-MiB temporary per chunk measured
-        # up to twice as slow.  The indices are in range, so ``clip`` clips
-        # nothing; unlike ``raise`` it does not buffer ``out``.
-        width = max(_CHUNK_ELEMS, flat.size)
-        pos, vals = np.empty(width, dtype=np.intp), np.empty(width, dtype=flat.dtype)
-    for j, idx in enumerate(index):
-        step = max(1, _CHUNK_ELEMS // idx.shape[1])
-        for lo in range(0, lattice.n_centers, step):
-            block = idx[lo:lo + step]
-            block_pos = pos[:block.size].reshape(block.shape)
-            block_pos[...] = block
-            block_vals = vals[:block.size].reshape(block.shape)
-            flat.take(block_pos, out=block_vals, mode="clip").sum(axis=1, out=sums[lo:lo + step, j])
-    if len(index) == n_radii:
-        return sums
+    rows, cols = np.divmod(shortlist, n_radii)
     step = max(1, _CHUNK_ELEMS // flat.size)
-    for lo in range(0, lattice.n_centers, step):
-        if table is not None:
-            block = table[lo:lo + step]
-        else:
-            block = _rank_rows(grid, rank0, centers[lo:lo + step])
-        src = np.broadcast_to(flat, block.shape)
-        for j in range(len(index), n_radii):
-            sums[lo:lo + step, j] = src[block <= j].reshape(len(block), -1).sum(axis=1)
+    for j in np.unique(cols).tolist():
+        need = rows[cols == j]
+        for lo in range(0, len(need), step):
+            sel = need[lo:lo + step]
+            if tables["table"] is not None:
+                block = tables["table"][sel]
+            else:
+                block = _rank_rows(lattice.grid, tables["rank0"], tables["centers"][sel])
+            src = np.broadcast_to(flat, block.shape)
+            sums[sel, j] = src[block <= j].reshape(len(block), -1).sum(axis=1)
     return sums
 
 
@@ -288,14 +266,18 @@ def morrey_norm(grid: Grid, values: np.ndarray, p: float, q: float,
     magp = pointwise_magnitude(grid, values) ** p
     if not np.isfinite(magp).all():
         raise ValueError(f"|values|**{p} is not finite everywhere")
-    sums = _ball_sums(lattice, magp.ravel())
+    tables = _tables(lattice)
+    approx, err = _screen(tables, magp)
     hn = grid.h ** grid.dim
     ndim = grid.dim
     weights = np.array([r ** (q - ndim) for r in lattice.radii])
-    approx = (weights * (sums * hn)) ** (1.0 / p)
+    upper = (weights * ((approx + err) * hn)) ** (1.0 / p)
+    lower = (weights * (np.maximum(approx - err, 0.0) * hn)) ** (1.0 / p)
     # the scalar expression runs in the sums' precision (float32 for float32 fields)
-    rtol = max(_SHORTLIST_RTOL, 1e4 * np.finfo(np.result_type(sums, 1.0)).eps)
-    shortlist = np.flatnonzero(approx >= approx.max() * (1.0 - rtol))
+    rtol = max(_SHORTLIST_RTOL, 1e4 * np.finfo(np.result_type(magp, 1.0)).eps)
+    # a ball that can reach the best lower bound, or any ball when a bound is NaN
+    shortlist = np.flatnonzero(~(upper < lower.max() * (1.0 - rtol)))
+    sums = _exact_sums(tables, magp.ravel(), shortlist)
     best_val = -1.0
     best_center = lattice.centers[0]
     best_radius = lattice.radii[0]
@@ -314,6 +296,7 @@ def morrey_norm(grid: Grid, values: np.ndarray, p: float, q: float,
         witness_center=tuple(best_center),
         witness_radius=float(best_radius),
         lattice=lattice,
+        exact_sums=len(shortlist),
     )
 
 
@@ -455,11 +438,13 @@ def xpt_norm(grid: Grid, traj: Trajectory, p: float) -> XptReport:
     r1 = r2 = r3 = 0.0
     t1 = t2 = t3 = float(traj.times[0])
     for t, u in zip(traj.times, traj.fields):
-        n3 = morrey_norm(grid, u, 2.0, 2.0).value
+        # |u| once: a real scalar field's magnitude is its abs, the identity on |u|
+        mag = pointwise_magnitude(grid, u)
+        n3 = morrey_norm(grid, mag, 2.0, 2.0).value
         if n3 > r3:
             r3, t3 = n3, float(t)
         if t > 0.0:
-            n1 = morrey_norm(grid, u, p, 2.0).value
+            n1 = morrey_norm(grid, mag, p, 2.0).value
             w1 = t ** (0.5 - 1.0 / p) * n1
             if w1 > r1:
                 r1, t1 = w1, float(t)

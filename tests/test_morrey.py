@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from llglab import morrey
 from llglab.fields import Trajectory, gradient, make_grid
+from llglab.initial_data import spectral_bump
 from llglab.morrey import (
     BallLattice,
     ParabolicCylinder,
@@ -218,31 +219,28 @@ class TestBatchedEngine:
         # chunks of 3 centers (or 1 for wide fields) leave a ragged last chunk
         monkeypatch.setattr(morrey, "_CHUNK_ELEMS", 3 * g.num_points)
         uncached = [_report_tuple(morrey_norm(g, f, p, 1.0, lat)) for p in (1.0, 2.0, 3.2)]
-        assert morrey._rank_cache == {}
+        assert morrey._rank_cache["table"] is None
         assert uncached == cached
         assert uncached[1] == reference_morrey_norm(g, f, 2.0, 1.0, lat)
 
 
-def _table_nbytes():
-    cache = morrey._rank_cache
-    return cache["table"].nbytes + sum(idx.nbytes for idx in cache["index"])
-
-
 class TestHybridTables:
-    """Gathered radii (index tables) and scanned radii (rank table), with ==."""
+    """FFT screen plus exact rank-row sums against the reference loop, with ==.
 
-    LATTICES = {1: (32, 3, 4), 2: (16, 3, 4), 3: (8, 1, 2)}  # dim: n, stride, every-radius r_max/h
+    Budgets: "every" is the default ``_TABLE_BYTES`` on a lattice capped to a
+    few radii, "some" a budget that holds exactly the rank table, and "none"
+    a zero budget, which rebuilds the shortlisted rows chunk by chunk."""
+
+    LATTICES = {1: (32, 3, 4), 2: (16, 3, 4), 3: (8, 1, 2)}  # dim: n, stride, capped r_max/h
 
     def _lattice(self, dim, budget, monkeypatch):
         n, stride, r_cells = self.LATTICES[dim]
         g = make_grid(dim, n, TWO_PI)
         lat = ball_lattice(g, stride=stride, r_max=r_cells * g.h if budget == "every" else None)
-        itemsize = np.min_scalar_type(g.num_points - 1).itemsize
-        if budget == "some":  # the rank table and the smallest ball's index table
-            monkeypatch.setattr(morrey, "_TABLE_BYTES",
-                                lat.n_centers * (g.num_points + (2 * dim + 1) * itemsize))
-        elif budget == "none":  # the rank table only
+        if budget == "some":
             monkeypatch.setattr(morrey, "_TABLE_BYTES", lat.n_centers * g.num_points)
+        elif budget == "none":
+            monkeypatch.setattr(morrey, "_TABLE_BYTES", 0)
         monkeypatch.setattr(morrey, "_rank_cache", {})
         return g, lat
 
@@ -252,8 +250,9 @@ class TestHybridTables:
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_bitwise_equal_to_reference_loop(self, monkeypatch, dim, field, budget, chunk):
         g, lat = self._lattice(dim, budget, monkeypatch)
-        if chunk == "ragged":
+        if chunk == "ragged":  # a constant field's full-lattice shortlist ends on a short chunk
             monkeypatch.setattr(morrey, "_CHUNK_ELEMS", 5 * g.num_points + 1)
+            assert lat.n_centers % 5
         if field == "random":
             f = random_field(g, seed=7 * dim)
         else:  # every ball of one radius ties; the first center must win
@@ -261,21 +260,17 @@ class TestHybridTables:
         for p, q in ((1.0, 0.0), (2.0, 2.0), (3.2, 1.0)):
             assert (_report_tuple(morrey_norm(g, f, p, q, lat))
                     == reference_morrey_norm(g, f, p, q, lat)), (p, q)
-        index = morrey._rank_cache["index"]
-        expected = {"every": len(lat.radii), "some": 1, "none": 0}[budget]
-        assert len(index) == expected
-        assert _table_nbytes() <= morrey._TABLE_BYTES
-        if chunk == "ragged":  # the scan, the build and some gathers end on a short chunk
-            widths = [idx.shape[1] for idx in index] + [g.num_points]
-            assert any(lat.n_centers % max(1, morrey._CHUNK_ELEMS // k) for k in widths)
+        table = morrey._rank_cache["table"]
+        assert (table is None) == (budget == "none")
+        assert table is None or table.nbytes <= morrey._TABLE_BYTES
 
-    def test_index_tables_hold_each_ball_in_raster_order(self, monkeypatch):
+    def test_rank_rows_hold_each_ball_in_raster_order(self, monkeypatch):
         g, lat = self._lattice(2, "every", monkeypatch)
         morrey_norm(g, np.ones(g.shape), 2.0, 2.0, lat)
-        for center, *rows in zip(lat.centers, *morrey._rank_cache["index"]):
+        for center, row in zip(lat.centers, morrey._rank_cache["table"]):
             rolled = np.roll(g.wrapped_dist2, shift=center, axis=(0, 1)).ravel()
-            for r, row in zip(lat.radii, rows):
-                assert np.array_equal(row, np.flatnonzero(rolled <= r * r))
+            for j, r in enumerate(lat.radii):
+                assert np.array_equal(np.flatnonzero(row <= j), np.flatnonzero(rolled <= r * r))
 
     @pytest.mark.parametrize("dim,n", [(1, 64), (2, 32), (2, 64), (3, 16)])
     def test_default_lattice_tables_fit_the_budget(self, monkeypatch, dim, n):
@@ -284,10 +279,70 @@ class TestHybridTables:
         f = random_field(g, seed=n)
         rep = morrey_norm(g, f, 2.0, 2.0)
         assert recompute_witness(g, f, rep) == rep.value
-        assert _table_nbytes() <= morrey._TABLE_BYTES
-        half = g.num_points / 2
-        gathered = [idx.shape[1] for idx in morrey._rank_cache["index"]]
-        assert all(k <= half for k in gathered)
+        tables = morrey._rank_cache
+        assert tables["table"].nbytes <= morrey._TABLE_BYTES
+        assert tables["spectra"].shape == (len(rep.lattice.radii),) + g.shape[:-1] + (n // 2 + 1,)
+        assert [int(k) for k in tables["counts"]] == [
+            int(np.count_nonzero(g.wrapped_dist2 <= r * r)) for r in rep.lattice.radii]
+
+
+def _margin_fields(grid, rng):
+    """Positive test fields of very different dynamic range, by name."""
+    spike = np.zeros(grid.shape)
+    spike[(grid.n // 3,) * grid.dim] = 1.0
+    x = grid.coordinates()[0]
+    return {
+        "gaussian": rng.standard_normal(grid.shape),
+        "spike_on_floor": spike + 1e-8,
+        "lognormal": np.exp(3.0 * rng.standard_normal(grid.shape)),
+        "sparse": 1e5 * rng.random(grid.shape) * (rng.random(grid.shape) < 0.05),
+        "smooth_plus_spike": 2.0 + np.cos(x) + 50.0 * spike,
+    }
+
+
+class TestScreen:
+    """The FFT screen's error bound, its ties, and how much it prunes."""
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("dim,n", [(1, 64), (2, 32), (3, 8)])
+    def test_fft_sums_within_half_the_bound(self, monkeypatch, dim, n, stride):
+        monkeypatch.setattr(morrey, "_rank_cache", {})
+        g = make_grid(dim, n, TWO_PI)
+        tables = morrey._tables(ball_lattice(g, stride=stride))
+        every_ball = np.arange(tables["key"].n_centers * len(tables["key"].radii))
+        rng = np.random.default_rng(dim * n + stride)
+        worst = 0.0
+        for name, f in _margin_fields(g, rng).items():
+            for dtype in (np.float64, np.float32):
+                for p in (1.0, 2.0, 3.2, 7.0):
+                    magp = np.abs(f.astype(dtype)) ** p
+                    approx, err = morrey._screen(tables, magp)
+                    exact = morrey._exact_sums(tables, magp.ravel(), every_ball)
+                    ratio = np.max(np.abs(approx - exact) / err)
+                    assert ratio <= 0.5, (name, dtype, p, ratio)
+                    worst = max(worst, ratio)
+        assert worst > 0.0
+
+    @pytest.mark.parametrize("field", ["zero", "constant", "x_only"])
+    @pytest.mark.parametrize("dim,n,stride", [(2, 16, 1), (2, 32, 2), (3, 8, 1)])
+    def test_bitwise_ties_keep_the_first_witness(self, dim, n, stride, field):
+        g = make_grid(dim, n, TWO_PI)
+        lat = ball_lattice(g, stride=stride)
+        f = {"zero": np.zeros(g.shape), "constant": np.full(g.shape, 0.7),
+             "x_only": np.cos(3.0 * g.coordinates()[0]) + 0.25}[field]
+        for p, q in ((1.0, 0.0), (2.0, 2.0), (7.0, 1.0)):
+            rep = morrey_norm(g, f, p, q, lat)
+            assert _report_tuple(rep) == reference_morrey_norm(g, f, p, q, lat), (p, q)
+            assert rep.exact_sums >= n // stride  # every tied center is summed
+
+    def test_smooth_field_prunes_and_constant_field_sums_every_center(self):
+        g = make_grid(2, 64, TWO_PI)
+        lat = ball_lattice(g)
+        assert lat.stride == 2
+        bump = morrey_norm(g, spectral_bump(g, 1.0), 2.0, 2.0)
+        assert 1 <= bump.exact_sums < lat.n_centers
+        # q = n: the weight is flat, so the largest radius wins at every center
+        assert morrey_norm(g, np.ones(g.shape), 2.0, 2.0).exact_sums == lat.n_centers
 
 
 class TestParabolicNorm:
@@ -372,6 +427,17 @@ class TestTrajectoryNorms:
             morrey_norm(g, gradient(g, u), 2.0, 2.0, lat).value, rel=1e-14)
         assert rep.r3 == pytest.approx(morrey_norm(g, u, 2.0, 2.0, lat).value, rel=1e-14)
         assert rep.total == rep.r1 + rep.r2 + rep.r3
+
+    def test_components_equal_the_field_norms_bitwise(self):
+        # each sample's |u| is taken once and serves both of its norms
+        g = make_grid(2, 16, TWO_PI)
+        rng = np.random.default_rng(11)
+        u = rng.standard_normal((2,) + g.shape) + 1j * rng.standard_normal((2,) + g.shape)
+        t, p = 0.5, 3.2
+        rep = xpt_norm(g, Trajectory(np.array([t]), [u]), p)
+        assert rep.r1 == t ** (0.5 - 1.0 / p) * morrey_norm(g, u, p, 2.0).value
+        assert rep.r2 == np.sqrt(t) * morrey_norm(g, gradient(g, u), 2.0, 2.0).value
+        assert rep.r3 == morrey_norm(g, u, 2.0, 2.0).value
 
     def test_witness_times_identify_planted_sup(self):
         g = make_grid(2, 16, TWO_PI)
