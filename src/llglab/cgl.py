@@ -33,7 +33,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import integrate
 
-from .fields import Grid, Trajectory, gradient, l2_norm, require_finite_positive
+from .fields import (Grid, Trajectory, _forward, _inverse, gradient, l2_norm,
+                     require_finite_positive)
 from .frames import gauge_fields_from_u
 from .morrey import morrey_norm, xpt_norm, XptReport
 from .semigroup import SemigroupParams, apply_semigroup, semigroup_multiplier
@@ -256,7 +257,6 @@ def _duhamel_trajectory(grid: Grid, times: np.ndarray, u_old: list, lam: float,
     for the sweep, keyed on the time offset, so equal offsets share one
     array: a dyadic uniform time grid computes substeps + 1 of them.
     """
-    axes = grid.axes
     mult = functools.cache(functools.partial(semigroup_multiplier, params))
     integrals = [np.zeros_like(u_old[0])]
     acc_hat = np.zeros_like(u_old[0], dtype=complex)
@@ -268,11 +268,12 @@ def _duhamel_trajectory(grid: Grid, times: np.ndarray, u_old: list, lam: float,
             s = times[i] + (j + 0.5) * sub
             w = (s - times[i]) / dt
             u_s = (1.0 - w) * u_old[i] + w * u_old[i + 1]
-            spec = np.fft.fftn(_forcing_at(grid, u_s, lam), axes=axes)
+            spec, _ = _forward(grid, _forcing_at(grid, u_s, lam))
             spec *= mult(times[i + 1] - s)
             spec *= sub
             acc_hat += spec
-        integrals.append(np.fft.ifftn(acc_hat, axes=axes))
+        # acc_hat carries over to the next interval: invert a copy
+        integrals.append(_inverse(grid, acc_hat.copy(), False))
     return integrals
 
 
@@ -379,15 +380,21 @@ class StabilityReport:
 
 
 def stability_experiment(grid: Grid, v0_a: np.ndarray, v0_b: np.ndarray,
-                         config: CglConfig, halvings: int = 3) -> StabilityReport:
+                         config: CglConfig, halvings: int = 3,
+                         base: PicardResult | None = None) -> StabilityReport:
     """Solve from v0_a and from v0_a + (v0_b - v0_a)/2^k, k = 0..halvings-1,
-    and report the trajectory-norm-to-data-norm response ratio series."""
+    and report the trajectory-norm-to-data-norm response ratio series.
+
+    ``base`` is the solve from v0_a under ``config`` when the caller has it
+    (``picard_iterate``'s result, tracked or not); it is made here otherwise.
+    """
     v0_a = np.asarray(v0_a, dtype=complex)
     v0_b = np.asarray(v0_b, dtype=complex)
     perturbation = v0_b - v0_a
     if np.abs(perturbation).max() == 0.0:
         return StabilityReport(deltas=(), ratios=(), exact_zero=True)
-    base = picard_iterate(grid, v0_a, config)
+    if base is None:
+        base = picard_iterate(grid, v0_a, config)
     deltas = []
     ratios = []
     for k in range(halvings):

@@ -8,15 +8,19 @@ single FFT pass.
 
 Derivatives are Fourier multipliers.  Odd-order derivatives zero the Nyquist
 multiplier (the standard real-output convention); even orders keep it.
-Real input goes through ``rfftn``/``irfftn`` on the half spectrum (the
-last grid axis keeps its N/2 + 1 non-negative modes) and comes back real;
-complex input goes through ``fftn``/``ifftn``.  Every operator makes one
-forward transform of its input and one inverse transform of its whole
-output stack: ``gradient`` multiplies the one spectrum by each axis's
-multiplier and inverts the ``(dim, ...)`` stack together, ``divergence``
-sums its components in spectral space, and ``inverse_laplacian_divergence``
-solves every right-hand side of a ``(dim, *batch, *grid)`` stack in the
-same call.
+This module owns every spectral transform of the package: ``_forward`` and
+``_inverse`` run numpy's own 1-D passes in the order of its n-d wrappers,
+so their bytes are those of ``rfftn``/``irfftn`` for real input (the half
+spectrum: the last grid axis keeps its N/2 + 1 non-negative modes, and the
+output comes back real) and of ``fftn``/``ifftn`` for complex input.  Every
+pass after the first writes into the spectrum in place, and ``_inverse``
+consumes the spectrum it is given.  Every operator makes one forward
+transform of its input and one inverse transform of its whole output
+stack: ``gradient`` multiplies the one spectrum by each axis's multiplier
+and inverts the ``(dim, ...)`` stack together, ``divergence`` sums its
+components in spectral space, and ``inverse_laplacian_divergence`` solves
+every right-hand side of a ``(dim, *batch, *grid)`` stack in the same
+call.
 """
 
 from __future__ import annotations
@@ -177,16 +181,30 @@ def make_grid(dim: int, n: int, length: float) -> Grid:
 
 
 def _forward(grid: Grid, values: np.ndarray):
-    """(spectrum, real_in): rfftn of real input, fftn of complex input."""
-    if np.isrealobj(values):
-        return np.fft.rfftn(values, axes=grid.axes), True
-    return np.fft.fftn(values, axes=grid.axes), False
+    """(spectrum, real_in): the bytes of numpy's rfftn of real input and fftn
+    of complex input over the grid axes, made as their 1-D passes in their
+    order (rfft or fft on the last axis, then fft on -2, then -3), every pass
+    after the first in place.  ``values`` is not written to."""
+    real_in = np.isrealobj(values)
+    spec = (np.fft.rfft if real_in else np.fft.fft)(values, axis=-1)
+    for ax in grid.axes[-2::-1]:
+        np.fft.fft(spec, axis=ax, out=spec)
+    return spec, real_in
 
 
 def _inverse(grid: Grid, spec: np.ndarray, real_in: bool) -> np.ndarray:
+    """The bytes of numpy's irfftn (``real_in``) or ifftn of ``spec`` over the
+    grid axes, made as their 1-D passes in their order: irfftn runs ifft on
+    -3, then -2, then irfft on -1; ifftn runs ifft on -1, then -2, then -3.
+    The ifft passes run in place, so ``spec`` is consumed: pass only an
+    array the caller owns and no longer reads."""
     if real_in:
-        return np.fft.irfftn(spec, s=grid.shape, axes=grid.axes)
-    return np.fft.ifftn(spec, axes=grid.axes)
+        for ax in grid.axes[:-1]:
+            np.fft.ifft(spec, axis=ax, out=spec)
+        return np.fft.irfft(spec, n=grid.n, axis=-1)
+    for ax in grid.axes[::-1]:
+        np.fft.ifft(spec, axis=ax, out=spec)
+    return spec
 
 
 def _layout(grid: Grid, mult, real_in: bool):
@@ -226,8 +244,11 @@ def gradient(grid: Grid, values: np.ndarray) -> np.ndarray:
     stacking ``derivative(grid, values, ax, 1)`` over the axes.
     """
     spec, real_in = _forward(grid, np.asarray(values))
-    return _inverse(grid, np.stack([spec * _layout(grid, m, real_in)
-                                    for m in grid.derivative_multipliers]), real_in)
+    mults = [_layout(grid, m, real_in) for m in grid.derivative_multipliers]
+    stack = np.empty((grid.dim,) + spec.shape, np.result_type(spec, *mults))
+    for ax, m in enumerate(mults):
+        np.multiply(spec, m, out=stack[ax])
+    return _inverse(grid, stack, real_in)
 
 
 def laplacian(grid: Grid, values: np.ndarray) -> np.ndarray:
@@ -268,7 +289,8 @@ def inverse_laplacian_divergence(grid: Grid, vec: np.ndarray) -> np.ndarray:
     ``(*batch, *grid.shape)``.
     """
     div_hat, real_in = _divergence_spectrum(grid, vec)
-    return _inverse(grid, div_hat * _layout(grid, grid.inv_k_squared_odd, real_in), real_in)
+    div_hat *= _layout(grid, grid.inv_k_squared_odd, real_in)
+    return _inverse(grid, div_hat, real_in)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import Grid, SpinField, gradient, normalize_spin, require_finite_positive
+from .fields import (Grid, SpinField, _forward, _inverse, gradient, normalize_spin,
+                     require_finite_positive)
 from .frames import build_frame
 from .morrey import morrey_norm
 
@@ -68,7 +69,7 @@ def spectral_bump(grid: Grid, width: float, center: tuple | None = None) -> np.n
         for ax in range(grid.dim):
             shift = center[ax] * grid.h
             coeffs = coeffs * np.exp(-1j * grid.axis_table(ax, grid.wavenumbers) * shift)
-    bump = np.fft.ifftn(coeffs, axes=grid.axes).real
+    bump = _inverse(grid, coeffs, False).real
     return bump / bump.max()
 
 
@@ -93,8 +94,8 @@ def _mollifier_multiplier(grid: Grid, k: float) -> np.ndarray:
         kernel = np.zeros(grid.shape)
         kernel[(0,) * grid.dim] = 1.0
         mass = 1.0
-    mult = np.fft.fftn(kernel / mass, axes=grid.axes)
-    return mult
+    # the full complex transform of the real kernel, not its half spectrum
+    return _forward(grid, (kernel / mass).astype(complex))[0]
 
 
 @dataclass(frozen=True)
@@ -120,8 +121,9 @@ def mollify_and_project(grid: Grid, m_raw: SpinField, k: float):
     """
     mult = _mollifier_multiplier(grid, k)
     raw = m_raw.values
-    smoothed = np.fft.ifftn(np.fft.fftn(raw, axes=grid.axes) * mult,
-                            axes=grid.axes).real
+    spec, _ = _forward(grid, raw.astype(complex))
+    spec *= mult
+    smoothed = _inverse(grid, spec, False).real
     modulus = np.sqrt((smoothed**2).sum(axis=0))
     min_mod, max_mod = float(modulus.min()), float(modulus.max())
     if min_mod < 0.75:
@@ -151,7 +153,7 @@ def _random_band_limited(grid: Grid, rng: np.random.Generator, max_mode: int) ->
         mask = mask & grid.axis_table(ax, keep)
     count = int(mask.sum())
     coeffs[mask] = rng.standard_normal(count) + 1j * rng.standard_normal(count)
-    out = np.fft.ifftn(coeffs, axes=grid.axes).real
+    out = _inverse(grid, coeffs, False).real
     peak = np.abs(out).max()
     return out / peak if peak > 0 else out
 

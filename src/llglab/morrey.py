@@ -69,7 +69,8 @@ from numbers import Integral
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .fields import Grid, Trajectory, gradient, pointwise_magnitude, require_finite_positive
+from .fields import (Grid, Trajectory, _forward, _inverse, gradient, pointwise_magnitude,
+                     require_finite_positive)
 
 __all__ = [
     "BallLattice",
@@ -203,7 +204,7 @@ def _tables(lattice: BallLattice) -> dict:
     _rank_cache.update(key=lattice, rank0=rank0, centers=centers, table=table,
                        flat=np.ravel_multi_index(tuple(centers.T), grid.shape),
                        counts=np.count_nonzero(balls.reshape(n_radii, -1), axis=1),
-                       spectra=np.fft.rfftn(balls.astype(float), axes=grid.axes))
+                       spectra=_forward(grid, balls.astype(float))[0])
     return _rank_cache
 
 
@@ -212,8 +213,7 @@ def _screen(tables: dict, magp: np.ndarray) -> tuple:
     and a bound on their distance from the exact sums (module docstring)."""
     grid = tables["key"].grid
     x = magp.astype(float, copy=False)
-    conv = np.fft.irfftn(np.fft.rfftn(x, axes=grid.axes) * tables["spectra"],
-                         s=grid.shape, axes=grid.axes)
+    conv = _inverse(grid, _forward(grid, x)[0] * tables["spectra"], True)
     approx = conv.reshape(len(conv), -1)[:, tables["flat"]].T
     counts = tables["counts"]
     # Higham Thm 24.2: relative 2-norm error of one transform of log2(N**dim)

@@ -212,7 +212,8 @@ def _check_stability(run: _Run, outdir: Path) -> CheckOutcome:
     x = grid.coordinates()[0]
     pert = np.zeros((grid.dim,) + grid.shape, dtype=complex)
     pert[0] = 1e-3 * np.exp(2j * 2.0 * np.pi * x / grid.length)
-    rep = stability_experiment(grid, v0_a, v0_a + pert, run.cfg.cgl, halvings=3)
+    rep = stability_experiment(grid, v0_a, v0_a + pert, run.cfg.cgl, halvings=3,
+                               base=run.mild)
     rows = ["delta,ratio"]
     rows += [f"{float_repr(d)},{float_repr(r)}" for d, r in zip(rep.deltas, rep.ratios)]
     _write_rows(outdir / "stability.csv", rows)

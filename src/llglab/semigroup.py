@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import Grid, float_repr, gradient, make_grid, require_finite_positive
+from .fields import (Grid, _forward, _inverse, float_repr, gradient, make_grid,
+                     require_finite_positive)
 from .initial_data import spectral_bump
 from .morrey import morrey_norm
 
@@ -64,8 +65,9 @@ def apply_semigroup(values: np.ndarray, t: float, params: SemigroupParams) -> np
     values = np.asarray(values, dtype=complex)
     if t == 0:
         return values.copy()
-    spec = np.fft.fftn(values, axes=grid.axes)
-    return np.fft.ifftn(spec * semigroup_multiplier(params, t), axes=grid.axes)
+    spec, _ = _forward(grid, values)
+    spec *= semigroup_multiplier(params, t)
+    return _inverse(grid, spec, False)
 
 
 def apply_grad_semigroup(values: np.ndarray, t: float, params: SemigroupParams) -> np.ndarray:

@@ -15,6 +15,74 @@ from llglab.fields import derivative, inverse_laplacian_divergence, laplacian, n
 from llglab.semigroup import SemigroupParams, apply_semigroup
 
 
+def nd_forward(grid, values):
+    """(spectrum, real_in) from numpy's n-d wrappers: rfftn of real input,
+    fftn of complex input, over the grid axes."""
+    if np.isrealobj(values):
+        return np.fft.rfftn(values, axes=grid.axes), True
+    return np.fft.fftn(values, axes=grid.axes), False
+
+
+def nd_inverse(grid, spec, real_in):
+    """irfftn (``real_in``) or ifftn of ``spec`` over the grid axes; leaves
+    ``spec`` as it was."""
+    if real_in:
+        return np.fft.irfftn(spec, s=grid.shape, axes=grid.axes)
+    return np.fft.ifftn(spec, axes=grid.axes)
+
+
+def nd_spectral_operators(grid):
+    """The spectral operators of llglab.fields and llglab.semigroup as
+    literal formulas on numpy's n-d wrappers, by name: each takes what the
+    library function takes after ``grid`` (derivatives along axis 0, S(t) at
+    t = 0.01 with lambda = 0.5).  The multipliers and the order of the
+    arithmetic are the library's, so the bytes must be equal."""
+    def half(mult, real_in):
+        return mult[..., : grid.n // 2 + 1] if real_in else mult
+
+    def multiply(values, mult):
+        spec, real_in = nd_forward(grid, values)
+        return nd_inverse(grid, spec * half(mult, real_in), real_in)
+
+    def div_hat(vec):
+        spec, real_in = nd_forward(grid, vec)
+        mults = [half(1j * grid.axis_table(ax, grid.wavenumbers_odd), real_in)
+                 for ax in range(grid.dim)]
+        out = spec[0] * mults[0]
+        for ax in range(1, grid.dim):
+            out += spec[ax] * mults[ax]
+        return out, real_in
+
+    def gradient(values):
+        spec, real_in = nd_forward(grid, values)
+        return nd_inverse(grid, np.stack([
+            spec * half(1j * grid.axis_table(ax, grid.wavenumbers_odd), real_in)
+            for ax in range(grid.dim)]), real_in)
+
+    def divergence(vec):
+        return nd_inverse(grid, *div_hat(vec))
+
+    def inverse_laplacian_divergence(vec):
+        d, real_in = div_hat(vec)
+        return nd_inverse(grid, d * half(grid.inv_k_squared_odd, real_in), real_in)
+
+    def apply_semigroup(values):
+        spec = np.fft.fftn(np.asarray(values, dtype=complex), axes=grid.axes)
+        mult = np.exp((1j - 0.5) * grid.k_squared * 0.01)
+        return np.fft.ifftn(spec * mult, axes=grid.axes)
+
+    return {
+        "derivative_1": lambda v: multiply(v, 1j * grid.axis_table(0, grid.wavenumbers_odd)),
+        "derivative_2": lambda v: multiply(v, (1j * grid.axis_table(0, grid.wavenumbers)) ** 2),
+        "laplacian": lambda v: multiply(v, -grid.k_squared),
+        "gradient": gradient,
+        "divergence": divergence,
+        "inverse_laplacian_divergence": inverse_laplacian_divergence,
+        "apply_semigroup": apply_semigroup,
+        "apply_grad_semigroup": lambda v: gradient(apply_semigroup(v)),
+    }
+
+
 def pointwise_mag(grid, values):
     if values.ndim == grid.dim:
         return np.abs(values)

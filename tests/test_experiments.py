@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from llglab import experiments, runner
+from llglab import cgl, experiments, runner
 from llglab.cgl import CglConfig, NonContraction, picard_iterate
 from llglab.config import ConfigError, parse_config
 from llglab.experiments import (
@@ -285,6 +285,26 @@ class TestRunner:
             run_config(self.config_with_cgl(tmp_path, check, check))
             name = f"{check}.csv"
             assert (tmp_path / check / name).read_bytes() == (tmp_path / "full" / name).read_bytes()
+
+    def test_stability_starts_from_the_mild_solve(self, tmp_path, monkeypatch):
+        # the run's mild solve is the stability base: 1 + 3 halvings, not 1 + 1 + 3
+        calls = []
+        for module in (runner, cgl):
+            def spy(*args, _original=module.picard_iterate, **kwargs):
+                calls.append(1)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(module, "picard_iterate", spy)
+        outcomes, _ = run_config(self.config_with_cgl(tmp_path, "picard stability", "out"))
+        assert [o.status for o in outcomes] == ["PASS", "PASS"]
+        assert len(calls) == 4
+
+    def test_stability_alone_writes_the_bytes_of_the_tracked_run(self, tmp_path):
+        # alone, the base is an untracked solve; after picard, the tracked one
+        run_config(self.config_with_cgl(tmp_path, "picard stability", "full"))
+        run_config(self.config_with_cgl(tmp_path, "stability", "alone"))
+        name = "stability.csv"
+        assert (tmp_path / "alone" / name).read_bytes() == (tmp_path / "full" / name).read_bytes()
 
     def test_a_failed_mild_solve_is_not_kept(self, tmp_path, monkeypatch):
         calls = []

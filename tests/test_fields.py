@@ -7,11 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from llglab import cgl, fields, initial_data, morrey, semigroup
 from llglab.fields import (
     SpinField,
     Trajectory,
     _apply_multiplier,
     _cross,
+    _forward,
+    _inverse,
     as_complex_components,
     derivative,
     divergence,
@@ -24,7 +27,9 @@ from llglab.fields import (
     pointwise_magnitude,
     save_snapshot,
 )
-from llglab.morrey import morrey_norm
+from llglab.morrey import ball_lattice, morrey_norm
+from llglab.semigroup import SemigroupParams, apply_grad_semigroup, apply_semigroup
+from oracles import nd_forward, nd_inverse, nd_spectral_operators
 
 TWO_PI = 2.0 * np.pi
 
@@ -192,6 +197,110 @@ class TestBatchedSpectral:
         cplx = inverse_laplacian_divergence(g, vec.astype(complex))
         assert np.abs(real - cplx.real).max() <= 1e-15 * np.abs(real).max()
         assert np.abs(cplx.imag).max() <= 1e-15 * np.abs(real).max()
+
+
+# dims 1/2/3 at the sizes the lab runs: the 1-D tests, the bench, 3-D runs
+GRIDS_BITWISE = [(1, 32), (2, 64), (3, 16)]
+VECTOR_INPUT = {"divergence", "inverse_laplacian_divergence"}
+
+
+def library_operators(grid):
+    """The library side of ``oracles.nd_spectral_operators``, by the same names."""
+    params = SemigroupParams(lam=0.5, grid=grid)
+    return {
+        "derivative_1": lambda v: derivative(grid, v, 0, 1),
+        "derivative_2": lambda v: derivative(grid, v, 0, 2),
+        "laplacian": lambda v: laplacian(grid, v),
+        "gradient": lambda v: gradient(grid, v),
+        "divergence": lambda v: divergence(grid, v),
+        "inverse_laplacian_divergence": lambda v: inverse_laplacian_divergence(grid, v),
+        "apply_semigroup": lambda v: apply_semigroup(v, 0.01, params),
+        "apply_grad_semigroup": lambda v: apply_grad_semigroup(v, 0.01, params),
+    }
+
+
+def read_only_strided(values):
+    """The same values as a read-only view with a stride of 2 on the last axis."""
+    big = np.zeros(values.shape[:-1] + (2 * values.shape[-1],), values.dtype)
+    big[..., ::2] = values
+    big.flags.writeable = False
+    view = big[..., ::2]
+    assert not view.flags.c_contiguous
+    return view
+
+
+def assert_same_bytes(out, ref, what):
+    assert (out.dtype, out.shape) == (ref.dtype, ref.shape), what
+    assert out.tobytes() == ref.tobytes(), what
+
+
+class TestTransformPasses:
+    """fields' transforms are numpy's 1-D passes in the order of its n-d
+    wrappers: they, and every operator built on them, give the bytes of the
+    literal rfftn/irfftn/fftn/ifftn formulas, and no operator writes to its
+    input."""
+
+    @pytest.mark.parametrize("dim,n", GRIDS_BITWISE)
+    @pytest.mark.parametrize("lead", [(), (3,), (2, 2)])
+    @pytest.mark.parametrize("complex_field", [False, True])
+    def test_helpers_are_the_nd_wrappers(self, dim, n, lead, complex_field):
+        g = make_grid(dim, n, TWO_PI)
+        f = random_field(g, lead, complex_field, seed=40 + dim + len(lead))
+        kept = f.copy()
+        for values in (f, read_only_strided(f)):
+            spec, real_in = _forward(g, values)
+            ref, ref_real_in = nd_forward(g, values)
+            assert real_in == ref_real_in == (not complex_field)
+            assert_same_bytes(spec, ref, "forward")
+            assert_same_bytes(_inverse(g, spec, real_in), nd_inverse(g, ref, real_in), "inverse")
+        assert_same_bytes(f, kept, "forward wrote to its input")
+
+    @pytest.mark.parametrize("dim,n", GRIDS_BITWISE)
+    @pytest.mark.parametrize("lead", [(), (3,), (2, 2)])
+    @pytest.mark.parametrize("complex_field", [False, True])
+    def test_operators_are_the_nd_formulas(self, dim, n, lead, complex_field):
+        g = make_grid(dim, n, TWO_PI)
+        literal = nd_spectral_operators(g)
+        f = random_field(g, lead, complex_field, seed=50 + dim + len(lead))
+        vec = random_field(g, (dim,) + lead, complex_field, seed=60 + dim + len(lead))
+        for name, op in library_operators(g).items():
+            values = vec if name in VECTOR_INPUT else f
+            kept = values.copy()
+            ref = literal[name](kept)
+            assert_same_bytes(op(values), ref, name)
+            assert_same_bytes(values, kept, f"{name} wrote to its input")
+            assert_same_bytes(op(read_only_strided(values)), ref, f"{name}, strided input")
+
+    def test_every_transform_site_gives_the_nd_bytes(self, monkeypatch):
+        """The Duhamel sweep, the ball-norm screen, the semigroup and the
+        initial-data generators give the same bytes with ``_forward`` and
+        ``_inverse`` swapped for the n-d wrappers, which never consume their
+        input: no site reads a spectrum that its inverse consumed."""
+        g = make_grid(2, 32, TWO_PI)
+        params = SemigroupParams(lam=0.5, grid=g)
+        rng = np.random.default_rng(7)
+        u_old = [0.1 * (rng.standard_normal((2,) + g.shape)
+                        + 1j * rng.standard_normal((2,) + g.shape)) for _ in range(4)]
+        times = np.linspace(0.0, 0.03, 4)
+
+        def outputs():
+            monkeypatch.setattr(morrey, "_rank_cache", {})
+            tables = morrey._tables(ball_lattice(g))
+            raw = initial_data.rough_raw_field(g, 0.3, (0.0, 0.0, 1.0), seed=3)
+            return [*cgl._duhamel_trajectory(g, times, u_old, 0.5, 3, params),
+                    *morrey._screen(tables, np.abs(u_old[1][0]) ** 3.2), tables["spectra"],
+                    morrey_norm(g, u_old[2], 3.2, 2.0).value,
+                    apply_semigroup(u_old[3], 0.01, params),
+                    initial_data.spectral_bump(g, 0.5, center=(3, 5)),
+                    initial_data.mollify_and_project(g, raw, 1.0)[0].values,
+                    initial_data._random_band_limited(g, np.random.default_rng(1), 3)]
+
+        lean = outputs()
+        for module in (fields, cgl, morrey, semigroup, initial_data):
+            monkeypatch.setattr(module, "_forward", nd_forward)
+            monkeypatch.setattr(module, "_inverse", nd_inverse)
+        for i, (out, ref) in enumerate(zip(lean, outputs(), strict=True)):
+            assert_same_bytes(np.asarray(out), np.asarray(ref), f"output {i}")
 
 
 class TestNorms:
