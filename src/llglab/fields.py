@@ -31,6 +31,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+import numpy.fft  # numpy 2 loads it on first use; load it with the package
 
 __all__ = [
     "Grid",

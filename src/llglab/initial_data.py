@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import numpy.random  # numpy 2 loads it on first use; load it with the package
 
 from .fields import (Grid, SpinField, _forward, _inverse, gradient, normalize_spin,
                      require_finite_positive)

@@ -240,7 +240,7 @@ def _exact_sums(tables: dict, flat: np.ndarray, shortlist: np.ndarray) -> np.nda
     sums = np.empty((lattice.n_centers, n_radii), dtype=flat.dtype)
     rows, cols = np.divmod(shortlist, n_radii)
     step = max(1, _CHUNK_ELEMS // flat.size)
-    for j in np.unique(cols).tolist():
+    for j in sorted(set(cols.tolist())):
         need = rows[cols == j]
         for lo in range(0, len(need), step):
             sel = need[lo:lo + step]

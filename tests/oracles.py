@@ -9,6 +9,7 @@ definition exactly; the enumeration itself is the independent part.
 from itertools import product
 
 import numpy as np
+from scipy import integrate
 
 from llglab.cgl import _forcing_at
 from llglab.fields import derivative, inverse_laplacian_divergence, laplacian, normalize_spin
@@ -227,6 +228,14 @@ def finite_difference_gradient(grid, values, axis):
     h = grid.h
     ax = values.ndim - grid.dim + axis
     return (np.roll(values, -1, axis=ax) - np.roll(values, 1, axis=ax)) / (2 * h)
+
+
+def beta_quadrature(delta1: float, delta2: float) -> float:
+    """int_0^1 (1-t)^-delta1 t^-delta2 dt by QUADPACK's QAWS rule, which takes
+    the two algebraic endpoint singularities exactly in its weight."""
+    val, _ = integrate.quad(lambda t: 1.0, 0.0, 1.0, weight="alg",
+                            wvar=(-delta2, -delta1))
+    return float(val)
 
 
 def reference_duhamel_integral(forcing, t: float, steps: int,

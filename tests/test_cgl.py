@@ -1,3 +1,8 @@
+import json
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy import special
@@ -18,7 +23,7 @@ from llglab.frames import gauge_fields_from_u
 from llglab.initial_data import spectral_bump
 from llglab.morrey import morrey_norm, xpt_norm
 
-from oracles import nonlinearity_direct, reference_duhamel_trajectory
+from oracles import beta_quadrature, nonlinearity_direct, reference_duhamel_trajectory
 
 TWO_PI = 2.0 * np.pi
 
@@ -66,7 +71,38 @@ class TestExponentWindow:
         rep = exponent_window_check(3.25)
         for pair in rep.pairs:
             exact = special.beta(1.0 - pair.delta2, 1.0 - pair.delta1)
-            assert pair.beta_value == pytest.approx(exact, rel=1e-7)
+            assert pair.beta_value == pytest.approx(exact, rel=1e-13)
+
+    # 3.0 + 1e-6 puts cubic_r2 at delta1 = 1 - 3.3e-7, where B is about 3e6
+    @pytest.mark.parametrize("p", [3.05, 3.2, 3.25, 3.3, 3.0 + 1e-6])
+    def test_beta_values_match_quadrature_oracle(self, p):
+        rep = exponent_window_check(p)
+        assert rep.valid
+        for pair in rep.pairs:
+            assert np.isfinite(pair.beta_value)
+            assert pair.beta_value == cgl._beta(pair.delta1, pair.delta2)
+            assert pair.beta_value == pytest.approx(
+                beta_quadrature(pair.delta1, pair.delta2), rel=1e-9)
+
+    def test_import_loads_no_scipy_and_every_numpy_submodule(self):
+        # a fresh interpreter: this one has scipy loaded by the oracles
+        src = Path(cgl.__file__).resolve().parents[1]
+        child = (
+            "import json, sys\n"
+            f"sys.path.insert(0, {str(src)!r})\n"
+            "import llglab\n"
+            "after_import = sorted(sys.modules)\n"
+            "rep = llglab.exponent_window_check(3.2)\n"
+            "print(json.dumps({'after_import': after_import,\n"
+            "                  'after_check': sorted(sys.modules),\n"
+            "                  'betas': [pair.beta_value for pair in rep.pairs]}))\n"
+        )
+        out = subprocess.run([sys.executable, "-c", child], capture_output=True,
+                             text=True, check=True, timeout=120)
+        seen = json.loads(out.stdout.strip().splitlines()[-1])
+        assert all(b is not None for b in seen["betas"])
+        assert not [m for m in seen["after_check"] if m.startswith("scipy")]
+        assert {"numpy.fft", "numpy.random"} <= set(seen["after_import"])
 
     def test_small_p_rejected(self):
         with pytest.raises(ValueError):
