@@ -26,11 +26,9 @@ from .fields import (
 from .morrey import (
     BallLattice,
     MorreyReport,
-    ParabolicCylinder,
     XptReport,
     ball_lattice,
     morrey_norm,
-    parabolic_morrey_norm,
     xpt_norm,
 )
 from .semigroup import (
@@ -68,7 +66,6 @@ from .llg import (
     LlgConfig,
     check_energy_inequality,
     check_equivalent_form,
-    check_local_energy,
     llg_rhs,
     solve,
     stability_cap,

@@ -40,6 +40,7 @@ __all__ = [
     "uniqueness_experiment",
     "DecayTable",
     "decay_report",
+    "mild_initial_data",
 ]
 
 

@@ -13,9 +13,9 @@ and the dissipation integral, which satisfy
 
     E(t) + lam / (1 + lam^2) * int_0^t int |d_t m|^2 = E(0)
 
-exactly along smooth solutions; local (cutoff) energy inequalities and the
-equivalent quasilinear form lam d_t m + m x d_t m = (1+lam^2)(laplacian(m)
-+ |grad m|^2 m) are checked on demand.
+exactly along smooth solutions; the equivalent quasilinear form
+lam d_t m + m x d_t m = (1+lam^2)(laplacian(m) + |grad m|^2 m) is checked
+on demand.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from .fields import (
     require_finite_positive,
     sup_norm,
 )
-from .morrey import ParabolicCylinder, morrey_norm
+from .morrey import morrey_norm
 
 __all__ = [
     "BlowupSuspected",
@@ -51,9 +51,6 @@ __all__ = [
     "EnergyCheck",
     "check_energy_inequality",
     "check_equivalent_form",
-    "bump_cutoff",
-    "LocalEnergyCheck",
-    "check_local_energy",
 ]
 
 GRAD_BLOWUP_FACTOR = 1e6
@@ -300,108 +297,3 @@ def check_equivalent_form(grid: Grid, m: SpinField, dt_m: np.ndarray,
     tension = laplacian(grid, mv) + (grad_m**2).sum(axis=(0, 1)) * mv
     lhs = lam * dt_m + _cross(mv, dt_m)
     return sup_norm(grid, lhs - (1.0 + lam**2) * tension)
-
-
-def bump_cutoff(grid: Grid, center: tuple, radius: float):
-    """Smooth compactly supported bump phi and its analytic gradient.
-
-    phi = exp(1 - 1/(1 - |x - c|^2 / r^2)) inside the wrapped ball, 0 outside,
-    normalized to 1 at the center.
-    """
-    disp = [grid.axis_table(ax, np.roll(grid.wrapped_offsets, center[ax]))
-            for ax in range(grid.dim)]
-    s = sum(d * d for d in disp) / radius**2
-    inside = s < 1.0 - 1e-3
-    denom = np.where(inside, 1.0 - s, 1.0)
-    phi = np.where(inside, np.exp(1.0 - 1.0 / denom), 0.0)
-    grad_phi = np.stack([
-        np.where(inside, phi * (-2.0 * d / radius**2) / denom**2, 0.0)
-        for d in disp
-    ])
-    return phi, grad_phi
-
-
-@dataclass(frozen=True)
-class LocalEnergyCheck:
-    lhs: float
-    rhs: float
-    margin: float
-    passed: bool
-    constant_lambda: float
-    time_ratio_full: float
-    time_ratio_half: float
-
-
-def check_local_energy(grid: Grid, traj: Trajectory, cylinder: ParabolicCylinder,
-                       lam: float) -> LocalEnergyCheck:
-    """Cutoff energy inequality on a parabolic cylinder.
-
-    With phi = bump_cutoff on B_r0 and [t1, t2] the cylinder time span, checks
-
-        lam * int int |d_t m|^2 phi^2 + (1+lam^2) int |grad m(t2)|^2 phi^2
-        <= (1+lam^2) int |grad m(t1)|^2 phi^2
-           + C(lam) * int int |grad m|^2 |grad phi|^2,
-
-    with C(lam) = 4 (1+lam^2)^2 / lam (the Cauchy-Schwarz constant of the
-    integration-by-parts derivation).  Also reports the interior-time
-    ratio int_{P_{r/2}} |d_t m|^2 / (r^-2 int_{P_r} |grad m|^2) at the full
-    and halved radius; the constant is reported, not asserted.
-    """
-    times = np.asarray(traj.times)
-    t0, r0 = cylinder.t0, cylinder.r0
-    t1, t2 = t0 - r0 * r0, t0
-    tol = 1e-10
-    if times.min() > t1 + tol or times.max() < t2 - tol:
-        raise ValueError("trajectory does not cover the cylinder")
-    phi, grad_phi = bump_cutoff(grid, cylinder.center, r0)
-    phi2 = phi * phi
-    gphi2 = (grad_phi**2).sum(axis=0)
-    hn = grid.cell_volume
-
-    sel = (times >= t1 - tol) & (times <= t2 + tol)
-    sub_times = times[sel]
-    sub_fields = [traj.fields[i] for i in np.nonzero(sel)[0]]
-
-    dt_sq = []
-    grad_sq = []
-    for mv in sub_fields:
-        rhs = llg_rhs(grid, mv, lam)
-        dt_sq.append((rhs * rhs).sum(axis=0))
-        g = gradient(grid, mv)
-        grad_sq.append((g**2).sum(axis=(0, 1)))
-    dt_sq = np.stack(dt_sq)
-    grad_sq = np.stack(grad_sq)
-
-    def time_int(series):
-        return float(np.trapezoid(series, sub_times))
-
-    int_dt_phi = time_int((dt_sq * phi2).sum(axis=tuple(range(1, dt_sq.ndim))) * hn)
-    int_grad_gphi = time_int((grad_sq * gphi2).sum(axis=tuple(range(1, grad_sq.ndim))) * hn)
-    grad_t2 = float((grad_sq[-1] * phi2).sum() * hn)
-    grad_t1 = float((grad_sq[0] * phi2).sum() * hn)
-
-    c_lam = 4.0 * (1.0 + lam**2) ** 2 / lam
-    lhs = lam * int_dt_phi + (1.0 + lam**2) * grad_t2
-    rhs_val = (1.0 + lam**2) * grad_t1 + c_lam * int_grad_gphi
-
-    d2 = np.roll(grid.wrapped_dist2, shift=cylinder.center, axis=tuple(range(grid.dim)))
-
-    def cylinder_ratio(r):
-        mask_half = d2 <= (r / 2.0) ** 2
-        mask_full = d2 <= r * r
-        sel_half = (sub_times >= t0 - (r / 2.0) ** 2 - tol)
-        num = float(np.trapezoid(
-            dt_sq[sel_half][:, mask_half].sum(axis=1) * hn, sub_times[sel_half]))
-        sel_full = (sub_times >= t0 - r * r - tol)
-        den = float(np.trapezoid(
-            grad_sq[sel_full][:, mask_full].sum(axis=1) * hn, sub_times[sel_full]))
-        if den == 0.0:
-            return 0.0
-        return num / (den / r**2)
-
-    return LocalEnergyCheck(
-        lhs=lhs, rhs=rhs_val, margin=rhs_val - lhs, passed=bool(lhs <= rhs_val),
-        constant_lambda=c_lam,
-        time_ratio_full=cylinder_ratio(r0),
-        time_ratio_half=cylinder_ratio(r0 / 2.0),
-    )

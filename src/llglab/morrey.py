@@ -12,9 +12,8 @@ when it is made; ``ball_lattice`` caches the default one per grid.  Only
 ``morrey_norm`` takes a lattice, and it rejects one built for another grid;
 the trajectory norms, solvers and diagnostics measure on the default lattice.
 
-Space-time variants measure trajectories: the parabolic norm integrates
-|f|^2 over cylinders B_r(x) x [t - r^2, t], and the trajectory norms take
-time-weighted suprema of the spatial norms (components r1, r2, r3).
+The trajectory norms take time-weighted suprema of the spatial norms
+(components r1, r2, r3).
 
 ``morrey_norm`` screens every (center, radius) ball with one FFT convolution,
 sums exactly only the balls that can win, and returns bit for bit what a
@@ -77,9 +76,6 @@ __all__ = [
     "ball_lattice",
     "MorreyReport",
     "morrey_norm",
-    "recompute_witness",
-    "ParabolicCylinder",
-    "parabolic_morrey_norm",
     "XptReport",
     "xpt_norm",
 ]
@@ -129,6 +125,7 @@ def ball_lattice(grid: Grid, stride: int | None = None, r_max: float | None = No
         raise ValueError("stride must be >= 1")
     cap = grid.length / 2.0
     if r_max is not None:
+        require_finite_positive("r_max", r_max)
         cap = min(cap, float(r_max))
     radii = []
     r = grid.h
@@ -298,108 +295,6 @@ def morrey_norm(grid: Grid, values: np.ndarray, p: float, q: float,
         lattice=lattice,
         exact_sums=len(shortlist),
     )
-
-
-def recompute_witness(grid: Grid, values: np.ndarray, report: MorreyReport) -> float:
-    """Re-evaluate the norm candidate at the stored witness (center, radius)."""
-    magp = pointwise_magnitude(grid, values) ** report.p
-    rolled = np.roll(grid.wrapped_dist2, shift=report.witness_center,
-                     axis=tuple(range(grid.dim)))
-    r = report.witness_radius
-    s = magp[rolled <= r * r].sum()
-    hn = grid.h ** grid.dim
-    return float((r ** (report.q - grid.dim) * (s * hn)) ** (1.0 / report.p))
-
-
-# ---------------------------------------------------------------------------
-# parabolic cylinders
-
-
-@dataclass(frozen=True)
-class ParabolicCylinder:
-    """B_r0(center) x [t0 - r0^2, t0]; center is an integer grid index tuple."""
-
-    center: tuple
-    t0: float
-    r0: float
-
-    def __post_init__(self):
-        if not np.isfinite(self.t0):
-            raise ValueError(f"cylinder top time t0 must be finite, got {self.t0}")
-        require_finite_positive("cylinder radius r0", self.r0)
-
-
-def _interp_integral(times: np.ndarray, series: np.ndarray, t_lo: float, t_hi: float) -> float:
-    """Integral over [t_lo, t_hi] of the linear interpolant through the samples."""
-    if t_hi <= t_lo:
-        return 0.0
-    inner = times[(times > t_lo) & (times < t_hi)]
-    nodes = np.concatenate(([t_lo], inner, [t_hi]))
-    vals = np.interp(nodes, times, series)
-    return float(np.trapezoid(vals, nodes))
-
-
-def parabolic_morrey_norm(grid: Grid, traj: Trajectory, cylinder: ParabolicCylinder,
-                          subcylinders: bool = True) -> float:
-    """Sup over sampled sub-cylinders P_r(z) inside the given cylinder of
-
-        (r**(2 - (n+2)) * int_{P_r(z)} |f|^2 dx dt) ** (1/2),
-
-    with the time integral taken by trapezoid on the stored steps.
-    """
-    t0, r0 = cylinder.t0, cylinder.r0
-    times = np.asarray(traj.times, dtype=float)
-    tol = 1e-10
-    if r0 > np.sqrt(t0) + tol:
-        raise ValueError("cylinder radius must satisfy r0 <= sqrt(t0)")
-    if times.min() > t0 - r0 * r0 + tol or times.max() < t0 - tol:
-        raise ValueError("trajectory does not cover the cylinder time span")
-
-    g2 = np.stack([pointwise_magnitude(grid, f) ** 2 for f in traj.fields])
-    d2 = grid.wrapped_dist2
-    hn = grid.h ** grid.dim
-    ax_all = tuple(range(grid.dim))
-
-    if subcylinders:
-        radii = []
-        r = grid.h
-        while r < r0 * (1.0 - 1e-12):
-            radii.append(r)
-            r = 2.0 * r
-        radii.append(r0)
-        centers = list(product(range(grid.n), repeat=grid.dim))
-        t_candidates = list(times[(times <= t0 + tol)])
-        if not any(abs(t - t0) <= tol for t in t_candidates):
-            t_candidates.append(t0)
-    else:
-        radii = [r0]
-        centers = [cylinder.center]
-        t_candidates = [t0]
-
-    best = 0.0
-    exponent = 2.0 - (grid.dim + 2)
-    for center in centers:
-        rolled = np.roll(d2, shift=center, axis=ax_all)
-        dist_c = np.sqrt(d2[tuple(np.subtract(center, cylinder.center) % grid.n)])
-        series_cache = {}
-        for r in radii:
-            if dist_c + r > r0 + tol:
-                continue
-            if r not in series_cache:
-                mask = rolled <= r * r
-                series_cache[r] = g2[:, mask].sum(axis=1) * hn
-            series = series_cache[r]
-            for t in t_candidates:
-                t_lo = t - r * r
-                if t_lo < t0 - r0 * r0 - tol or t > t0 + tol:
-                    continue
-                if t_lo < times.min() - tol:
-                    continue
-                integral = _interp_integral(times, series, t_lo, t)
-                val = (max(r, 0.0) ** exponent * integral) ** 0.5
-                if val > best:
-                    best = val
-    return float(best)
 
 
 # ---------------------------------------------------------------------------

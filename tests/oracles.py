@@ -139,69 +139,15 @@ def reference_morrey_norm(grid, values, p, q, lattice):
     return float(best_val), tuple(best_center), float(best_radius)
 
 
-def _lin_interp_integral(times, series, t_lo, t_hi):
-    """Trapezoid of the linear interpolant, written independently."""
-    grid_pts = [t_lo] + [t for t in times if t_lo < t < t_hi] + [t_hi]
-    total = 0.0
-    for a, b in zip(grid_pts, grid_pts[1:]):
-        fa = np.interp(a, times, series)
-        fb = np.interp(b, times, series)
-        total += 0.5 * (fa + fb) * (b - a)
-    return total
-
-
-def brute_force_parabolic(grid, times, fields, center, t0, r0, stride=1):
-    """Exhaustive sup over sub-cylinders of the space-time scaled mass."""
-    times = np.asarray(times, dtype=float)
-    g2 = np.stack([pointwise_mag(grid, f) ** 2 for f in fields])
-    idx = np.indices(grid.shape)
-    h = grid.h
-    hn = h ** grid.dim
-
-    def wrapped_d2(c):
-        d2 = np.zeros(grid.shape)
-        for ax in range(grid.dim):
-            delta = np.abs(idx[ax] - c[ax])
-            delta = np.minimum(delta, grid.n - delta)
-            d2 = d2 + (delta * h) ** 2
-        return d2
-
-    def center_dist(a, b):
-        acc = 0.0
-        for x, y in zip(a, b):
-            delta = abs(x - y)
-            delta = min(delta, grid.n - delta)
-            acc += (delta * h) ** 2
-        return np.sqrt(acc)
-
-    radii = []
-    r = h
-    while r < r0 * (1 - 1e-12):
-        radii.append(r)
-        r *= 2.0
-    radii.append(r0)
-
-    t_cands = [t for t in times if t <= t0 + 1e-10]
-    if not any(abs(t - t0) <= 1e-10 for t in t_cands):
-        t_cands.append(t0)
-
-    best = 0.0
-    for c in product(range(0, grid.n, stride), repeat=grid.dim):
-        d2 = wrapped_d2(c)
-        dist = center_dist(c, center)
-        for r in radii:
-            if dist + r > r0 + 1e-10:
-                continue
-            mask = d2 <= r * r
-            series = g2[:, mask].sum(axis=1) * hn
-            for t in t_cands:
-                t_lo = t - r * r
-                if t_lo < t0 - r0 * r0 - 1e-10 or t_lo < times.min() - 1e-10:
-                    continue
-                integral = _lin_interp_integral(times, series, t_lo, t)
-                val = (r ** (2.0 - (grid.dim + 2)) * integral) ** 0.5
-                best = max(best, val)
-    return best
+def recompute_witness(grid, values, report):
+    """Re-evaluate the norm candidate at the report's witness (center, radius)."""
+    magp = pointwise_mag(grid, values) ** report.p
+    rolled = np.roll(grid.wrapped_dist2, shift=report.witness_center,
+                     axis=tuple(range(grid.dim)))
+    r = report.witness_radius
+    s = magp[rolled <= r * r].sum()
+    hn = grid.h ** grid.dim
+    return float((r ** (report.q - grid.dim) * (s * hn)) ** (1.0 / report.p))
 
 
 def nonlinearity_direct(grid, u, a, a0_1, a0_2, lam):

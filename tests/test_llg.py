@@ -1,22 +1,21 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
 from llglab.cgl import CglConfig
-from llglab.fields import SpinField, derivative, l2_norm, make_grid, normalize_spin
+from llglab.fields import SpinField, derivative, gradient, l2_norm, make_grid, normalize_spin
 from llglab.llg import (
     SCHEMES,
     BlowupSuspected,
     LlgConfig,
-    bump_cutoff,
     check_energy_inequality,
     check_equivalent_form,
-    check_local_energy,
     llg_rhs,
     solve,
     stability_cap,
     step,
 )
-from llglab.morrey import ParabolicCylinder
 
 from oracles import reference_llg_march, reference_llg_rhs
 
@@ -46,6 +45,109 @@ def tilted_smooth(grid, amp=0.2):
         np.sin(theta) * np.sin(phi),
         np.cos(theta),
     ]))
+
+
+def bump_cutoff(grid, center, radius):
+    """Smooth compactly supported bump phi and its analytic gradient.
+
+    phi = exp(1 - 1/(1 - |x - c|^2 / r^2)) inside the wrapped ball, 0 outside,
+    normalized to 1 at the center.
+    """
+    disp = [grid.axis_table(ax, np.roll(grid.wrapped_offsets, center[ax]))
+            for ax in range(grid.dim)]
+    s = sum(d * d for d in disp) / radius**2
+    inside = s < 1.0 - 1e-3
+    denom = np.where(inside, 1.0 - s, 1.0)
+    phi = np.where(inside, np.exp(1.0 - 1.0 / denom), 0.0)
+    grad_phi = np.stack([
+        np.where(inside, phi * (-2.0 * d / radius**2) / denom**2, 0.0)
+        for d in disp
+    ])
+    return phi, grad_phi
+
+
+@dataclass(frozen=True)
+class LocalEnergyCheck:
+    lhs: float
+    rhs: float
+    margin: float
+    passed: bool
+    constant_lambda: float
+    time_ratio_full: float
+    time_ratio_half: float
+
+
+def check_local_energy(grid, traj, center, t0, r0, lam):
+    """Cutoff energy inequality on the parabolic cylinder B_r0(center) x [t0 - r0^2, t0].
+
+    With phi = bump_cutoff on B_r0 and [t1, t2] the cylinder time span, checks
+
+        lam * int int |d_t m|^2 phi^2 + (1+lam^2) int |grad m(t2)|^2 phi^2
+        <= (1+lam^2) int |grad m(t1)|^2 phi^2
+           + C(lam) * int int |grad m|^2 |grad phi|^2,
+
+    with C(lam) = 4 (1+lam^2)^2 / lam (the Cauchy-Schwarz constant of the
+    integration-by-parts derivation).  Also reports the interior-time
+    ratio int_{P_{r/2}} |d_t m|^2 / (r^-2 int_{P_r} |grad m|^2) at the full
+    and halved radius; the constant is reported, not asserted.
+    """
+    times = np.asarray(traj.times)
+    t1, t2 = t0 - r0 * r0, t0
+    tol = 1e-10
+    if times.min() > t1 + tol or times.max() < t2 - tol:
+        raise ValueError("trajectory does not cover the cylinder")
+    phi, grad_phi = bump_cutoff(grid, center, r0)
+    phi2 = phi * phi
+    gphi2 = (grad_phi**2).sum(axis=0)
+    hn = grid.cell_volume
+
+    sel = (times >= t1 - tol) & (times <= t2 + tol)
+    sub_times = times[sel]
+    sub_fields = [traj.fields[i] for i in np.nonzero(sel)[0]]
+
+    dt_sq = []
+    grad_sq = []
+    for mv in sub_fields:
+        rhs = llg_rhs(grid, mv, lam)
+        dt_sq.append((rhs * rhs).sum(axis=0))
+        g = gradient(grid, mv)
+        grad_sq.append((g**2).sum(axis=(0, 1)))
+    dt_sq = np.stack(dt_sq)
+    grad_sq = np.stack(grad_sq)
+
+    def time_int(series):
+        return float(np.trapezoid(series, sub_times))
+
+    int_dt_phi = time_int((dt_sq * phi2).sum(axis=tuple(range(1, dt_sq.ndim))) * hn)
+    int_grad_gphi = time_int((grad_sq * gphi2).sum(axis=tuple(range(1, grad_sq.ndim))) * hn)
+    grad_t2 = float((grad_sq[-1] * phi2).sum() * hn)
+    grad_t1 = float((grad_sq[0] * phi2).sum() * hn)
+
+    c_lam = 4.0 * (1.0 + lam**2) ** 2 / lam
+    lhs = lam * int_dt_phi + (1.0 + lam**2) * grad_t2
+    rhs_val = (1.0 + lam**2) * grad_t1 + c_lam * int_grad_gphi
+
+    d2 = np.roll(grid.wrapped_dist2, shift=center, axis=tuple(range(grid.dim)))
+
+    def cylinder_ratio(r):
+        mask_half = d2 <= (r / 2.0) ** 2
+        mask_full = d2 <= r * r
+        sel_half = (sub_times >= t0 - (r / 2.0) ** 2 - tol)
+        num = float(np.trapezoid(
+            dt_sq[sel_half][:, mask_half].sum(axis=1) * hn, sub_times[sel_half]))
+        sel_full = (sub_times >= t0 - r * r - tol)
+        den = float(np.trapezoid(
+            grad_sq[sel_full][:, mask_full].sum(axis=1) * hn, sub_times[sel_full]))
+        if den == 0.0:
+            return 0.0
+        return num / (den / r**2)
+
+    return LocalEnergyCheck(
+        lhs=lhs, rhs=rhs_val, margin=rhs_val - lhs, passed=bool(lhs <= rhs_val),
+        constant_lambda=c_lam,
+        time_ratio_full=cylinder_ratio(r0),
+        time_ratio_half=cylinder_ratio(r0 / 2.0),
+    )
 
 
 class TestRhs:
@@ -289,8 +391,7 @@ class TestDiagnostics:
         g = make_grid(2, 16, TWO_PI)
         cfg = LlgConfig(grid=g, lam=1.0, t_end=1.3, dt=stability_cap(g, 1.0))
         res = solve(constant_spin(g), cfg, n_outputs=9)
-        cyl = ParabolicCylinder(center=(8, 8), t0=1.2, r0=1.0)
-        check = check_local_energy(g, res.trajectory, cyl, 1.0)
+        check = check_local_energy(g, res.trajectory, center=(8, 8), t0=1.2, r0=1.0, lam=1.0)
         assert check.lhs == pytest.approx(0.0, abs=1e-20)
         assert check.rhs == pytest.approx(0.0, abs=1e-20)
         assert check.passed
@@ -303,8 +404,8 @@ class TestDiagnostics:
             np.sin(theta), np.zeros_like(theta), np.cos(theta)]))
         cfg = LlgConfig(grid=g, lam=1.0, t_end=1.3, dt=stability_cap(g, 1.0))
         res = solve(m0, cfg, n_outputs=17)
-        cyl = ParabolicCylinder(center=(16, 16), t0=1.2, r0=1.0)
-        check = check_local_energy(g, res.trajectory, cyl, 1.0)
+        check = check_local_energy(g, res.trajectory, center=(16, 16), t0=1.2, r0=1.0,
+                                   lam=1.0)
         assert check.passed
         assert check.margin > 0
         assert np.isfinite(check.time_ratio_full)

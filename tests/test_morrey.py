@@ -6,17 +6,9 @@ from hypothesis import strategies as st
 from llglab import morrey
 from llglab.fields import Trajectory, gradient, make_grid
 from llglab.initial_data import spectral_bump
-from llglab.morrey import (
-    BallLattice,
-    ParabolicCylinder,
-    ball_lattice,
-    morrey_norm,
-    parabolic_morrey_norm,
-    recompute_witness,
-    xpt_norm,
-)
+from llglab.morrey import BallLattice, ball_lattice, morrey_norm, xpt_norm
 
-from oracles import brute_force_morrey, brute_force_parabolic, reference_morrey_norm
+from oracles import brute_force_morrey, recompute_witness, reference_morrey_norm
 
 TWO_PI = 2.0 * np.pi
 
@@ -54,6 +46,13 @@ class TestBallLattice:
     def test_bad_centers_rejected_at_construction(self, centers):
         with pytest.raises(ValueError, match="center"):
             BallLattice(grid=make_grid(2, 16, TWO_PI), centers=centers, radii=(0.5,))
+
+    @pytest.mark.parametrize("r_max", [np.nan, np.inf, 0.0, -1.0],
+                             ids=["nan", "inf", "zero", "negative"])
+    def test_bad_r_max_rejected(self, r_max):
+        # min(cap, nan) is cap: a NaN cap would quietly give the uncapped lattice
+        with pytest.raises(ValueError, match="r_max"):
+            ball_lattice(make_grid(2, 16, TWO_PI), r_max=r_max)
 
     def test_default_lattice_built_once_per_grid(self):
         g = make_grid(2, 16, TWO_PI)
@@ -343,67 +342,6 @@ class TestScreen:
         assert 1 <= bump.exact_sums < lat.n_centers
         # q = n: the weight is flat, so the largest radius wins at every center
         assert morrey_norm(g, np.ones(g.shape), 2.0, 2.0).exact_sums == lat.n_centers
-
-
-class TestParabolicNorm:
-    def _trajectory(self, grid, seed, steps=8, constant=False):
-        rng = np.random.default_rng(seed)
-        base = rng.standard_normal((grid.dim,) + grid.shape)
-        times = np.linspace(2.0, 4.0, steps)
-        fields = [base if constant else base * (1.0 + 0.3 * np.sin(t)) for t in times]
-        return Trajectory(times, fields)
-
-    def test_zero_trajectory(self):
-        g = make_grid(2, 16, TWO_PI)
-        times = np.linspace(2.0, 4.0, 5)
-        traj = Trajectory(times, [np.zeros(g.shape)] * 5)
-        cyl = ParabolicCylinder(center=(8, 8), t0=4.0, r0=1.0)
-        assert parabolic_morrey_norm(g, traj, cyl) == 0.0
-
-    def test_time_constant_matches_brute_force(self):
-        g = make_grid(2, 16, TWO_PI)
-        traj = self._trajectory(g, seed=3, constant=True)
-        cyl = ParabolicCylinder(center=(8, 8), t0=4.0, r0=1.0)
-        mine = parabolic_morrey_norm(g, traj, cyl)
-        oracle = brute_force_parabolic(g, traj.times, traj.fields, (8, 8), 4.0, 1.0)
-        assert mine == pytest.approx(oracle, rel=1e-12)
-
-    def test_varying_trajectory_matches_brute_force(self):
-        g = make_grid(2, 16, TWO_PI)
-        traj = self._trajectory(g, seed=4)
-        cyl = ParabolicCylinder(center=(5, 9), t0=4.0, r0=1.0)
-        mine = parabolic_morrey_norm(g, traj, cyl)
-        oracle = brute_force_parabolic(g, traj.times, traj.fields, (5, 9), 4.0, 1.0)
-        assert mine == pytest.approx(oracle, rel=1e-12)
-
-    def test_single_cylinder_direct_formula(self):
-        g = make_grid(2, 16, TWO_PI)
-        traj = self._trajectory(g, seed=5, constant=True)
-        r0 = 1.0
-        cyl = ParabolicCylinder(center=(8, 8), t0=4.0, r0=r0)
-        val = parabolic_morrey_norm(g, traj, cyl, subcylinders=False)
-        # constant in time: integral = r0^2 * spatial ball mass
-        g2 = (traj.fields[0] ** 2).sum(axis=0)
-        d2 = np.roll(np.roll(g.wrapped_dist2, 8, axis=0), 8, axis=1)
-        mass = g2[d2 <= r0 * r0].sum() * g.cell_volume
-        expected = (r0 ** (2 - (g.dim + 2)) * (r0 * r0 * mass)) ** 0.5
-        assert val == pytest.approx(expected, rel=1e-12)
-
-    def test_coverage_validation(self):
-        g = make_grid(2, 16, TWO_PI)
-        traj = self._trajectory(g, seed=6)
-        with pytest.raises(ValueError):
-            parabolic_morrey_norm(g, traj, ParabolicCylinder((8, 8), t0=9.0, r0=1.0))
-        with pytest.raises(ValueError):
-            parabolic_morrey_norm(g, traj, ParabolicCylinder((8, 8), t0=4.0, r0=2.5))
-
-    @pytest.mark.parametrize("t0,r0", [(4.0, np.nan), (4.0, 0.0), (4.0, -0.5),
-                                       (4.0, np.inf), (np.nan, 1.0), (np.inf, 1.0)],
-                             ids=["nan_r0", "zero_r0", "negative_r0", "inf_r0",
-                                  "nan_t0", "inf_t0"])
-    def test_bad_cylinder_rejected(self, t0, r0):
-        with pytest.raises(ValueError, match="cylinder"):
-            ParabolicCylinder((8, 8), t0=t0, r0=r0)
 
 
 class TestTrajectoryNorms:
