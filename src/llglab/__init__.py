@@ -12,6 +12,7 @@ from .fields import (
     Grid,
     SpinField,
     Trajectory,
+    Workspace,
     derivative,
     divergence,
     gradient,

@@ -19,9 +19,11 @@ potential part.  The mild solution is the fixed point of
 iterated here on a uniform time grid with a composite midpoint exponential
 rule for the integral.  The integral is accumulated in Fourier space, where
 S(t) is the diagonal multiplier exp((i - lam)|xi|^2 t): each forcing node
-costs one forward FFT, and each output time one inverse FFT.  Contraction
-needs small initial data; large data is reported as NonContraction, never
-forced.
+costs one forward FFT, and each output time one inverse FFT.  A solve
+computes each multiplier once, for all its sweeps, and runs every forcing
+node in one reused ``Workspace``, so after the first node no node
+allocates an array.  Contraction needs small initial data; large data is
+reported as NonContraction, never forced.
 """
 
 from __future__ import annotations
@@ -33,8 +35,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import (Grid, Trajectory, _forward, _inverse, gradient, l2_norm,
-                     require_finite_positive)
+from .fields import (Grid, Trajectory, Workspace, _forward, _inverse, gradient,
+                     l2_norm, require_finite_positive)
 from .frames import gauge_fields_from_u
 from .morrey import morrey_norm, xpt_norm, XptReport
 from .semigroup import SemigroupParams, apply_semigroup, semigroup_multiplier
@@ -173,6 +175,8 @@ class CglConfig:
             raise ValueError("time_steps and duhamel_substeps must be >= 1")
         if self.picard_max_iter < 1:
             raise ValueError("picard_max_iter must be >= 1")
+        if not self.smallness >= 0:  # inf is allowed: never warn
+            raise ValueError(f"smallness must be >= 0, got {self.smallness}")
         report = exponent_window_check(self.p, compute_beta=False)
         if not report.valid:
             bad = report.first_failing
@@ -200,26 +204,58 @@ class NonlinearityParts:
 
 
 def nonlinearity_F(grid: Grid, u: np.ndarray, a: np.ndarray, a0_1: np.ndarray,
-                   a0_2: np.ndarray, lam: float) -> NonlinearityParts:
+                   a0_2: np.ndarray, lam: float, *,
+                   work: Workspace | None = None) -> NonlinearityParts:
+    """The nonlinearity F(a, u) of the module docstring, split into its parts.
+
+    Every array, the returned parts included, is taken from ``work`` (a fresh
+    ``Workspace`` when None): the parts alias ``work`` and stay valid until
+    the caller's enclosing ``work.scope()`` exits.
+    """
+    work = Workspace() if work is None else work
     u = np.asarray(u, dtype=complex)
     mu = lam - 1j
-    imag_matrix = np.imag(u[:, None] * np.conj(u[None, :]))  # (l, k, *shape)
-    f1 = mu * 1j * np.einsum("lk...,k...->l...", imag_matrix, u)
-    gu = gradient(grid, u)  # (deriv axis, component, *shape)
-    # sum_k a_k d_k u accumulated from zero, as np.einsum("k...,kl...->l...")
-    # sums it, so the bytes (signed zeros included) are the einsum's
-    advect = np.zeros_like(gu[0])
-    for k in range(grid.dim):
-        advect += a[k] * gu[k]
-    f2 = mu * 2j * advect - 1j * a0_1 * u
-    a_sq = (a**2).sum(axis=0)
-    f3 = -mu * a_sq * u - 1j * a0_2 * u
+    f1, f2, f3 = (work.take(u.shape, complex) for _ in range(3))
+    with work.scope():
+        uc = np.conjugate(u, out=work.take(u.shape, complex))
+        # pair[l, k] = u_l conj(u_k); Im of it is the (l, k, *shape) matrix
+        pair = np.multiply(u[:, None], uc[None, :],
+                           out=work.take((len(u),) + u.shape, complex))
+        np.einsum("lk...,k...->l...", pair.imag, u, out=f1)
+    np.multiply(mu * 1j, f1, out=f1)
+    with work.scope():
+        gu = gradient(grid, u, work=work)  # (deriv axis, component, *shape)
+        # sum_k a_k d_k u accumulated from zero, as np.einsum("k...,kl...->l...")
+        # sums it, so the bytes (signed zeros included) are the einsum's; f3
+        # is free until the quintic part and holds each term
+        advect = f2
+        advect.fill(0)
+        for k in range(grid.dim):
+            advect += np.multiply(a[k], gu[k], out=f3)
+    np.multiply(mu * 2j, advect, out=f2)
+    with work.scope():
+        f2 -= _times_u(1j, a0_1, u, work)
+    with work.scope():
+        a_sq = np.sum(np.square(a, out=work.take(a.shape, float)), axis=0,
+                      out=work.take(u.shape[1:], float))
+        np.multiply(np.multiply(-mu, a_sq, out=work.take(u.shape[1:], complex)), u, out=f3)
+        f3 -= _times_u(1j, a0_2, u, work)
     return NonlinearityParts(f1=f1, f2=f2, f3=f3)
 
 
-def _forcing_at(grid: Grid, u_node: np.ndarray, lam: float) -> np.ndarray:
-    a, a0_1, a0_2 = gauge_fields_from_u(grid, u_node, lam)
-    return nonlinearity_F(grid, u_node, a, a0_1, a0_2, lam).total
+def _times_u(c: complex, field: np.ndarray, u: np.ndarray, work: Workspace) -> np.ndarray:
+    """(c * field) * u, in arrays taken from ``work``."""
+    cf = np.multiply(c, field, out=work.take(field.shape, complex))
+    return np.multiply(cf, u, out=work.take(u.shape, complex))
+
+
+def _forcing_at(grid: Grid, u_node: np.ndarray, lam: float, work: Workspace) -> np.ndarray:
+    """F(u_node) = f1 + f2 + f3, gauge fields included, in an array taken from ``work``."""
+    a, a0_1, a0_2 = gauge_fields_from_u(grid, u_node, lam, work=work)
+    parts = nonlinearity_F(grid, u_node, a, a0_1, a0_2, lam, work=work)
+    total = np.add(parts.f1, parts.f2, out=work.take(u_node.shape, complex))
+    total += parts.f3
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -244,8 +280,19 @@ class PicardResult:
                    f"{entry.get('xpt_r3', '')!r}")
 
 
+def _multiplier_cache(params: SemigroupParams):
+    """semigroup_multiplier(params, offset), computed once per float offset.
+
+    One cache serves every sweep of a solve: equal offsets share one array,
+    so a dyadic uniform time grid computes substeps + 1 of them.  Offsets
+    that differ in the last bit (np.linspace times that are not binary
+    fractions) stay distinct, as their multipliers do.
+    """
+    return functools.cache(functools.partial(semigroup_multiplier, params))
+
+
 def _duhamel_trajectory(grid: Grid, times: np.ndarray, u_old: list, lam: float,
-                        substeps: int, params: SemigroupParams) -> list:
+                        substeps: int, mult, work: Workspace) -> list:
     """Composite midpoint exponential rule for int_0^{t_i} S(t_i - s) F(u_old(s)) ds.
 
     Evaluated interval-recursively: I_{i+1} = S(dt) I_i + local part, which by
@@ -257,11 +304,11 @@ def _duhamel_trajectory(grid: Grid, times: np.ndarray, u_old: list, lam: float,
     The accumulator lives in Fourier space, where S(t) is a diagonal
     multiplier: each node adds the spectrum of its forcing times the
     multiplier of t_{i+1} - s, each interval multiplies by the multiplier of
-    dt, and each output time takes one inverse FFT.  Multipliers are cached
-    for the sweep, keyed on the time offset, so equal offsets share one
-    array: a dyadic uniform time grid computes substeps + 1 of them.
+    dt, and each output time takes one inverse FFT.  ``mult`` maps an offset
+    to its multiplier and ``work`` holds every array of a node; both belong
+    to the solve (``_multiplier_cache``, a ``Workspace``), so every sweep of
+    it reuses them, and a node after the first allocates no array.
     """
-    mult = functools.cache(functools.partial(semigroup_multiplier, params))
     integrals = [np.zeros_like(u_old[0])]
     acc_hat = np.zeros_like(u_old[0], dtype=complex)
     for i in range(len(times) - 1):
@@ -271,11 +318,15 @@ def _duhamel_trajectory(grid: Grid, times: np.ndarray, u_old: list, lam: float,
         for j in range(substeps):
             s = times[i] + (j + 0.5) * sub
             w = (s - times[i]) / dt
-            u_s = (1.0 - w) * u_old[i] + w * u_old[i + 1]
-            spec, _ = _forward(grid, _forcing_at(grid, u_s, lam))
-            spec *= mult(times[i + 1] - s)
-            spec *= sub
-            acc_hat += spec
+            with work.scope():
+                u_s = np.multiply(1.0 - w, u_old[i], out=work.take(acc_hat.shape, complex))
+                with work.scope():
+                    u_s += np.multiply(w, u_old[i + 1], out=work.take(acc_hat.shape, complex))
+                forcing = _forcing_at(grid, u_s, lam, work)
+                spec, _ = _forward(grid, forcing, out=forcing)
+                spec *= mult(times[i + 1] - s)
+                spec *= sub
+                acc_hat += spec
         # acc_hat carries over to the next interval: invert a copy
         integrals.append(_inverse(grid, acc_hat.copy(), False))
     return integrals
@@ -304,6 +355,7 @@ def picard_iterate(grid: Grid, v0: np.ndarray, config: CglConfig,
     times = np.linspace(0.0, config.t_end, config.time_steps + 1)
     free = [apply_semigroup(v0, t, params) for t in times]
     u_old = [f.copy() for f in free]
+    mult, work = _multiplier_cache(params), Workspace()
 
     increments: list = []
     iteration_log: list = []
@@ -313,7 +365,7 @@ def picard_iterate(grid: Grid, v0: np.ndarray, config: CglConfig,
     with np.errstate(over="ignore", invalid="ignore"):
         for it in range(1, config.picard_max_iter + 1):
             integrals = _duhamel_trajectory(grid, times, u_old, config.lam,
-                                            config.duhamel_substeps, params)
+                                            config.duhamel_substeps, mult, work)
             u_new = [free[i] + integrals[i] for i in range(len(times))]
             inc = max(l2_norm(grid, u_new[i] - u_old[i]) for i in range(len(times)))
             if not np.isfinite(inc):
@@ -358,8 +410,8 @@ def fixed_point_residual(grid: Grid, result: PicardResult, v0: np.ndarray,
     times = result.trajectory.times
     u = result.trajectory.fields
     free = [apply_semigroup(v0, t, params) for t in times]
-    integrals = _duhamel_trajectory(grid, times, u, config.lam,
-                                    config.duhamel_substeps, params)
+    integrals = _duhamel_trajectory(grid, times, u, config.lam, config.duhamel_substeps,
+                                    _multiplier_cache(params), Workspace())
     return max(l2_norm(grid, u[i] - free[i] - integrals[i]) for i in range(len(times)))
 
 

@@ -14,17 +14,24 @@ so their bytes are those of ``rfftn``/``irfftn`` for real input (the half
 spectrum: the last grid axis keeps its N/2 + 1 non-negative modes, and the
 output comes back real) and of ``fftn``/``ifftn`` for complex input.  Every
 pass after the first writes into the spectrum in place, and ``_inverse``
-consumes the spectrum it is given.  Every operator makes one forward
-transform of its input and one inverse transform of its whole output
-stack: ``gradient`` multiplies the one spectrum by each axis's multiplier
-and inverts the ``(dim, ...)`` stack together, ``divergence`` sums its
-components in spectral space, and ``inverse_laplacian_divergence`` solves
-every right-hand side of a ``(dim, *batch, *grid)`` stack in the same
-call.
+consumes the spectrum it is given.  Both take ``out=``, an array to write
+the result into.  Every operator makes one forward transform of its input
+and one inverse transform of its whole output stack: ``gradient``
+multiplies the one spectrum by each axis's multiplier and inverts the
+``(dim, ...)`` stack together, ``divergence`` sums its components in
+spectral space, and ``inverse_laplacian_divergence`` solves every
+right-hand side of a ``(dim, *batch, *grid)`` stack in the same call.
+
+A computation repeated many times on one grid, such as the nodes of a
+mild solve, runs in a ``Workspace``: ``gradient``, ``divergence`` and
+``inverse_laplacian_divergence`` given ``work=`` take their spectra from
+it and write their result to ``out=`` or, without it, into ``work`` too,
+so that after the first pass no call allocates an array.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 from dataclasses import dataclass
@@ -38,6 +45,7 @@ __all__ = [
     "make_grid",
     "SpinField",
     "Trajectory",
+    "Workspace",
     "derivative",
     "gradient",
     "laplacian",
@@ -178,34 +186,103 @@ def make_grid(dim: int, n: int, length: float) -> Grid:
 
 
 # ---------------------------------------------------------------------------
+# reusable scratch memory
+
+
+class Workspace:
+    """Scratch memory for a computation repeated on one grid: one byte buffer
+    handed out as arrays in stack order.
+
+    ``take`` carves the next array off the buffer, and everything taken
+    inside a ``with work.scope():`` block is given back when the block
+    exits, so arrays whose lifetimes do not overlap share memory.  An array
+    taken in a scope must not be read after the scope exits.  A request past
+    the end of the buffer gets a fresh array, and when the outermost scope
+    exits the buffer grows to the largest extent ever requested: the first
+    pass sizes it, and every later pass allocates nothing.  A fresh
+    workspace hands out fresh arrays, so a function given none builds one
+    and runs the same code.  One workspace serves one thread.
+    """
+
+    _ALIGN = 64  # bytes; every array starts on a cache line
+
+    def __init__(self):
+        self._buffer = np.empty(0, np.uint8)
+        self._top = 0
+        self._high = 0
+        self._marks = []
+
+    @property
+    def nbytes(self) -> int:
+        """Size of the buffer."""
+        return self._buffer.size
+
+    def take(self, shape: tuple, dtype) -> np.ndarray:
+        """An uninitialised C-contiguous array, valid until its scope exits."""
+        dtype = np.dtype(dtype)
+        start = -(-self._top // self._ALIGN) * self._ALIGN
+        self._top = start + math.prod(shape) * dtype.itemsize
+        if self._top > self._buffer.size:
+            self._high = max(self._high, self._top)
+            return np.empty(shape, dtype)
+        return np.ndarray(shape, dtype, self._buffer, start)
+
+    def scope(self) -> Workspace:
+        """The workspace as a context manager that gives back, on exit,
+        everything taken since it was entered."""
+        return self
+
+    def __enter__(self):
+        self._marks.append(self._top)
+
+    def __exit__(self, *exc_info):
+        self._top = top = self._marks.pop()
+        if top == 0 and self._high > self._buffer.size:
+            self._buffer = np.empty(self._high, np.uint8)
+
+
+# ---------------------------------------------------------------------------
 # spectral transforms and derivatives
 
 
-def _forward(grid: Grid, values: np.ndarray):
+def _forward(grid: Grid, values: np.ndarray, out: np.ndarray | None = None):
     """(spectrum, real_in): the bytes of numpy's rfftn of real input and fftn
     of complex input over the grid axes, made as their 1-D passes in their
     order (rfft or fft on the last axis, then fft on -2, then -3), every pass
-    after the first in place.  ``values`` is not written to."""
+    after the first in place.  The spectrum is written to ``out`` when given
+    (``values`` itself may be ``out``); otherwise ``values`` is not written to."""
     real_in = np.isrealobj(values)
-    spec = (np.fft.rfft if real_in else np.fft.fft)(values, axis=-1)
+    spec = (np.fft.rfft if real_in else np.fft.fft)(values, axis=-1, out=out)
     for ax in grid.axes[-2::-1]:
         np.fft.fft(spec, axis=ax, out=spec)
     return spec, real_in
 
 
-def _inverse(grid: Grid, spec: np.ndarray, real_in: bool) -> np.ndarray:
+def _inverse(grid: Grid, spec: np.ndarray, real_in: bool,
+             out: np.ndarray | None = None) -> np.ndarray:
     """The bytes of numpy's irfftn (``real_in``) or ifftn of ``spec`` over the
     grid axes, made as their 1-D passes in their order: irfftn runs ifft on
     -3, then -2, then irfft on -1; ifftn runs ifft on -1, then -2, then -3.
-    The ifft passes run in place, so ``spec`` is consumed: pass only an
-    array the caller owns and no longer reads."""
+    The result is written to ``out`` when given.  The ifft passes run in
+    place (in ``out``, when ifftn is given one), so ``spec`` may be
+    overwritten: pass only an array the caller owns and no longer reads."""
     if real_in:
         for ax in grid.axes[:-1]:
             np.fft.ifft(spec, axis=ax, out=spec)
-        return np.fft.irfft(spec, n=grid.n, axis=-1)
+        return np.fft.irfft(spec, n=grid.n, axis=-1, out=out)
+    if out is None:
+        out = spec
     for ax in grid.axes[::-1]:
-        np.fft.ifft(spec, axis=ax, out=spec)
-    return spec
+        spec = np.fft.ifft(spec, axis=ax, out=out)
+    return out
+
+
+def _spectrum(grid: Grid, values: np.ndarray, work: Workspace) -> np.ndarray:
+    """An array from ``work`` shaped for ``_forward``'s spectrum of ``values``."""
+    shape = values.shape
+    if np.isrealobj(values):
+        shape = shape[:-1] + (grid.n // 2 + 1,)
+    return work.take(shape, np.result_type(values, 1j))
 
 
 def _layout(grid: Grid, mult, real_in: bool):
@@ -238,18 +315,23 @@ def derivative(grid: Grid, values: np.ndarray, axis: int, order: int = 1) -> np.
     return _apply_multiplier(grid, values, mult)
 
 
-def gradient(grid: Grid, values: np.ndarray) -> np.ndarray:
+def gradient(grid: Grid, values: np.ndarray, *, out: np.ndarray | None = None,
+             work: Workspace | None = None) -> np.ndarray:
     """Stack of first derivatives; output shape (dim, *values.shape).
 
     One forward transform, one inverse of the whole stack; bitwise equal to
-    stacking ``derivative(grid, values, ax, 1)`` over the axes.
+    stacking ``derivative(grid, values, ax, 1)`` over the axes.  The result
+    is written to ``out`` when given; with ``work`` the spectra come from it,
+    and so does a complex result without ``out``.
     """
-    spec, real_in = _forward(grid, np.asarray(values))
+    work = Workspace() if work is None else work
+    values = np.asarray(values)
+    spec, real_in = _forward(grid, values, out=_spectrum(grid, values, work))
     mults = [_layout(grid, m, real_in) for m in grid.derivative_multipliers]
-    stack = np.empty((grid.dim,) + spec.shape, np.result_type(spec, *mults))
+    stack = work.take((grid.dim,) + spec.shape, np.result_type(spec, *mults))
     for ax, m in enumerate(mults):
         np.multiply(spec, m, out=stack[ax])
-    return _inverse(grid, stack, real_in)
+    return _inverse(grid, stack, real_in, out=out)
 
 
 def laplacian(grid: Grid, values: np.ndarray) -> np.ndarray:
@@ -257,26 +339,36 @@ def laplacian(grid: Grid, values: np.ndarray) -> np.ndarray:
     return _inverse(grid, spec * grid.laplacian_multipliers[real_in], real_in)
 
 
-def _divergence_spectrum(grid: Grid, vec: np.ndarray):
-    """(spectrum of div vec, real_in) from one transform of the component stack."""
+def _divergence_spectrum(grid: Grid, vec: np.ndarray, work: Workspace):
+    """(spectrum of div vec, real_in) from one transform of the component
+    stack, in arrays taken from ``work``."""
     vec = np.asarray(vec)
     if vec.shape[0] != grid.dim:
         raise ValueError(f"expected {grid.dim} components, got {vec.shape[0]}")
-    spec, real_in = _forward(grid, vec)
+    spec, real_in = _forward(grid, vec, out=_spectrum(grid, vec, work))
     mults = [_layout(grid, m, real_in) for m in grid.derivative_multipliers]
-    div_hat = spec[0] * mults[0]
-    for ax in range(1, grid.dim):
-        div_hat += spec[ax] * mults[ax]
+    dtype = np.result_type(spec, *mults)
+    div_hat = np.multiply(spec[0], mults[0], out=work.take(spec.shape[1:], dtype))
+    if grid.dim > 1:
+        term = work.take(spec.shape[1:], dtype)
+        for ax in range(1, grid.dim):
+            div_hat += np.multiply(spec[ax], mults[ax], out=term)
     return div_hat, real_in
 
 
-def divergence(grid: Grid, vec: np.ndarray) -> np.ndarray:
-    """Divergence of a stack of components laid out along axis 0."""
-    div_hat, real_in = _divergence_spectrum(grid, vec)
-    return _inverse(grid, div_hat, real_in)
+def divergence(grid: Grid, vec: np.ndarray, *, out: np.ndarray | None = None,
+               work: Workspace | None = None) -> np.ndarray:
+    """Divergence of a stack of components laid out along axis 0.
+
+    ``out`` and ``work`` as for ``gradient``.
+    """
+    div_hat, real_in = _divergence_spectrum(grid, vec, Workspace() if work is None else work)
+    return _inverse(grid, div_hat, real_in, out=out)
 
 
-def inverse_laplacian_divergence(grid: Grid, vec: np.ndarray) -> np.ndarray:
+def inverse_laplacian_divergence(grid: Grid, vec: np.ndarray, *,
+                                 out: np.ndarray | None = None,
+                                 work: Workspace | None = None) -> np.ndarray:
     """Mean-zero phi solving -laplacian(phi) = divergence(vec).
 
     Built from the same Nyquist-zeroed first-derivative multipliers as
@@ -287,11 +379,11 @@ def inverse_laplacian_divergence(grid: Grid, vec: np.ndarray) -> np.ndarray:
     ``vec`` has shape ``(dim, *batch, *grid.shape)``: axis 0 holds the
     components and every axis between it and the grid axes indexes
     right-hand sides, all solved in one transform pair; phi has shape
-    ``(*batch, *grid.shape)``.
+    ``(*batch, *grid.shape)``.  ``out`` and ``work`` as for ``gradient``.
     """
-    div_hat, real_in = _divergence_spectrum(grid, vec)
+    div_hat, real_in = _divergence_spectrum(grid, vec, Workspace() if work is None else work)
     div_hat *= _layout(grid, grid.inv_k_squared_odd, real_in)
-    return _inverse(grid, div_hat, real_in)
+    return _inverse(grid, div_hat, real_in, out=out)
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ import numpy as np
 from .fields import (
     Grid,
     SpinField,
+    Workspace,
     _cross,
     divergence,
     gradient,
@@ -166,7 +167,8 @@ def coulomb_gauge_fix(grid: Grid, state: GaugeState) -> GaugeState:
     return gauge_transform(grid, state, theta)
 
 
-def gauge_fields_from_u(grid: Grid, u: np.ndarray, lam: float):
+def gauge_fields_from_u(grid: Grid, u: np.ndarray, lam: float, *,
+                        work: Workspace | None = None):
     """Connection and time-connection split recovered from u alone.
 
     Under the divergence-free gauge the connection solves, component-wise,
@@ -178,17 +180,38 @@ def gauge_fields_from_u(grid: Grid, u: np.ndarray, lam: float):
     each solved spectrally with mean-zero right-hand sides and solutions.
     The dim right-hand sides of a go through one batched solve, and those of
     a0_1 and a0_2 through another.  Returns (a, a0_1, a0_2).
+
+    Every array, the returned ones included, is taken from ``work`` (a fresh
+    ``Workspace`` when None): the results alias ``work`` and stay valid until
+    the caller's enclosing ``work.scope()`` exits.
     """
+    work = Workspace() if work is None else work
     u = np.asarray(u, dtype=complex)
-    uc = np.conj(u)
-    # rhs[k, b] = Im(u_b conj(u_k)): component k of the right-hand side of a_b
-    a = inverse_laplacian_divergence(grid, np.imag(u[None, :] * uc[:, None]))
-    div_u = divergence(grid, u)
-    w1 = uc * div_u
-    w2 = (a * u).sum(axis=0) * uc
-    a0_1, a0_2 = inverse_laplacian_divergence(grid, np.stack(
-        [lam * np.imag(w1) - np.real(w1), lam * np.real(w2) + np.imag(w2)], axis=1))
-    return a, a0_1, a0_2
+    a = work.take(u.shape, float)
+    a0 = work.take((2,) + u.shape[1:], float)
+    with work.scope():
+        uc = np.conjugate(u, out=work.take(u.shape, complex))
+        with work.scope():
+            # pair[k, b] = u_b conj(u_k): Im of it is component k of the
+            # right-hand side of a_b
+            pair = np.multiply(u[None, :], uc[:, None],
+                               out=work.take((len(u),) + u.shape, complex))
+            inverse_laplacian_divergence(grid, pair.imag, out=a, work=work)
+        # rhs[:, 0] and rhs[:, 1] are the right-hand sides of a0_1 and a0_2
+        rhs = work.take((len(u), 2) + u.shape[1:], float)
+        with work.scope():
+            div_u = divergence(grid, u, work=work)
+            w1 = np.multiply(uc, div_u, out=work.take(u.shape, complex))
+            np.multiply(lam, w1.imag, out=rhs[:, 0])
+            rhs[:, 0] -= w1.real
+        with work.scope():
+            au = np.multiply(a, u, out=work.take(u.shape, complex))
+            w2 = np.multiply(np.sum(au, axis=0, out=work.take(u.shape[1:], complex)),
+                             uc, out=uc)
+            np.multiply(lam, w2.real, out=rhs[:, 1])
+            rhs[:, 1] += w2.imag
+        inverse_laplacian_divergence(grid, rhs, out=a0, work=work)
+    return a, a0[0], a0[1]
 
 
 @dataclass(frozen=True)

@@ -11,25 +11,31 @@ from itertools import product
 import numpy as np
 from scipy import integrate
 
-from llglab.cgl import _forcing_at
 from llglab.fields import derivative, inverse_laplacian_divergence, laplacian, normalize_spin
 from llglab.semigroup import SemigroupParams, apply_semigroup
 
 
-def nd_forward(grid, values):
+def _into(out, result):
+    if out is None:
+        return result
+    out[...] = result
+    return out
+
+
+def nd_forward(grid, values, out=None):
     """(spectrum, real_in) from numpy's n-d wrappers: rfftn of real input,
-    fftn of complex input, over the grid axes."""
-    if np.isrealobj(values):
-        return np.fft.rfftn(values, axes=grid.axes), True
-    return np.fft.fftn(values, axes=grid.axes), False
+    fftn of complex input, over the grid axes; copied into ``out`` when given."""
+    real_in = np.isrealobj(values)
+    spec = (np.fft.rfftn if real_in else np.fft.fftn)(values, axes=grid.axes)
+    return _into(out, spec), real_in
 
 
-def nd_inverse(grid, spec, real_in):
-    """irfftn (``real_in``) or ifftn of ``spec`` over the grid axes; leaves
-    ``spec`` as it was."""
+def nd_inverse(grid, spec, real_in, out=None):
+    """irfftn (``real_in``) or ifftn of ``spec`` over the grid axes, copied
+    into ``out`` when given; leaves ``spec`` as it was."""
     if real_in:
-        return np.fft.irfftn(spec, s=grid.shape, axes=grid.axes)
-    return np.fft.ifftn(spec, axes=grid.axes)
+        return _into(out, np.fft.irfftn(spec, s=grid.shape, axes=grid.axes))
+    return _into(out, np.fft.ifftn(spec, axes=grid.axes))
 
 
 def nd_spectral_operators(grid):
@@ -209,8 +215,9 @@ def reference_duhamel_integral(forcing, t: float, steps: int,
 def reference_duhamel_trajectory(grid, times, u_old, lam, substeps, params):
     """The per-operator Duhamel sweep, in physical space.
 
-    Every node's forcing goes through its own apply_semigroup and the
-    accumulator through one more per interval: two FFTs and a fresh
+    Every node's forcing is built from ``reference_gauge_fields`` and
+    ``nonlinearity_direct`` and goes through its own apply_semigroup, and
+    the accumulator through one more per interval: two FFTs and a fresh
     multiplier per call.  cgl._duhamel_trajectory accumulates the same rule
     in Fourier space and must agree to rounding.
     """
@@ -224,7 +231,8 @@ def reference_duhamel_trajectory(grid, times, u_old, lam, substeps, params):
             s = times[i] + (j + 0.5) * sub
             w = (s - times[i]) / dt
             u_s = (1.0 - w) * u_old[i] + w * u_old[i + 1]
-            forcing = _forcing_at(grid, u_s, lam)
+            a, a0_1, a0_2 = reference_gauge_fields(grid, u_s, lam)
+            forcing = nonlinearity_direct(grid, u_s, a, a0_1, a0_2, lam)
             acc = acc + apply_semigroup(forcing, times[i + 1] - s, params) * sub
         integrals.append(acc.copy())
     return integrals

@@ -18,7 +18,7 @@ from llglab.cgl import (
     picard_iterate,
     stability_experiment,
 )
-from llglab.fields import l2_norm, make_grid
+from llglab.fields import Workspace, l2_norm, make_grid
 from llglab.frames import gauge_fields_from_u
 from llglab.initial_data import spectral_bump
 from llglab.morrey import morrey_norm, xpt_norm
@@ -224,6 +224,13 @@ class TestPicard:
             with pytest.raises(NonContraction):
                 picard_iterate(g, v0, self.small_config(picard_max_iter=20))
 
+    @pytest.mark.parametrize("smallness", [np.nan, -1.0, -np.inf])
+    def test_nan_and_negative_smallness_rejected(self, smallness):
+        # a NaN threshold would silence SmallnessWarning: norm > nan is False
+        with pytest.raises(ValueError, match="smallness"):
+            CglConfig(lam=1.0, smallness=smallness)
+        assert CglConfig(lam=1.0, smallness=np.inf).smallness == np.inf  # never warn
+
     def test_smallness_warning_threshold(self):
         g = make_grid(2, 16, TWO_PI)
         v0 = normalized(g, bump_pair(g), 0.06)
@@ -268,7 +275,7 @@ class TestPicard:
     def test_internal_quadrature_matches_standalone_duhamel(self):
         # the solver's interval-recursive integral is the same composite
         # midpoint exponential rule as the standalone quadrature
-        from llglab.cgl import _duhamel_trajectory, _forcing_at
+        from llglab.cgl import _duhamel_trajectory, _forcing_at, _multiplier_cache
         from llglab.semigroup import SemigroupParams, apply_semigroup
         from oracles import reference_duhamel_integral as duhamel_integral
 
@@ -279,12 +286,13 @@ class TestPicard:
         steps, sub = 4, 3
         times = np.linspace(0.0, 0.3, steps + 1)
         u_old = [apply_semigroup(v0, t, params) for t in times]
-        integrals = _duhamel_trajectory(g, times, u_old, lam, sub, params)
+        integrals = _duhamel_trajectory(g, times, u_old, lam, sub,
+                                        _multiplier_cache(params), Workspace())
 
         def forcing(s):
             i = min(int(s / (times[1] - times[0])), steps - 1)
             w = (s - times[i]) / (times[1] - times[0])
-            return _forcing_at(g, (1 - w) * u_old[i] + w * u_old[i + 1], lam)
+            return _forcing_at(g, (1 - w) * u_old[i] + w * u_old[i + 1], lam, Workspace())
 
         for i in (1, steps):
             direct = duhamel_integral(forcing, times[i], i * sub, params)
@@ -297,7 +305,7 @@ class TestSpectralSweep:
 
     @pytest.mark.parametrize("dim,n,substeps", [(1, 16, 2), (2, 16, 3), (3, 8, 2)])
     def test_matches_per_operator_sweep(self, dim, n, substeps):
-        from llglab.cgl import _duhamel_trajectory
+        from llglab.cgl import _duhamel_trajectory, _multiplier_cache
         from llglab.semigroup import SemigroupParams
 
         g = make_grid(dim, n, TWO_PI)
@@ -308,7 +316,8 @@ class TestSpectralSweep:
         shape = (dim,) + g.shape
         u_old = [0.3 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
                  for _ in times]
-        got = _duhamel_trajectory(g, times, u_old, lam, substeps, params)
+        got = _duhamel_trajectory(g, times, u_old, lam, substeps,
+                                  _multiplier_cache(params), Workspace())
         want = reference_duhamel_trajectory(g, times, u_old, lam, substeps, params)
         scale = max(np.abs(w).max() for w in want)
         assert scale > 0 and len(got) == len(want)
@@ -317,8 +326,8 @@ class TestSpectralSweep:
             assert np.abs(x - y).max() <= 1e-13 * scale
 
     def test_one_multiplier_per_distinct_offset(self, monkeypatch):
-        from llglab.cgl import _duhamel_trajectory
-        from llglab.semigroup import SemigroupParams, semigroup_multiplier
+        # one cache serves every sweep of a solve, not one sweep
+        from llglab.semigroup import semigroup_multiplier
 
         offsets = []
 
@@ -329,10 +338,91 @@ class TestSpectralSweep:
         monkeypatch.setattr(cgl, "semigroup_multiplier", counted)
         g = make_grid(2, 16, TWO_PI)
         v0 = normalized(g, bump_pair(g), 0.02)
-        params = SemigroupParams(lam=1.0, grid=g)
-        times = np.linspace(0.0, 0.5, 9)  # dyadic steps: equal offsets in every interval
-        _duhamel_trajectory(g, times, [v0] * len(times), 1.0, 4, params)
+        # dyadic steps (t_end 0.5 over 8): equal offsets in every interval
+        cfg = CglConfig(lam=1.0, t_end=0.5, time_steps=8, duhamel_substeps=4,
+                        picard_tol=1e-14)
+        result = picard_iterate(g, v0, cfg)
+        assert result.iterations >= 3
         assert len(offsets) == len(set(offsets)) == 4 + 1
+
+
+class TestNodeWorkspace:
+    """A Duhamel node runs in the solve's Workspace: reusing it changes no
+    byte, and a warm node allocates almost nothing."""
+
+    @pytest.mark.parametrize("dim,n", [(1, 16), (2, 16), (3, 8)])
+    def test_reused_workspace_gives_the_fresh_bytes(self, dim, n):
+        g = make_grid(dim, n, TWO_PI)
+        rng = np.random.default_rng(70 + dim)
+        shape = (dim,) + g.shape
+        lam = 0.8
+        work = Workspace()
+        for _ in range(3):
+            u = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            fresh = gauge_fields_from_u(g, u, lam)
+            fresh_parts = nonlinearity_F(g, u, *fresh, lam)
+            with work.scope():
+                gauge = gauge_fields_from_u(g, u, lam, work=work)
+                parts = nonlinearity_F(g, u, *gauge, lam, work=work)
+                total = cgl._forcing_at(g, u, lam, work)
+                for got, want in zip((*gauge, parts.f1, parts.f2, parts.f3, total),
+                                     (*fresh, fresh_parts.f1, fresh_parts.f2,
+                                      fresh_parts.f3, fresh_parts.total)):
+                    assert got.dtype == want.dtype and got.shape == want.shape
+                    assert got.tobytes() == want.tobytes()
+        assert work.nbytes > 0  # the later passes ran in the reused buffer
+
+    def test_warm_node_allocates_little(self):
+        # the node of the picard_large benchmark: 2-D N=64, two components.
+        # Without a workspace its temporaries peak at 1,506 KiB; in a warm one
+        # the peak is about 133 KiB (numpy's iteration buffers for the
+        # mixed-type and broadcast products), so 400 KiB leaves a 3x margin.
+        import tracemalloc
+
+        from llglab.fields import _forward
+
+        g = make_grid(2, 64, TWO_PI)
+        u = 0.3 * normalized(g, bump_pair(g), 1.0)
+        work = Workspace()
+
+        def node():
+            with work.scope():
+                forcing = cgl._forcing_at(g, u, 1.0, work)
+                _forward(g, forcing, out=forcing)
+
+        node()
+        node()
+        assert work.nbytes <= 1506 * 1024  # no more than the old transient peak
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            node()
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 400 * 1024, f"warm node peaked at {peak / 1024:.0f} KiB"
+
+    def test_scopes_share_memory_and_the_first_pass_sizes_the_buffer(self):
+        work = Workspace()
+
+        def one_pass():
+            with work.scope():
+                kept = work.take((4, 8), complex)
+                with work.scope():
+                    inner = work.take((3,), float)
+                again = work.take((3,), float)
+            return kept, inner, again
+
+        kept, inner, again = one_pass()
+        assert not np.shares_memory(inner, again)  # the first pass gets fresh arrays
+        assert work.nbytes == kept.nbytes + inner.nbytes  # and sizes the buffer
+        kept, inner, again = one_pass()
+        assert np.shares_memory(inner, again) and not np.shares_memory(kept, inner)
+        with work.scope():
+            past = work.take((work.nbytes // 8 + 1,), float)
+            assert past.base is None  # past the end: a fresh array
+        assert work.nbytes >= past.nbytes
 
 
 class TestStability:

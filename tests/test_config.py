@@ -125,6 +125,14 @@ def test_required_key_missing(tmp_path, section, line):
         parse_config(path)
 
 
+@pytest.mark.parametrize("value", ["nan", "-1"])
+def test_nan_or_negative_smallness_is_config_error(tmp_path, value):
+    path = tmp_path / "bad.cfg"
+    path.write_text(REQUIRED_ONLY.replace("t_end = 0.2\n", f"t_end = 0.2\nsmallness = {value}\n"))
+    with pytest.raises(ConfigError, match=r"\[cgl\] smallness must be >= 0"):
+        parse_config(path)
+
+
 def test_interpolation_error_is_config_error(tmp_path):
     path = tmp_path / "bad.cfg"
     path.write_text("[grid]\ndim = 2\nn = 16\nlength = 1.0\n[experiments]\n"

@@ -11,6 +11,7 @@ from llglab import cgl, fields, initial_data, morrey, semigroup
 from llglab.fields import (
     SpinField,
     Trajectory,
+    Workspace,
     _apply_multiplier,
     _cross,
     _forward,
@@ -202,6 +203,9 @@ class TestBatchedSpectral:
 # dims 1/2/3 at the sizes the lab runs: the 1-D tests, the bench, 3-D runs
 GRIDS_BITWISE = [(1, 32), (2, 64), (3, 16)]
 VECTOR_INPUT = {"divergence", "inverse_laplacian_divergence"}
+# the operators that take ``out=`` and ``work=``
+WORKSPACE_OPERATORS = {"gradient": gradient, "divergence": divergence,
+                       "inverse_laplacian_divergence": inverse_laplacian_divergence}
 
 
 def library_operators(grid):
@@ -252,8 +256,18 @@ class TestTransformPasses:
             ref, ref_real_in = nd_forward(g, values)
             assert real_in == ref_real_in == (not complex_field)
             assert_same_bytes(spec, ref, "forward")
-            assert_same_bytes(_inverse(g, spec, real_in), nd_inverse(g, ref, real_in), "inverse")
+            out = np.empty_like(spec)
+            assert _forward(g, values, out=out)[0] is out
+            assert_same_bytes(out, ref, "forward into out")
+            inv = nd_inverse(g, ref, real_in)
+            out = np.empty_like(inv)
+            assert _inverse(g, spec.copy(), real_in, out=out) is out
+            assert_same_bytes(out, inv, "inverse into out")
+            assert_same_bytes(_inverse(g, spec, real_in), inv, "inverse")
         assert_same_bytes(f, kept, "forward wrote to its input")
+        if complex_field:  # a complex spectrum may overwrite its own input
+            spec, _ = _forward(g, kept, out=kept)
+            assert_same_bytes(spec, nd_forward(g, f)[0], "forward in place")
 
     @pytest.mark.parametrize("dim,n", GRIDS_BITWISE)
     @pytest.mark.parametrize("lead", [(), (3,), (2, 2)])
@@ -270,6 +284,16 @@ class TestTransformPasses:
             assert_same_bytes(op(values), ref, name)
             assert_same_bytes(values, kept, f"{name} wrote to its input")
             assert_same_bytes(op(read_only_strided(values)), ref, f"{name}, strided input")
+        work = Workspace()
+        for name, op in WORKSPACE_OPERATORS.items():
+            values = vec if name in VECTOR_INPUT else f
+            ref = literal[name](values.copy())
+            for _ in range(2):  # the second pass runs in the sized buffer
+                with work.scope():
+                    assert_same_bytes(op(g, values, work=work), ref, f"{name}, in work")
+                    out = np.empty_like(ref)
+                    assert op(g, values, out=out, work=work) is out
+                    assert_same_bytes(out, ref, f"{name}, into out")
 
     def test_every_transform_site_gives_the_nd_bytes(self, monkeypatch):
         """The Duhamel sweep, the ball-norm screen, the semigroup and the
@@ -287,7 +311,8 @@ class TestTransformPasses:
             monkeypatch.setattr(morrey, "_rank_cache", {})
             tables = morrey._tables(ball_lattice(g))
             raw = initial_data.rough_raw_field(g, 0.3, (0.0, 0.0, 1.0), seed=3)
-            return [*cgl._duhamel_trajectory(g, times, u_old, 0.5, 3, params),
+            return [*cgl._duhamel_trajectory(g, times, u_old, 0.5, 3,
+                                             cgl._multiplier_cache(params), Workspace()),
                     *morrey._screen(tables, np.abs(u_old[1][0]) ** 3.2), tables["spectra"],
                     morrey_norm(g, u_old[2], 3.2, 2.0).value,
                     apply_semigroup(u_old[3], 0.01, params),
