@@ -107,7 +107,7 @@ def _beta(delta1: float, delta2: float) -> float:
             / math.gamma(2.0 - delta1 - delta2))
 
 
-def exponent_window_check(p: float, compute_beta: bool = True) -> ExponentWindowReport:
+def exponent_window_check(p: float) -> ExponentWindowReport:
     """Evaluate every (delta1, delta2) pair of the three nonlinearity estimates.
 
     cubic:     sources scale like s^(-3(1/2 - 1/p)), kernels t^(-2/p), t^(-3/p),
@@ -116,8 +116,8 @@ def exponent_window_check(p: float, compute_beta: bool = True) -> ExponentWindow
     quintic:   sources s^(-5(1/2 - 1/p)), kernels t^(-(4-p)/p), t^(-(5-p)/p),
                t^(-(5/p - 3/2)).
 
-    Valid overall iff every pair has both exponents < 1.  With
-    ``compute_beta`` each valid pair carries its time-convolution constant
+    Valid overall iff every pair has both exponents < 1.  Each valid pair
+    carries its time-convolution constant
     B[delta1, delta2] = Gamma(1 - delta1) Gamma(1 - delta2) / Gamma(2 - delta1 - delta2).
     """
     if p <= 2:
@@ -140,7 +140,7 @@ def exponent_window_check(p: float, compute_beta: bool = True) -> ExponentWindow
     first_failing = None
     for label, d1, d2 in raw:
         valid = d1 < 1.0 and d2 < 1.0
-        beta = _beta(d1, d2) if (valid and compute_beta) else None
+        beta = _beta(d1, d2) if valid else None
         pair = BetaPair(label=label, delta1=d1, delta2=d2, valid=valid, beta_value=beta)
         pairs.append(pair)
         if not valid and first_failing is None:
@@ -177,7 +177,7 @@ class CglConfig:
             raise ValueError("picard_max_iter must be >= 1")
         if not self.smallness >= 0:  # inf is allowed: never warn
             raise ValueError(f"smallness must be >= 0, got {self.smallness}")
-        report = exponent_window_check(self.p, compute_beta=False)
+        report = exponent_window_check(self.p)
         if not report.valid:
             bad = report.first_failing
             raise ValueError(
@@ -271,13 +271,6 @@ class PicardResult:
     iterations: int
     initial_norm: float
     iteration_log: list = field(default_factory=list)
-
-    def csv_rows(self):
-        yield "iter,increment,xpt_R1,xpt_R2,xpt_R3"
-        for entry in self.iteration_log:
-            yield (f"{entry['iter']},{entry['increment']!r},"
-                   f"{entry.get('xpt_r1', '')!r},{entry.get('xpt_r2', '')!r},"
-                   f"{entry.get('xpt_r3', '')!r}")
 
 
 def _multiplier_cache(params: SemigroupParams):

@@ -7,8 +7,9 @@
     llglab llg run --lambda 1.0 --T 0.5 --dt 1e-4 --scheme projected-rk2
                    --out-dir DIR --snapshot-every 4 ...
 
-All CSV output uses '.' decimals, ',' separators, a header row, and LF line
-endings; snapshots use the LLGF binary format (see fields.save_snapshot).
+All CSV output goes through runner's writers: '.' decimals, ',' separators, a
+header row, and LF line endings; snapshots use the LLGF binary format (see
+fields.save_snapshot).
 """
 
 from __future__ import annotations
@@ -24,7 +25,8 @@ from .config import ConfigError
 from .fields import as_complex_components, float_repr, load_snapshot, make_grid, save_snapshot
 from .initial_data import KINDS, InitialDataSpec, generate_initial_data
 from .llg import SCHEMES, LlgConfig, solve, stability_cap
-from .runner import _write_rows, run_experiment
+from .runner import (_write_csv, _write_decay_series, _write_ledger, _write_picard_log,
+                     run_experiment)
 from .semigroup import DECAY_C_MAX, DECAY_GRID, DECAY_NUM_T, decay_datum, verify_decay
 
 
@@ -106,7 +108,7 @@ def _cmd_verify_semigroup(args) -> int:
         return 2
     tag = f"p{args.p:g}_pt{args.p_tilde:g}_q{args.q:g}" + ("_grad" if args.gradient else "")
     path = Path(args.out) / f"decay_{tag}.csv"
-    _write_rows(path, rep.csv_rows())
+    _write_decay_series(path, rep)
     print(f"[{'PASS' if rep.passed else 'FAIL'}] max_ratio={rep.max_ratio:.4g} -> {path}")
     return 0 if rep.passed else 1
 
@@ -129,10 +131,8 @@ def _cmd_cgl_solve(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     out = Path(args.out)
-    _write_rows(out / "iterations.csv", result.csv_rows())
-    times = result.trajectory.times
-    _write_rows(out / "times.csv",
-                ["index,t"] + [f"{i},{float_repr(t)}" for i, t in enumerate(times)])
+    _write_picard_log(out / "iterations.csv", result)
+    _write_csv(out / "times.csv", "index,t", enumerate(result.trajectory.times))
     for i, u in enumerate(result.trajectory.fields):
         save_snapshot(out / f"u_{i:04d}.llgf", grid, u)
     print(f"converged={result.converged} iterations={result.iterations} "
@@ -161,7 +161,7 @@ def _cmd_llg_run(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     out = Path(args.out_dir)
-    _write_rows(out / "ledger.csv", result.ledger.csv_rows())
+    _write_ledger(out / "ledger.csv", result.ledger)
     if args.snapshot_every > 0:
         for i, mv in enumerate(result.trajectory.fields):
             if i % args.snapshot_every == 0:

@@ -23,7 +23,6 @@ from .fields import (
     Grid,
     SpinField,
     Trajectory,
-    float_repr,
     gradient,
     l2_norm,
     pointwise_magnitude,
@@ -188,11 +187,6 @@ class DecayTable:
     first_order: np.ndarray   # t^(1/2) * sup |grad m|
     second_order: np.ndarray  # t * sup |grad^2 m|
     passed: bool
-
-    def csv_rows(self):
-        yield "t,comp_grad1,comp_grad2"
-        for t, a, b in zip(self.times, self.first_order, self.second_order):
-            yield f"{float_repr(t)},{float_repr(a)},{float_repr(b)}"
 
 
 def decay_report(grid: Grid, traj: Trajectory) -> DecayTable:

@@ -25,8 +25,9 @@ right-hand side of a ``(dim, *batch, *grid)`` stack in the same call.
 A computation repeated many times on one grid, such as the nodes of a
 mild solve, runs in a ``Workspace``: ``gradient``, ``divergence`` and
 ``inverse_laplacian_divergence`` given ``work=`` take their spectra from
-it and write their result to ``out=`` or, without it, into ``work`` too,
-so that after the first pass no call allocates an array.
+it and write a complex result into ``work`` too
+(``inverse_laplacian_divergence`` writes to ``out=`` when given one), so
+that after the first pass no call allocates an array.
 """
 
 from __future__ import annotations
@@ -315,14 +316,12 @@ def derivative(grid: Grid, values: np.ndarray, axis: int, order: int = 1) -> np.
     return _apply_multiplier(grid, values, mult)
 
 
-def gradient(grid: Grid, values: np.ndarray, *, out: np.ndarray | None = None,
-             work: Workspace | None = None) -> np.ndarray:
+def gradient(grid: Grid, values: np.ndarray, *, work: Workspace | None = None) -> np.ndarray:
     """Stack of first derivatives; output shape (dim, *values.shape).
 
     One forward transform, one inverse of the whole stack; bitwise equal to
-    stacking ``derivative(grid, values, ax, 1)`` over the axes.  The result
-    is written to ``out`` when given; with ``work`` the spectra come from it,
-    and so does a complex result without ``out``.
+    stacking ``derivative(grid, values, ax, 1)`` over the axes.  With
+    ``work`` the spectra come from it, and so does a complex result.
     """
     work = Workspace() if work is None else work
     values = np.asarray(values)
@@ -331,7 +330,7 @@ def gradient(grid: Grid, values: np.ndarray, *, out: np.ndarray | None = None,
     stack = work.take((grid.dim,) + spec.shape, np.result_type(spec, *mults))
     for ax, m in enumerate(mults):
         np.multiply(spec, m, out=stack[ax])
-    return _inverse(grid, stack, real_in, out=out)
+    return _inverse(grid, stack, real_in)
 
 
 def laplacian(grid: Grid, values: np.ndarray) -> np.ndarray:
@@ -356,14 +355,13 @@ def _divergence_spectrum(grid: Grid, vec: np.ndarray, work: Workspace):
     return div_hat, real_in
 
 
-def divergence(grid: Grid, vec: np.ndarray, *, out: np.ndarray | None = None,
-               work: Workspace | None = None) -> np.ndarray:
+def divergence(grid: Grid, vec: np.ndarray, *, work: Workspace | None = None) -> np.ndarray:
     """Divergence of a stack of components laid out along axis 0.
 
-    ``out`` and ``work`` as for ``gradient``.
+    ``work`` as for ``gradient``.
     """
     div_hat, real_in = _divergence_spectrum(grid, vec, Workspace() if work is None else work)
-    return _inverse(grid, div_hat, real_in, out=out)
+    return _inverse(grid, div_hat, real_in)
 
 
 def inverse_laplacian_divergence(grid: Grid, vec: np.ndarray, *,
@@ -379,7 +377,9 @@ def inverse_laplacian_divergence(grid: Grid, vec: np.ndarray, *,
     ``vec`` has shape ``(dim, *batch, *grid.shape)``: axis 0 holds the
     components and every axis between it and the grid axes indexes
     right-hand sides, all solved in one transform pair; phi has shape
-    ``(*batch, *grid.shape)``.  ``out`` and ``work`` as for ``gradient``.
+    ``(*batch, *grid.shape)``.  The result is written to ``out`` when
+    given; ``work`` as for ``gradient``, and a complex result without
+    ``out`` comes from it too.
     """
     div_hat, real_in = _divergence_spectrum(grid, vec, Workspace() if work is None else work)
     div_hat *= _layout(grid, grid.inv_k_squared_odd, real_in)

@@ -224,13 +224,6 @@ class IdentityResiduals:
     tension: float
     div_a: float
 
-    def csv_header(self) -> str:
-        return "torsion,curvature,u0_eq,tension"
-
-    def csv_row(self) -> str:
-        return (f"{self.torsion!r},{self.curvature!r},{self.u0_equation!r},"
-                f"{self.tension!r}")
-
 
 def check_identities(grid: Grid, m: SpinField, dt_m: np.ndarray,
                      frame: TangentFrame, state: GaugeState, lam: float) -> IdentityResiduals:

@@ -175,12 +175,6 @@ class EnergyLedger:
     sup_grad: np.ndarray
     morrey22: np.ndarray
 
-    def csv_rows(self):
-        yield "t,E,dissipation,sup_grad,morrey22"
-        for row in zip(self.times, self.energy, self.dissipation,
-                       self.sup_grad, self.morrey22):
-            yield ",".join(repr(float(v)) for v in row)
-
 
 @dataclass
 class LlgResult:

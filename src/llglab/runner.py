@@ -1,5 +1,9 @@
 """Experiment orchestration: run the checks a config declares, write CSVs.
 
+This module owns the CSV format and every file's header: the solvers and
+reports return values, and ``_write_csv`` formats every file, the command
+line's included.
+
 The checks of one run share its datum m0, the gauge datum v0, the direct runs
 (one per distinct config and output times, so ``energy`` and ``cross_solver``
 share one when they ask for the same run) and the mild solve, each made when a
@@ -84,15 +88,45 @@ class _Run:
                               track_xpt="picard" in self.cfg.checks)
 
 
-def _write_rows(path: Path, rows) -> None:
+def _cell(value) -> str:
+    if value is None:
+        return ""
+    return float_repr(value) if isinstance(value, float) else str(value)
+
+
+def _write_csv(path: Path, header: str, rows) -> None:
+    """Write ``header`` and one LF-ended line per row of values.
+
+    A float (numpy's float64 included) is written as ``float_repr``, None as
+    an empty cell, anything else as ``str``.
+    """
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="\n") as fh:
+        fh.write(header + "\n")
         for row in rows:
-            fh.write(row + "\n")
+            fh.write(",".join(map(_cell, row)) + "\n")
+
+
+def _write_ledger(path: Path, ledger) -> None:
+    _write_csv(path, "t,E,dissipation,sup_grad,morrey22",
+               zip(ledger.times, ledger.energy, ledger.dissipation, ledger.sup_grad,
+                   ledger.morrey22))
+
+
+def _write_picard_log(path: Path, result) -> None:
+    """One row per sweep; the xpt cells are empty for an untracked solve."""
+    _write_csv(path, "iter,increment,xpt_R1,xpt_R2,xpt_R3",
+               ((e["iter"], e["increment"], e.get("xpt_r1"), e.get("xpt_r2"), e.get("xpt_r3"))
+                for e in result.iteration_log))
+
+
+def _write_decay_series(path: Path, rep) -> None:
+    _write_csv(path, "t,norm,compensated_ratio",
+               zip(rep.t_samples, rep.norms, rep.ratio_series))
 
 
 def _check_energy(run: _Run, outdir: Path) -> CheckOutcome:
-    _write_rows(outdir / "energy_ledger.csv", run.direct.ledger.csv_rows())
+    _write_ledger(outdir / "energy_ledger.csv", run.direct.ledger)
     check = check_energy_inequality(run.direct.ledger, run.cfg.llg.lam)
     status = "PASS" if check.passed else "FAIL"
     return CheckOutcome("energy", status,
@@ -105,7 +139,8 @@ def _check_identities(run: _Run, outdir: Path) -> CheckOutcome:
     dt_m = llg_rhs(grid, m0.values, lam)
     state = coulomb_gauge_fix(grid, derive_gauge(grid, m0, dt_m, frame))
     res = check_identities(grid, m0, dt_m, frame, state, lam)
-    _write_rows(outdir / "identity_residuals.csv", [res.csv_header(), res.csv_row()])
+    _write_csv(outdir / "identity_residuals.csv", "torsion,curvature,u0_eq,tension",
+               [(res.torsion, res.curvature, res.u0_equation, res.tension)])
     ok = (res.torsion <= 1e-8 and res.curvature <= 1e-8 and res.tension <= 1e-8
           and res.u0_equation <= 1e-8 and res.div_a <= 1e-10)
     return CheckOutcome("identities", "PASS" if ok else "FAIL",
@@ -122,7 +157,7 @@ def _check_semigroup_decay(run: _Run, outdir: Path) -> CheckOutcome:
     for p, pt, grad in cases:
         rep = verify_decay(bump, p, pt, 2.0, times, params, gradient_norm=grad)
         tag = f"p{p:g}_pt{pt:g}" + ("_grad" if grad else "")
-        _write_rows(outdir / f"decay_{tag}.csv", rep.csv_rows())
+        _write_decay_series(outdir / f"decay_{tag}.csv", rep)
         all_pass &= rep.passed
         details.append(f"{tag}:max={rep.max_ratio:.3g}")
     return CheckOutcome("semigroup_decay", "PASS" if all_pass else "FAIL",
@@ -130,19 +165,15 @@ def _check_semigroup_decay(run: _Run, outdir: Path) -> CheckOutcome:
 
 
 def _check_exponent_window(run: _Run, outdir: Path) -> CheckOutcome:
-    ps = np.linspace(2.5, 4.0, 200)
-    rows = ["p,valid,first_failing,delta1,delta2"]
+    rows = []
     ok = True
-    for p in ps:
-        rep = exponent_window_check(float(p), compute_beta=False)
-        expected = 3.0 < p < 10.0 / 3.0
-        ok &= rep.valid == expected
+    for p in np.linspace(2.5, 4.0, 200):
+        rep = exponent_window_check(float(p))
+        ok &= rep.valid == (3.0 < p < 10.0 / 3.0)
         bad = rep.first_failing
-        if bad is None:
-            rows.append(f"{float(p)!r},1,,,")
-        else:
-            rows.append(f"{float(p)!r},0,{bad.label},{bad.delta1!r},{bad.delta2!r}")
-    _write_rows(outdir / "exponent_window.csv", rows)
+        rows.append((p, 1, None, None, None) if bad is None
+                    else (p, 0, bad.label, bad.delta1, bad.delta2))
+    _write_csv(outdir / "exponent_window.csv", "p,valid,first_failing,delta1,delta2", rows)
     return CheckOutcome("exponent_window", "PASS" if ok else "FAIL",
                         "window matches (3, 10/3) on the scan")
 
@@ -152,7 +183,7 @@ def _check_picard(run: _Run, outdir: Path) -> CheckOutcome:
         result = run.mild
     except NonContraction as exc:
         return CheckOutcome("picard", "FAIL", f"non-contraction: {exc}")
-    _write_rows(outdir / "picard_iterations.csv", result.csv_rows())
+    _write_picard_log(outdir / "picard_iterations.csv", result)
     resid = fixed_point_residual(run.grid, result, run.v0, run.cfg.cgl)
     ok = result.converged and resid <= 10.0 * run.cfg.cgl.picard_tol
     return CheckOutcome("picard", "PASS" if ok else "FAIL",
@@ -161,17 +192,17 @@ def _check_picard(run: _Run, outdir: Path) -> CheckOutcome:
 
 def _check_mollify(run: _Run, outdir: Path) -> CheckOutcome:
     spec = run.cfg.initial_data
-    rows = ["k,min_modulus,max_modulus,grad_raw,grad_smoothed,amplification"]
+    rows = []
     ok = True
     raw = rough_raw_field(run.grid, spec.amplitude, spec.m_infinity, run.cfg.effective_seed)
     for k in (2.0, 4.0, 8.0):
         projected, rep = mollify_and_project(run.grid, raw, k)
         ok &= rep.min_modulus >= 0.75 and rep.max_modulus <= 1.0 + 1e-12
         ok &= rep.amplification <= 8.0
-        rows.append(f"{k!r},{rep.min_modulus!r},{rep.max_modulus!r},"
-                    f"{rep.grad_norm_raw!r},{rep.grad_norm_smoothed!r},"
-                    f"{rep.amplification!r}")
-    _write_rows(outdir / "mollify.csv", rows)
+        rows.append((k, rep.min_modulus, rep.max_modulus, rep.grad_norm_raw,
+                     rep.grad_norm_smoothed, rep.amplification))
+    _write_csv(outdir / "mollify.csv",
+               "k,min_modulus,max_modulus,grad_raw,grad_smoothed,amplification", rows)
     return CheckOutcome("mollify", "PASS" if ok else "FAIL",
                         "modulus in [3/4, 1] and amplification <= 8")
 
@@ -180,9 +211,8 @@ def _check_cross_solver(run: _Run, outdir: Path) -> CheckOutcome:
     llg_cfg = direct_config(run.grid, run.cfg.cgl.lam, run.cfg.cgl.t_end)
     times = run.mild.trajectory.times
     rep = compare_with_mild(run.grid, run.mild, run.direct_run(llg_cfg, times))
-    rows = ["t,rel_discrepancy"]
-    rows += [f"{float_repr(t)},{float_repr(d)}" for t, d in zip(rep.times, rep.discrepancies)]
-    _write_rows(outdir / "cross_solver.csv", rows)
+    _write_csv(outdir / "cross_solver.csv", "t,rel_discrepancy",
+               zip(rep.times, rep.discrepancies))
     ok = rep.sup_discrepancy <= 1e-3
     return CheckOutcome("cross_solver", "PASS" if ok else "FAIL",
                         f"sup_discrepancy={rep.sup_discrepancy:.3e}")
@@ -192,17 +222,16 @@ def _check_uniqueness(run: _Run, outdir: Path) -> CheckOutcome:
     llg = run.cfg.llg
     rep = uniqueness_experiment(run.grid, run.m0, llg.lam, llg.t_end,
                                 dt=llg.dt, n_outputs=run.cfg.llg_outputs)
-    rows = ["t,difference,compensated"]
-    rows += [f"{float_repr(t)},{float_repr(d)},{float_repr(c)}"
-             for t, d, c in zip(rep.times, rep.differences, rep.compensated)]
-    _write_rows(outdir / "uniqueness.csv", rows)
+    _write_csv(outdir / "uniqueness.csv", "t,difference,compensated",
+               zip(rep.times, rep.differences, rep.compensated))
     return CheckOutcome("uniqueness", rep.status,
                         f"transient_steps={rep.transient_steps} exact_zero={rep.exact_zero}")
 
 
 def _check_solution_decay(run: _Run, outdir: Path) -> CheckOutcome:
     table = decay_report(run.grid, run.direct.trajectory)
-    _write_rows(outdir / "solution_decay.csv", table.csv_rows())
+    _write_csv(outdir / "solution_decay.csv", "t,comp_grad1,comp_grad2",
+               zip(table.times, table.first_order, table.second_order))
     return CheckOutcome("solution_decay", "PASS" if table.passed else "FAIL",
                         f"max_comp1={float_repr(table.first_order.max())}")
 
@@ -214,9 +243,7 @@ def _check_stability(run: _Run, outdir: Path) -> CheckOutcome:
     pert[0] = 1e-3 * np.exp(2j * 2.0 * np.pi * x / grid.length)
     rep = stability_experiment(grid, v0_a, v0_a + pert, run.cfg.cgl, halvings=3,
                                base=run.mild)
-    rows = ["delta,ratio"]
-    rows += [f"{float_repr(d)},{float_repr(r)}" for d, r in zip(rep.deltas, rep.ratios)]
-    _write_rows(outdir / "stability.csv", rows)
+    _write_csv(outdir / "stability.csv", "delta,ratio", zip(rep.deltas, rep.ratios))
     ok = (not rep.exact_zero) and rep.spread <= 0.25
     return CheckOutcome("stability", "PASS" if ok else "FAIL",
                         f"spread={rep.spread:.3f}")
@@ -256,10 +283,9 @@ def run_config(cfg: LabConfig, out_dir=None, jobs: int = 1):
 
     outcomes = [run_one(name) for name in cfg.checks]
 
-    rows = ["check,status,detail"]
-    rows += [f"{o.name},{o.status},\"{o.detail}\"" for o in outcomes]
     summary = outdir / "summary.csv"
-    _write_rows(summary, rows)
+    _write_csv(summary, "check,status,detail",
+               [(o.name, o.status, f'"{o.detail}"') for o in outcomes])
     return outcomes, summary
 
 

@@ -13,8 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import (Grid, _forward, _inverse, float_repr, gradient, make_grid,
-                     require_finite_positive)
+from .fields import Grid, _forward, _inverse, gradient, make_grid, require_finite_positive
 from .initial_data import spectral_bump
 from .morrey import morrey_norm
 
@@ -100,11 +99,6 @@ class DecayReport:
     c_max: float
     trend_ok: bool
     passed: bool
-
-    def csv_rows(self):
-        yield "t,norm,compensated_ratio"
-        for t, n, r in zip(self.t_samples, self.norms, self.ratio_series):
-            yield f"{float_repr(t)},{float_repr(n)},{float_repr(r)}"
 
 
 def default_decay_times(grid: Grid, lam: float, num: int = DECAY_NUM_T) -> np.ndarray:

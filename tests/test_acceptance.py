@@ -135,14 +135,14 @@ def test_c04_identity_suite():
 def test_c05_exponent_windows():
     with _Timer(5, "validity window is exactly (3, 10/3)", 1.0):
         for p in np.linspace(2.5, 4.0, 200):
-            rep = L.exponent_window_check(float(p), compute_beta=False)
+            rep = L.exponent_window_check(float(p))
             assert rep.valid == (3.0 < p < 10.0 / 3.0), p
-        left = L.exponent_window_check(3.0, compute_beta=False)
+        left = L.exponent_window_check(3.0)
         assert not left.valid
         assert left.first_failing.label == "cubic_r2"
         assert left.first_failing.delta1 == pytest.approx(1.0)
         assert left.first_failing.delta2 == pytest.approx(0.5)
-        right = L.exponent_window_check(10.0 / 3.0, compute_beta=False)
+        right = L.exponent_window_check(10.0 / 3.0)
         assert not right.valid
         assert right.first_failing.label == "quintic_r1"
         assert right.first_failing.delta2 == pytest.approx(1.0)

@@ -15,11 +15,11 @@ from llglab.experiments import (
     mild_initial_data,
     uniqueness_experiment,
 )
-from llglab.fields import SpinField, make_grid
+from llglab.fields import SpinField, float_repr, make_grid
 from llglab.frames import build_frame, coulomb_gauge_fix, derive_gauge
 from llglab.initial_data import InitialDataSpec, generate_initial_data
 from llglab.llg import LlgConfig, llg_rhs, solve, stability_cap
-from llglab.runner import run_config, run_experiment
+from llglab.runner import _write_csv, _write_picard_log, run_config, run_experiment
 
 TWO_PI = 2.0 * np.pi
 
@@ -396,3 +396,29 @@ class TestRunner:
         with pytest.raises(ConfigError, match="LLGLAB_SEED"):
             run_config(cfg)
         assert not (tmp_path / "out").exists()
+
+
+class TestCsvWriter:
+    def test_cell_rules(self, tmp_path):
+        path = tmp_path / "sub" / "cells.csv"
+        x = np.float64(0.1) + np.float64(0.2)
+        _write_csv(path, "a,b,c,d,e", [(x, None, 3, 2.5, "cubic_r2"),
+                                       (np.int64(7), -0.0, None, 1e-300, '"q"')])
+        assert path.read_bytes() == (f"a,b,c,d,e\n{float_repr(x)},,3,2.5,cubic_r2\n"
+                                     '7,-0.0,,1e-300,"q"\n').encode()
+        assert float_repr(x) == "0.30000000000000004"
+
+    def test_untracked_picard_log_has_empty_xpt_cells(self, tmp_path):
+        g = make_grid(2, 16, TWO_PI)
+        x, y = g.coordinates()
+        v0 = 0.05 * np.stack([np.exp(1j * x), 1j * np.exp(1j * (x + y))])
+        cfg = CglConfig(lam=1.0, t_end=0.05, time_steps=2, duhamel_substeps=2,
+                        smallness=np.inf)
+        result = picard_iterate(g, v0, cfg, track_xpt=False)
+        path = tmp_path / "log.csv"
+        _write_picard_log(path, result)
+        header, *rows = path.read_text().splitlines()
+        assert header == "iter,increment,xpt_R1,xpt_R2,xpt_R3"
+        assert len(rows) == result.iterations >= 2
+        for entry, row in zip(result.iteration_log, rows):
+            assert row == f"{entry['iter']},{float_repr(entry['increment'])},,,"

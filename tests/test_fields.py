@@ -203,9 +203,10 @@ class TestBatchedSpectral:
 # dims 1/2/3 at the sizes the lab runs: the 1-D tests, the bench, 3-D runs
 GRIDS_BITWISE = [(1, 32), (2, 64), (3, 16)]
 VECTOR_INPUT = {"divergence", "inverse_laplacian_divergence"}
-# the operators that take ``out=`` and ``work=``
+# the operators that take ``work=``; of them, only the last takes ``out=``
 WORKSPACE_OPERATORS = {"gradient": gradient, "divergence": divergence,
                        "inverse_laplacian_divergence": inverse_laplacian_divergence}
+OUT_OPERATORS = {"inverse_laplacian_divergence"}
 
 
 def library_operators(grid):
@@ -291,9 +292,10 @@ class TestTransformPasses:
             for _ in range(2):  # the second pass runs in the sized buffer
                 with work.scope():
                     assert_same_bytes(op(g, values, work=work), ref, f"{name}, in work")
-                    out = np.empty_like(ref)
-                    assert op(g, values, out=out, work=work) is out
-                    assert_same_bytes(out, ref, f"{name}, into out")
+                    if name in OUT_OPERATORS:
+                        out = np.empty_like(ref)
+                        assert op(g, values, out=out, work=work) is out
+                        assert_same_bytes(out, ref, f"{name}, into out")
 
     def test_every_transform_site_gives_the_nd_bytes(self, monkeypatch):
         """The Duhamel sweep, the ball-norm screen, the semigroup and the

@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from llglab.fields import gradient, l2_norm, make_grid
+from llglab.fields import float_repr, gradient, l2_norm, make_grid
 from llglab.initial_data import spectral_bump
+from llglab.runner import _write_decay_series
 from llglab.semigroup import (
     SemigroupParams,
     apply_grad_semigroup,
@@ -146,14 +147,18 @@ class TestVerifyDecay:
         with pytest.raises(ValueError):
             verify_decay(f, 2.0, 8.0, 2.0, np.logspace(-3, -1, 5), params)
 
-    def test_csv_rows(self):
+    def test_csv_rows(self, tmp_path):
         grid = make_grid(2, 32, TWO_PI)
         params = SemigroupParams(lam=1.0, grid=grid)
         bump = spectral_bump(grid, width=0.5).astype(complex)
         rep = verify_decay(bump, 2.0, 2.0, 2.0, default_decay_times(grid, 1.0), params)
-        rows = list(rep.csv_rows())
+        path = tmp_path / "decay.csv"
+        _write_decay_series(path, rep)
+        rows = path.read_text().splitlines()
         assert rows[0] == "t,norm,compensated_ratio"
         assert len(rows) == len(rep.t_samples) + 1
+        assert rows[1] == ",".join(map(float_repr, (rep.t_samples[0], rep.norms[0],
+                                                    rep.ratio_series[0])))
 
 
 class TestDuhamel:
