@@ -39,6 +39,7 @@ from .semigroup import (
     apply_semigroup,
     default_decay_times,
     verify_decay,
+    verify_decays,
 )
 from .frames import (
     GaugeState,

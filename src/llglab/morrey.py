@@ -42,9 +42,13 @@ plain loop over ``|f|**p [ball mask].sum()`` returns:
   the same sequence, and the same pairwise summation, as ``magp[mask].sum()``.
 * Winner.  The scalar expression and a strict ``>`` in center-major,
   radius-minor order pick the winner among the shortlist, which keeps the
-  value, the witness and the first-wins tie-breaking.  Every ball that ties
-  the winner bitwise is shortlisted; ``MorreyReport.exact_sums`` counts the
-  shortlist.
+  value, the witness and the first-wins tie-breaking.  The weights
+  ``r**(q - n)`` are computed once per call.  Float64 sums are scanned as
+  Python floats, which makes the same IEEE products and the same C ``pow``
+  as numpy's float64 scalars without boxing one per ball; sums of any other
+  dtype stay numpy scalars, so a float32 field's expression runs in float32.
+  Every ball that ties the winner bitwise is shortlisted;
+  ``MorreyReport.exact_sums`` counts the shortlist.
 
 Cost of one call with the tables cached: an FFT of one field and an inverse
 FFT of one field per radius, then ``N**dim`` byte comparisons and a
@@ -237,6 +241,7 @@ def _exact_sums(tables: dict, flat: np.ndarray, shortlist: np.ndarray) -> np.nda
     sums = np.empty((lattice.n_centers, n_radii), dtype=flat.dtype)
     rows, cols = np.divmod(shortlist, n_radii)
     step = max(1, _CHUNK_ELEMS // flat.size)
+    src = np.broadcast_to(flat, (step, flat.size))
     for j in sorted(set(cols.tolist())):
         need = rows[cols == j]
         for lo in range(0, len(need), step):
@@ -245,8 +250,7 @@ def _exact_sums(tables: dict, flat: np.ndarray, shortlist: np.ndarray) -> np.nda
                 block = tables["table"][sel]
             else:
                 block = _rank_rows(lattice.grid, tables["rank0"], tables["centers"][sel])
-            src = np.broadcast_to(flat, block.shape)
-            sums[sel, j] = src[block <= j].reshape(len(block), -1).sum(axis=1)
+            sums[sel, j] = src[:len(block)][block <= j].reshape(len(block), -1).sum(axis=1)
     return sums
 
 
@@ -275,17 +279,23 @@ def morrey_norm(grid: Grid, values: np.ndarray, p: float, q: float,
     # a ball that can reach the best lower bound, or any ball when a bound is NaN
     shortlist = np.flatnonzero(~(upper < lower.max() * (1.0 - rtol)))
     sums = _exact_sums(tables, magp.ravel(), shortlist)
+    rows, cols = np.divmod(shortlist, len(lattice.radii))
+    exact = sums[rows, cols]
+    # float64 sums are scanned as Python floats (the same IEEE products and C
+    # pow as numpy's scalars); other dtypes stay numpy scalars, so a float32
+    # sum keeps the expression in float32
+    if exact.dtype == np.float64:
+        exact = exact.tolist()
+    weight = weights.tolist()
     best_val = -1.0
     best_center = lattice.centers[0]
     best_radius = lattice.radii[0]
-    for flat_index in shortlist:
-        i, j = divmod(int(flat_index), len(lattice.radii))
-        r = lattice.radii[j]
-        val = (r ** (q - ndim) * (sums[i, j] * hn)) ** (1.0 / p)
+    for i, j, s in zip(rows.tolist(), cols.tolist(), exact):
+        val = (weight[j] * (s * hn)) ** (1.0 / p)
         if val > best_val:
             best_val = val
             best_center = lattice.centers[i]
-            best_radius = r
+            best_radius = lattice.radii[j]
     return MorreyReport(
         value=float(best_val),
         p=float(p),

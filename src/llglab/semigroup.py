@@ -4,7 +4,12 @@ S(t) solves d_t v = (lambda - i) * laplacian(v); each Fourier coefficient is
 multiplied by exp((i - lambda) |xi|^2 t).  The damping lambda > 0 makes the
 multiplier magnitude exp(-lambda |xi|^2 t) <= 1, so S(t) is non-expansive and
 smoothing.  This module also provides a one-sided numerical check of the
-norm-decay power laws and the canonical datum it is run on.
+norm-decay power laws and the canonical datum it is run on.  ``verify_decays``
+checks several laws of one datum together: it computes the base norm once
+and S(t)f (and its gradient, when a law measures it) once per sample time,
+then measures every law on that state, so the runner's four laws cost 13
+applications of S(t) and 53 ball norms, not 52 and 56.  ``verify_decay`` is
+its one-law call.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ __all__ = [
     "apply_grad_semigroup",
     "DecayReport",
     "verify_decay",
+    "verify_decays",
     "default_decay_times",
     "DECAY_GRID",
     "DECAY_NUM_T",
@@ -118,10 +124,16 @@ def decay_datum(lam: float, grid: Grid | None = None, num: int = DECAY_NUM_T):
     return params, bump, default_decay_times(grid, lam, num)
 
 
-def verify_decay(values: np.ndarray, p: float, p_tilde: float, q: float,
-                 t_list: np.ndarray, params: SemigroupParams,
-                 gradient_norm: bool = False, c_max: float = DECAY_C_MAX) -> DecayReport:
-    """One-sided numerical check of a semigroup decay estimate.
+def verify_decays(values: np.ndarray, p: float, cases, q: float, t_list: np.ndarray,
+                  params: SemigroupParams, c_max: float = DECAY_C_MAX) -> list[DecayReport]:
+    """One-sided numerical checks of several decay estimates of one datum.
+
+    ``cases`` is a sequence of ``(p_tilde, gradient_norm)`` pairs, one report
+    each, in order.  Every case and the sample times are checked before any
+    norm is computed, and the base norm is computed once.  At each sample
+    time S(t)f is computed once and measured for every plain case, then
+    replaced by its gradient (only if a case needs it) for every gradient
+    case, and dropped before the next time.
 
     The hidden constants of the continuum estimates are not reproducible, so
     only boundedness of the compensated ratio is tested, never slope equality.
@@ -129,35 +141,56 @@ def verify_decay(values: np.ndarray, p: float, p_tilde: float, q: float,
     require_finite_positive("c_max", c_max)
     grid = params.grid
     n = grid.dim
-    if not (p <= p_tilde <= p * (n + 1)):
-        raise ValueError(f"need p <= p_tilde <= p(n+1), got ({p}, {p_tilde})")
+    if len(cases) == 0:
+        raise ValueError("need at least one (p_tilde, gradient_norm) case")
+    for p_tilde, _ in cases:
+        if not (p <= p_tilde <= p * (n + 1)):
+            raise ValueError(f"need p <= p_tilde <= p(n+1), got ({p}, {p_tilde})")
     t_list = np.asarray(t_list, dtype=float)
-    if t_list.ndim != 1 or len(t_list) < 2 or np.any(t_list <= 0):
-        raise ValueError("t_list must be positive with at least two entries")
+    if t_list.ndim != 1 or len(t_list) < 2:
+        raise ValueError("t_list must be one-dimensional with at least two entries")
+    if not (np.all(np.isfinite(t_list)) and np.all(t_list > 0)):
+        raise ValueError(f"t_list must be finite and positive, got {t_list}")
     t_list = np.sort(t_list)
     if t_list[-1] / t_list[0] < 100.0 * (1.0 - 1e-9):
         raise ValueError("t_list must span at least two decades")
     base = morrey_norm(grid, values, p, q).value
     if base == 0.0:
         raise ValueError("decay ratio undefined for the zero field")
-    power = 0.5 * q * (1.0 / p - 1.0 / p_tilde)
-    if gradient_norm:
-        power += 0.5
-    norms = np.empty(len(t_list))
+    norms = [np.empty(len(t_list)) for _ in cases]
+    plain = [(series, p_tilde) for series, (p_tilde, g) in zip(norms, cases) if not g]
+    grads = [(series, p_tilde) for series, (p_tilde, g) in zip(norms, cases) if g]
     for i, t in enumerate(t_list):
+        state = apply_semigroup(values, t, params)
+        for series, p_tilde in plain:
+            series[i] = morrey_norm(grid, state, p_tilde, q).value
+        if grads:
+            # S(t)f is dropped once its gradient exists, so no norm holds both
+            state = gradient(grid, state)
+            for series, p_tilde in grads:
+                series[i] = morrey_norm(grid, state, p_tilde, q).value
+    reports = []
+    for series, (p_tilde, gradient_norm) in zip(norms, cases):
+        power = 0.5 * q * (1.0 / p - 1.0 / p_tilde)
         if gradient_norm:
-            out = apply_grad_semigroup(values, t, params)
-        else:
-            out = apply_semigroup(values, t, params)
-        norms[i] = morrey_norm(grid, out, p_tilde, q).value
-    ratios = norms * t_list**power / base
-    max_ratio = float(ratios.max())
-    final = ratios[t_list >= t_list[-1] / 10.0]
-    trend_ok = bool(np.all(np.diff(final) <= 1e-6 * max_ratio))
-    return DecayReport(
-        p=float(p), p_tilde=float(p_tilde), q=float(q), lam=params.lam,
-        gradient=gradient_norm, t_samples=t_list, norms=norms,
-        ratio_series=ratios, max_ratio=max_ratio, base_norm=float(base),
-        c_max=float(c_max), trend_ok=trend_ok,
-        passed=bool(max_ratio <= c_max and trend_ok),
-    )
+            power += 0.5
+        ratios = series * t_list**power / base
+        max_ratio = float(ratios.max())
+        final = ratios[t_list >= t_list[-1] / 10.0]
+        trend_ok = bool(np.all(np.diff(final) <= 1e-6 * max_ratio))
+        reports.append(DecayReport(
+            p=float(p), p_tilde=float(p_tilde), q=float(q), lam=params.lam,
+            gradient=bool(gradient_norm), t_samples=t_list, norms=series,
+            ratio_series=ratios, max_ratio=max_ratio, base_norm=float(base),
+            c_max=float(c_max), trend_ok=trend_ok,
+            passed=bool(max_ratio <= c_max and trend_ok),
+        ))
+    return reports
+
+
+def verify_decay(values: np.ndarray, p: float, p_tilde: float, q: float,
+                 t_list: np.ndarray, params: SemigroupParams,
+                 gradient_norm: bool = False, c_max: float = DECAY_C_MAX) -> DecayReport:
+    """One-sided numerical check of one semigroup decay estimate: the one-case
+    call of ``verify_decays``."""
+    return verify_decays(values, p, [(p_tilde, gradient_norm)], q, t_list, params, c_max)[0]

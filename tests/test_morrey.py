@@ -207,6 +207,21 @@ class TestBatchedEngine:
             assert (_report_tuple(morrey_norm(g, f, 3.2, 1.0, lat))
                     == reference_morrey_norm(g, f, 3.2, 1.0, lat)), seed
 
+    @pytest.mark.parametrize("p", [1.0, 2.0, 3.2, 7.0])
+    @pytest.mark.parametrize("dim,n", [(1, 64), (2, 16), (3, 8)])
+    def test_float32_winner_bitwise_equal_to_reference_loop(self, dim, n, p):
+        # a float32 field's sums, and so its winner expression, stay float32
+        g = make_grid(dim, n, TWO_PI)
+        lat = ball_lattice(g, stride=1)
+        rng = np.random.default_rng(dim * n)
+        fields = {"gaussian": rng.standard_normal(g.shape),
+                  "lognormal": np.exp(2.0 * rng.standard_normal(g.shape))}
+        for name, f in fields.items():
+            f = f.astype(np.float32)
+            for q in (0.0, 1.0, 2.0):
+                assert (_report_tuple(morrey_norm(g, f, p, q, lat))
+                        == reference_morrey_norm(g, f, p, q, lat)), (name, q)
+
     @pytest.mark.parametrize("dim,n,stride", [(1, 32, 1), (2, 16, 1), (2, 32, 3), (3, 8, 1)])
     def test_uncached_chunk_path_identical(self, monkeypatch, dim, n, stride):
         g = make_grid(dim, n, TWO_PI)

@@ -1,17 +1,24 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from llglab import semigroup
+from llglab.config import parse_config
 from llglab.fields import float_repr, gradient, l2_norm, make_grid
 from llglab.initial_data import spectral_bump
-from llglab.runner import _write_decay_series
+from llglab.runner import _check_semigroup_decay, _Run, _write_decay_series
 from llglab.semigroup import (
+    DECAY_NUM_T,
     SemigroupParams,
     apply_grad_semigroup,
     apply_semigroup,
+    decay_datum,
     default_decay_times,
     verify_decay,
+    verify_decays,
 )
 
 from oracles import reference_duhamel_integral as duhamel_integral
@@ -159,6 +166,75 @@ class TestVerifyDecay:
         assert len(rows) == len(rep.t_samples) + 1
         assert rows[1] == ",".join(map(float_repr, (rep.t_samples[0], rep.norms[0],
                                                     rep.ratio_series[0])))
+
+
+def _count_calls(monkeypatch, module, name):
+    """Wrap ``module.name`` so its calls are counted; returns the counter."""
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+# the four laws the runner's semigroup_decay check tests, (p_tilde, gradient)
+RUNNER_CASES = [(2.0, False), (4.0, False), (2.0, True), (4.0, True)]
+
+
+class TestVerifyDecays:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_time_rejected_before_any_norm(self, monkeypatch, bad):
+        params, bump, times = decay_datum(1.0, make_grid(2, 16, TWO_PI))
+        norms = _count_calls(monkeypatch, semigroup, "morrey_norm")
+        times = times.copy()
+        times[3] = bad
+        with pytest.raises(ValueError, match="t_list"):
+            verify_decay(bump, 2.0, 4.0, 2.0, times, params)
+        with pytest.raises(ValueError, match="t_list"):
+            verify_decays(bump, 2.0, RUNNER_CASES, 2.0, times, params)
+        assert norms == []
+
+    @pytest.mark.parametrize("where", [0, 3])
+    def test_bad_exponent_in_any_case_rejected_before_any_norm(self, monkeypatch, where):
+        params, bump, times = decay_datum(1.0, make_grid(2, 16, TWO_PI))
+        norms = _count_calls(monkeypatch, semigroup, "morrey_norm")
+        cases = list(RUNNER_CASES)
+        cases[where] = (8.0, cases[where][1])  # above p(n+1) = 6
+        with pytest.raises(ValueError, match="p_tilde"):
+            verify_decays(bump, 2.0, cases, 2.0, times, params)
+        assert norms == []
+
+    def test_no_case_rejected(self):
+        params, bump, times = decay_datum(1.0, make_grid(2, 16, TWO_PI))
+        with pytest.raises(ValueError, match="case"):
+            verify_decays(bump, 2.0, [], 2.0, times, params)
+
+    def test_equal_to_one_call_per_case(self):
+        params, bump, times = decay_datum(1.0)
+        shared = verify_decays(bump, 2.0, RUNNER_CASES, 2.0, times, params)
+        assert len(shared) == len(RUNNER_CASES)
+        for rep, (p_tilde, grad) in zip(shared, RUNNER_CASES):
+            alone = verify_decay(bump, 2.0, p_tilde, 2.0, times, params, gradient_norm=grad)
+            for name in alone.__dataclass_fields__:
+                a, b = getattr(rep, name), getattr(alone, name)
+                if isinstance(a, np.ndarray):
+                    assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
+                else:
+                    assert type(a) is type(b) and a == b, name
+
+    def test_runner_check_evolves_each_time_once(self, monkeypatch, tmp_path):
+        applies = _count_calls(monkeypatch, semigroup, "apply_semigroup")
+        norms = _count_calls(monkeypatch, semigroup, "morrey_norm")
+        cfg = parse_config(Path(__file__).resolve().parents[1] / "configs" / "smoke.cfg")
+        outcome = _check_semigroup_decay(_Run(cfg), tmp_path)
+        assert outcome.status == "PASS"
+        # one S(t)f per sample time; one base norm, then one norm per law and time
+        assert len(applies) == DECAY_NUM_T == 13
+        assert len(norms) == 1 + len(RUNNER_CASES) * DECAY_NUM_T == 53
 
 
 class TestDuhamel:
