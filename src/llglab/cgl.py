@@ -22,8 +22,12 @@ S(t) is the diagonal multiplier exp((i - lam)|xi|^2 t): each forcing node
 costs one forward FFT, and each output time one inverse FFT.  A solve
 computes each multiplier once, for all its sweeps, and runs every forcing
 node in one reused ``Workspace``, so after the first node no node
-allocates an array.  Contraction needs small initial data; large data is
-reported as NonContraction, never forced.
+allocates an array.  A sweep streams: the integral at each output time is
+yielded as soon as it is made, the new iterate is formed in it and
+replaces the old one an output time later, so a solve holds S(t) v0 and
+one iterate, and the residual check no trajectory of its own.
+Contraction needs small initial data; large data is reported as
+NonContraction, never forced.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ import functools
 import math
 import warnings
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 
@@ -171,6 +176,10 @@ class CglConfig:
         require_finite_positive("damping parameter lam", self.lam)
         require_finite_positive("t_end", self.t_end)
         require_finite_positive("picard_tol", self.picard_tol)
+        for name in ("time_steps", "picard_max_iter", "duhamel_substeps"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.time_steps < 1 or self.duhamel_substeps < 1:
             raise ValueError("time_steps and duhamel_substeps must be >= 1")
         if self.picard_max_iter < 1:
@@ -285,8 +294,9 @@ def _multiplier_cache(params: SemigroupParams):
 
 
 def _duhamel_trajectory(grid: Grid, times: np.ndarray, u_old: list, lam: float,
-                        substeps: int, mult, work: Workspace) -> list:
-    """Composite midpoint exponential rule for int_0^{t_i} S(t_i - s) F(u_old(s)) ds.
+                        substeps: int, mult, work: Workspace):
+    """Composite midpoint exponential rule for int_0^{t_i} S(t_i - s) F(u_old(s)) ds,
+    yielded as I_0, I_1, ..., I_n one output time at a time.
 
     Evaluated interval-recursively: I_{i+1} = S(dt) I_i + local part, which by
     the exact semigroup law equals the single composite rule over [0, t_i]
@@ -301,8 +311,13 @@ def _duhamel_trajectory(grid: Grid, times: np.ndarray, u_old: list, lam: float,
     to its multiplier and ``work`` holds every array of a node; both belong
     to the solve (``_multiplier_cache``, a ``Workspace``), so every sweep of
     it reuses them, and a node after the first allocates no array.
+
+    Each yielded I_i is a fresh array owned by the caller, who may write
+    into it.  The nodes of interval i read only ``u_old[i]`` and
+    ``u_old[i + 1]``, when the sweep resumes after yielding I_i, so once I_i
+    is yielded the caller may replace ``u_old[i - 1]`` in the list.
     """
-    integrals = [np.zeros_like(u_old[0])]
+    yield np.zeros_like(u_old[0])
     acc_hat = np.zeros_like(u_old[0], dtype=complex)
     for i in range(len(times) - 1):
         dt = times[i + 1] - times[i]
@@ -320,9 +335,31 @@ def _duhamel_trajectory(grid: Grid, times: np.ndarray, u_old: list, lam: float,
                 spec *= mult(times[i + 1] - s)
                 spec *= sub
                 acc_hat += spec
-        # acc_hat carries over to the next interval: invert a copy
-        integrals.append(_inverse(grid, acc_hat.copy(), False))
-    return integrals
+        # a complex inverse given out= leaves acc_hat, which carries over, alone
+        yield _inverse(grid, acc_hat, False, out=np.empty_like(acc_hat))
+
+
+def _sweep(grid: Grid, times: np.ndarray, free: list, u_old: list,
+           config: CglConfig, mult, work: Workspace) -> float:
+    """One Picard sweep: replace each ``u_old[i]`` in the list by
+    u_new[i] = free[i] + I_i and return max_i ||u_new[i] - u_old[i]||_2,
+    taken in ``max``'s order (a NaN term wins only at i = 0).
+
+    u_new[i] is formed in the yielded I_i and replaces ``u_old[i]`` one
+    output time later, once the nodes that read it are done, so a sweep
+    holds ``free`` and one iterate instead of four trajectories.
+    """
+    integrals = _duhamel_trajectory(grid, times, u_old, config.lam,
+                                    config.duhamel_substeps, mult, work)
+    for i, integral in enumerate(integrals):
+        if i:
+            u_old[i - 1] = u_new
+        u_new = np.add(free[i], integral, out=integral)
+        term = l2_norm(grid, u_new - u_old[i])
+        if i == 0 or term > inc:
+            inc = term
+    u_old[-1] = u_new
+    return inc
 
 
 def picard_iterate(grid: Grid, v0: np.ndarray, config: CglConfig,
@@ -347,7 +384,8 @@ def picard_iterate(grid: Grid, v0: np.ndarray, config: CglConfig,
 
     times = np.linspace(0.0, config.t_end, config.time_steps + 1)
     free = [apply_semigroup(v0, t, params) for t in times]
-    u_old = [f.copy() for f in free]
+    # entries of u_old are replaced, never written into, so it may share free's
+    u_old = list(free)
     mult, work = _multiplier_cache(params), Workspace()
 
     increments: list = []
@@ -357,10 +395,7 @@ def picard_iterate(grid: Grid, v0: np.ndarray, config: CglConfig,
     xpt = None
     with np.errstate(over="ignore", invalid="ignore"):
         for it in range(1, config.picard_max_iter + 1):
-            integrals = _duhamel_trajectory(grid, times, u_old, config.lam,
-                                            config.duhamel_substeps, mult, work)
-            u_new = [free[i] + integrals[i] for i in range(len(times))]
-            inc = max(l2_norm(grid, u_new[i] - u_old[i]) for i in range(len(times)))
+            inc = _sweep(grid, times, free, u_old, config, mult, work)
             if not np.isfinite(inc):
                 raise NonContraction(
                     f"iterate diverged (non-finite increment at iteration {it})",
@@ -368,7 +403,7 @@ def picard_iterate(grid: Grid, v0: np.ndarray, config: CglConfig,
                 )
             row = {"iter": it, "increment": inc}
             if track_xpt:
-                xpt = xpt_norm(grid, Trajectory(times, u_new), config.p)
+                xpt = xpt_norm(grid, Trajectory(times, u_old), config.p)
                 row.update(xpt_r1=xpt.r1, xpt_r2=xpt.r2, xpt_r3=xpt.r3)
             iteration_log.append(row)
             if increments and inc > increments[-1]:
@@ -382,7 +417,6 @@ def picard_iterate(grid: Grid, v0: np.ndarray, config: CglConfig,
             else:
                 grow_streak = 0
             increments.append(inc)
-            u_old = u_new
             if inc < config.picard_tol:
                 converged = True
                 break
@@ -402,10 +436,10 @@ def fixed_point_residual(grid: Grid, result: PicardResult, v0: np.ndarray,
     v0 = np.asarray(v0, dtype=complex)
     times = result.trajectory.times
     u = result.trajectory.fields
-    free = [apply_semigroup(v0, t, params) for t in times]
     integrals = _duhamel_trajectory(grid, times, u, config.lam, config.duhamel_substeps,
                                     _multiplier_cache(params), Workspace())
-    return max(l2_norm(grid, u[i] - free[i] - integrals[i]) for i in range(len(times)))
+    return max(l2_norm(grid, u_t - apply_semigroup(v0, t, params) - integral)
+               for u_t, t, integral in zip(u, times, integrals))
 
 
 # ---------------------------------------------------------------------------

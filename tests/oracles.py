@@ -11,7 +11,10 @@ from itertools import product
 import numpy as np
 from scipy import integrate
 
-from llglab.fields import derivative, inverse_laplacian_divergence, laplacian, normalize_spin
+from llglab import cgl
+from llglab.fields import (Trajectory, Workspace, derivative, inverse_laplacian_divergence,
+                           l2_norm, laplacian, normalize_spin)
+from llglab.morrey import morrey_norm, xpt_norm
 from llglab.semigroup import SemigroupParams, apply_semigroup
 
 
@@ -236,6 +239,72 @@ def reference_duhamel_trajectory(grid, times, u_old, lam, substeps, params):
             acc = acc + apply_semigroup(forcing, times[i + 1] - s, params) * sub
         integrals.append(acc.copy())
     return integrals
+
+
+def reference_picard_iterate(grid, v0, config, track_xpt=False):
+    """cgl.picard_iterate as a list-based loop: each sweep holds the free
+    trajectory, the old iterate, every Duhamel integral and the new iterate
+    whole, takes the increment as ``max`` over the output times afterwards,
+    and only then swaps the iterates.  The bitwise reference for the
+    streaming sweep's in-place bookkeeping; the integrals are the solver's
+    own (``list(cgl._duhamel_trajectory(...))``), no smallness warning."""
+    params = SemigroupParams(lam=config.lam, grid=grid)
+    v0 = np.asarray(v0, dtype=complex)
+    times = np.linspace(0.0, config.t_end, config.time_steps + 1)
+    free = [apply_semigroup(v0, t, params) for t in times]
+    u_old = [f.copy() for f in free]
+    mult, work = cgl._multiplier_cache(params), Workspace()
+    increments, iteration_log = [], []
+    converged, grow_streak, xpt = False, 0, None
+    with np.errstate(over="ignore", invalid="ignore"):
+        for it in range(1, config.picard_max_iter + 1):
+            integrals = list(cgl._duhamel_trajectory(grid, times, u_old, config.lam,
+                                                     config.duhamel_substeps, mult, work))
+            u_new = [free[i] + integrals[i] for i in range(len(times))]
+            inc = max(l2_norm(grid, u_new[i] - u_old[i]) for i in range(len(times)))
+            if not np.isfinite(inc):
+                raise cgl.NonContraction(
+                    f"iterate diverged (non-finite increment at iteration {it})",
+                    increments + [inc])
+            row = {"iter": it, "increment": inc}
+            if track_xpt:
+                xpt = xpt_norm(grid, Trajectory(times, u_new), config.p)
+                row.update(xpt_r1=xpt.r1, xpt_r2=xpt.r2, xpt_r3=xpt.r3)
+            iteration_log.append(row)
+            if increments and inc > increments[-1]:
+                grow_streak += 1
+                if grow_streak >= 3:
+                    raise cgl.NonContraction(
+                        "increments grew for 3 consecutive iterations "
+                        f"(last {inc:.3e}); data too large for contraction",
+                        increments + [inc])
+            else:
+                grow_streak = 0
+            increments.append(inc)
+            u_old = u_new
+            if inc < config.picard_tol:
+                converged = True
+                break
+    traj = Trajectory(times, u_old)
+    return cgl.PicardResult(trajectory=traj, xpt=xpt or xpt_norm(grid, traj, config.p),
+                            increments=increments, converged=converged,
+                            iterations=len(increments),
+                            initial_norm=morrey_norm(grid, v0, 2.0, 2.0).value,
+                            iteration_log=iteration_log)
+
+
+def reference_fixed_point_residual(grid, result, v0, config):
+    """cgl.fixed_point_residual over whole lists: every S(t_i) v0 and every
+    Duhamel integral first, then ``max`` of the defects, operands in order."""
+    params = SemigroupParams(lam=config.lam, grid=grid)
+    v0 = np.asarray(v0, dtype=complex)
+    times = result.trajectory.times
+    u = result.trajectory.fields
+    free = [apply_semigroup(v0, t, params) for t in times]
+    integrals = list(cgl._duhamel_trajectory(grid, times, u, config.lam,
+                                             config.duhamel_substeps,
+                                             cgl._multiplier_cache(params), Workspace()))
+    return max(l2_norm(grid, u[i] - free[i] - integrals[i]) for i in range(len(times)))
 
 
 def reference_gauge_fields(grid, u, lam):

@@ -23,7 +23,8 @@ from llglab.frames import gauge_fields_from_u
 from llglab.initial_data import spectral_bump
 from llglab.morrey import morrey_norm, xpt_norm
 
-from oracles import beta_quadrature, nonlinearity_direct, reference_duhamel_trajectory
+from oracles import (beta_quadrature, nonlinearity_direct, reference_duhamel_trajectory,
+                     reference_fixed_point_residual, reference_picard_iterate)
 
 TWO_PI = 2.0 * np.pi
 
@@ -231,6 +232,17 @@ class TestPicard:
             CglConfig(lam=1.0, smallness=smallness)
         assert CglConfig(lam=1.0, smallness=np.inf).smallness == np.inf  # never warn
 
+    @pytest.mark.parametrize("name", ["time_steps", "picard_max_iter", "duhamel_substeps"])
+    @pytest.mark.parametrize("value", [2.5, 3.7, 4.0, True, "4", None])
+    def test_non_integer_counts_rejected(self, name, value):
+        # a float count used to fail deep inside the solve with a TypeError
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            CglConfig(lam=1.0, **{name: value})
+
+    @pytest.mark.parametrize("name", ["time_steps", "picard_max_iter", "duhamel_substeps"])
+    def test_numpy_integer_counts_accepted(self, name):
+        assert getattr(CglConfig(lam=1.0, **{name: np.int64(3)}), name) == 3
+
     def test_smallness_warning_threshold(self):
         g = make_grid(2, 16, TWO_PI)
         v0 = normalized(g, bump_pair(g), 0.06)
@@ -286,8 +298,8 @@ class TestPicard:
         steps, sub = 4, 3
         times = np.linspace(0.0, 0.3, steps + 1)
         u_old = [apply_semigroup(v0, t, params) for t in times]
-        integrals = _duhamel_trajectory(g, times, u_old, lam, sub,
-                                        _multiplier_cache(params), Workspace())
+        integrals = list(_duhamel_trajectory(g, times, u_old, lam, sub,
+                                             _multiplier_cache(params), Workspace()))
 
         def forcing(s):
             i = min(int(s / (times[1] - times[0])), steps - 1)
@@ -316,8 +328,8 @@ class TestSpectralSweep:
         shape = (dim,) + g.shape
         u_old = [0.3 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
                  for _ in times]
-        got = _duhamel_trajectory(g, times, u_old, lam, substeps,
-                                  _multiplier_cache(params), Workspace())
+        got = list(_duhamel_trajectory(g, times, u_old, lam, substeps,
+                                       _multiplier_cache(params), Workspace()))
         want = reference_duhamel_trajectory(g, times, u_old, lam, substeps, params)
         scale = max(np.abs(w).max() for w in want)
         assert scale > 0 and len(got) == len(want)
@@ -423,6 +435,129 @@ class TestNodeWorkspace:
             past = work.take((work.nbytes // 8 + 1,), float)
             assert past.base is None  # past the end: a fresh array
         assert work.nbytes >= past.nbytes
+
+
+def random_datum(grid, seed, target):
+    rng = np.random.default_rng(seed)
+    shape = (grid.dim,) + grid.shape
+    return normalized(grid, rng.standard_normal(shape) + 1j * rng.standard_normal(shape),
+                      target)
+
+
+def assert_same_solve(got, want):
+    assert got.increments == want.increments
+    assert got.iteration_log == want.iteration_log
+    assert (got.converged, got.iterations) == (want.converged, want.iterations)
+    assert got.xpt == want.xpt and got.initial_norm == want.initial_norm
+    assert len(got.trajectory.fields) == len(want.trajectory.fields)
+    assert np.array_equal(got.trajectory.times, want.trajectory.times)
+    for x, y in zip(got.trajectory.fields, want.trajectory.fields):
+        assert x.dtype == y.dtype and x.shape == y.shape
+        assert x.tobytes() == y.tobytes()
+
+
+class TestStreamingSweep:
+    """picard_iterate streams the Duhamel sweep and swaps iterates in place:
+    every byte equals the list-based loop of ``reference_picard_iterate``."""
+
+    GRIDS = [(1, 16), (2, 16), (3, 8)]
+
+    @staticmethod
+    def config(**kw):
+        defaults = dict(lam=0.9, p=3.2, t_end=0.5, time_steps=4, duhamel_substeps=2,
+                        picard_tol=1e-13, smallness=np.inf)
+        defaults.update(kw)
+        return CglConfig(**defaults)
+
+    @pytest.mark.parametrize("max_iter", [40, 3], ids=["converged", "capped"])
+    @pytest.mark.parametrize("track", [False, True])
+    @pytest.mark.parametrize("dim,n", GRIDS)
+    def test_matches_list_based_loop(self, dim, n, track, max_iter):
+        g = make_grid(dim, n, TWO_PI)
+        v0 = random_datum(g, 80 + dim, 3.0)
+        cfg = self.config(picard_max_iter=max_iter)
+        got = picard_iterate(g, v0, cfg, track_xpt=track)
+        if max_iter == 3:
+            assert not got.converged and got.iterations == 3
+        else:
+            assert got.converged and got.iterations >= 5
+        assert_same_solve(got, reference_picard_iterate(g, v0, cfg, track_xpt=track))
+        assert (fixed_point_residual(g, got, v0, cfg)
+                == reference_fixed_point_residual(g, got, v0, cfg))
+
+    @pytest.mark.parametrize("dim,n,target,reason", [
+        (1, 16, 30.0, "grew for 3"), (2, 16, 30.0, "grew for 3"),
+        (2, 16, 1e4, "non-finite"), (3, 8, 1e4, "non-finite")])
+    def test_noncontraction_matches(self, dim, n, target, reason):
+        g = make_grid(dim, n, TWO_PI)
+        v0 = random_datum(g, 5, target)
+        cfg = self.config(picard_tol=1e-14, picard_max_iter=20)
+        with pytest.raises(NonContraction, match=reason) as got:
+            picard_iterate(g, v0, cfg)
+        with pytest.raises(NonContraction) as want:
+            reference_picard_iterate(g, v0, cfg)
+        assert str(got.value) == str(want.value)
+        assert got.value.increments == want.value.increments
+
+    def test_increment_takes_max_order(self, monkeypatch):
+        # the running maximum keeps max()'s order: a NaN term wins at the
+        # first output time and is passed over after it
+        g = make_grid(1, 8, TWO_PI)
+        times = np.linspace(0.0, 0.3, 4)
+        one = np.ones((1,) + g.shape, dtype=complex)
+        nan = np.full_like(one, np.nan)
+        for terms in ([nan, one, 2 * one, one], [0 * one, nan, 3 * one, nan],
+                      [one, 2 * one, nan, nan]):
+            free = [0 * one for _ in times]
+            u_old = list(free)
+            monkeypatch.setattr(cgl, "_duhamel_trajectory",
+                                lambda *args, terms=terms: (t.copy() for t in terms))
+            inc = cgl._sweep(g, times, free, u_old, self.config(), None, None)
+            want = max(l2_norm(g, t) for t in terms)
+            assert repr(inc) == repr(want)
+            assert all(x.tobytes() == t.tobytes() for x, t in zip(u_old, terms))
+
+
+class TestSweepMemory:
+    """A warm mild solve holds S(t) v0 and one iterate, not four trajectories;
+    the residual holds no trajectory of its own.  2-D N=32 with 16 steps,
+    one substep and a dyadic t_end; a field is one (2, 32, 32) complex array.
+    The list-based sweep peaked at 86 fields in the solve and 47 in the
+    residual; the streaming one at 69 (two trajectories, 34, plus the node
+    workspace, multipliers and norms) and 16."""
+
+    @staticmethod
+    def traced_peak(run):
+        import tracemalloc
+
+        run()  # warm: grid tables, rank caches, FFT plans
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            run()
+            return tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+
+    def setup_method(self):
+        self.grid = make_grid(2, 32, TWO_PI)
+        self.v0 = normalized(self.grid, bump_pair(self.grid), 1e-3)
+        self.cfg = CglConfig(lam=1.0, t_end=0.5, time_steps=16, duhamel_substeps=1,
+                             picard_tol=1e-12)
+        self.field = self.v0.nbytes
+
+    def test_solve_holds_two_trajectories(self):
+        peak = self.traced_peak(lambda: picard_iterate(self.grid, self.v0, self.cfg))
+        trajectory = (self.cfg.time_steps + 1) * self.field
+        assert peak <= 2 * trajectory + 40 * self.field, (
+            f"solve peaked at {peak / self.field:.1f} fields")
+
+    def test_residual_holds_no_trajectory(self):
+        result = picard_iterate(self.grid, self.v0, self.cfg)
+        peak = self.traced_peak(
+            lambda: fixed_point_residual(self.grid, result, self.v0, self.cfg))
+        assert peak <= 24 * self.field, f"residual peaked at {peak / self.field:.1f} fields"
 
 
 class TestStability:
