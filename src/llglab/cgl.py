@@ -36,12 +36,11 @@ import functools
 import math
 import warnings
 from dataclasses import dataclass, field
-from numbers import Integral
 
 import numpy as np
 
 from .fields import (Grid, Trajectory, Workspace, _forward, _inverse, gradient,
-                     l2_norm, require_finite_positive)
+                     l2_norm, require_finite_positive, require_integer)
 from .frames import gauge_fields_from_u
 from .morrey import morrey_norm, xpt_norm, XptReport
 from .semigroup import SemigroupParams, apply_semigroup, semigroup_multiplier
@@ -177,9 +176,7 @@ class CglConfig:
         require_finite_positive("t_end", self.t_end)
         require_finite_positive("picard_tol", self.picard_tol)
         for name in ("time_steps", "picard_max_iter", "duhamel_substeps"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+            require_integer(name, getattr(self, name))
         if self.time_steps < 1 or self.duhamel_substeps < 1:
             raise ValueError("time_steps and duhamel_substeps must be >= 1")
         if self.picard_max_iter < 1:
@@ -343,7 +340,8 @@ def _sweep(grid: Grid, times: np.ndarray, free: list, u_old: list,
            config: CglConfig, mult, work: Workspace) -> float:
     """One Picard sweep: replace each ``u_old[i]`` in the list by
     u_new[i] = free[i] + I_i and return max_i ||u_new[i] - u_old[i]||_2,
-    taken in ``max``'s order (a NaN term wins only at i = 0).
+    or NaN if any term is NaN, so a diverged iterate never passes for a
+    converged one.
 
     u_new[i] is formed in the yielded I_i and replaces ``u_old[i]`` one
     output time later, once the nodes that read it are done, so a sweep
@@ -356,7 +354,7 @@ def _sweep(grid: Grid, times: np.ndarray, free: list, u_old: list,
             u_old[i - 1] = u_new
         u_new = np.add(free[i], integral, out=integral)
         term = l2_norm(grid, u_new - u_old[i])
-        if i == 0 or term > inc:
+        if i == 0 or term > inc or math.isnan(term):
             inc = term
     u_old[-1] = u_new
     return inc

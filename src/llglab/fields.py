@@ -37,6 +37,7 @@ import os
 import struct
 from dataclasses import dataclass
 from functools import cached_property
+from numbers import Integral
 
 import numpy as np
 import numpy.fft  # numpy 2 loads it on first use; load it with the package
@@ -176,14 +177,22 @@ def require_finite_positive(name: str, value) -> None:
         raise ValueError(f"{name} must be finite and positive, got {value}")
 
 
+def require_integer(name: str, value) -> None:
+    """Reject a count that is not an integer (numpy integers pass, bools do not)."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def make_grid(dim: int, n: int, length: float) -> Grid:
     """Validated grid constructor: dim in {1,2,3}, N a power of two >= 8, finite L > 0."""
+    require_integer("dim", dim)
+    require_integer("n", n)
     if dim not in (1, 2, 3):
         raise ValueError(f"dim must be 1, 2 or 3, got {dim}")
     if n < 8 or (n & (n - 1)) != 0:
         raise ValueError(f"points per axis must be a power of two >= 8, got {n}")
     require_finite_positive("box length", length)
-    return Grid(dim=dim, n=int(n), length=float(length))
+    return Grid(dim=int(dim), n=int(n), length=float(length))
 
 
 # ---------------------------------------------------------------------------

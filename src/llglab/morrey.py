@@ -33,13 +33,13 @@ plain loop over ``|f|**p [ball mask].sum()`` returns:
   bound, less a relative ``_SHORTLIST_RTOL`` (at least 1e4 ulps of the sums'
   dtype) for vectorised against scalar ``pow``.  The FFT only prunes; every
   value the norm reports comes from an exact sum.
-* Exact sums.  A rank table holds, for each center and grid point, the
-  index of the smallest radius whose closed ball contains the point
-  (``searchsorted`` of the squared radii against the origin's distance
-  table, rolled to the center), so ``rank <= j`` is exactly the mask
-  ``dist2 <= r_j * r_j``.  Compressing a shortlisted center's rank row with
-  ``rank <= j`` keeps the ball's points in raster order, so each row sum sees
-  the same sequence, and the same pairwise summation, as ``magp[mask].sum()``.
+* Exact sums.  Each radius's closed-ball indicator at the origin
+  (``dist2 <= r_j * r_j`` on the wrapped distance table) is tiled twice
+  along every axis; the ``N**dim`` window of that tile starting at
+  ``-c mod N`` is the ball rolled to center c.  Compressing a field with a
+  shortlisted ball's window keeps the ball's points in raster order, so each
+  sum sees the same sequence, and the same pairwise summation, as
+  ``magp[mask].sum()``.
 * Winner.  The scalar expression and a strict ``>`` in center-major,
   radius-minor order pick the winner among the shortlist, which keeps the
   value, the witness and the first-wins tie-breaking.  The weights
@@ -51,15 +51,14 @@ plain loop over ``|f|**p [ball mask].sum()`` returns:
   ``MorreyReport.exact_sums`` counts the shortlist.
 
 Cost of one call with the tables cached: an FFT of one field and an inverse
-FFT of one field per radius, then ``N**dim`` byte comparisons and a
+FFT of one field per radius, then a gather of ``N**dim`` mask bytes and a
 compression per shortlisted ball.
 
 Memory: the screen holds one field per radius; no exact-sum temporary holds
 more than ``_CHUNK_ELEMS`` elements (or one field, when a field is larger).
-One cache holds the tables of the last lattice used: the origin's rank
-table, a half spectrum per radius and, when it fits ``_TABLE_BYTES``, the
-rank table (one byte per center and point).  Otherwise the shortlisted rank
-rows are rebuilt chunk by chunk for every call.
+One cache holds the tables of the last lattice used: a half spectrum per
+radius and the tiled ball indicators, ``n_radii * (2N)**dim`` bytes
+(96 KiB at 2-D N=64, 128 KiB at 3-D N=16), whatever the number of centers.
 """
 
 from __future__ import annotations
@@ -73,7 +72,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .fields import (Grid, Trajectory, _forward, _inverse, gradient, pointwise_magnitude,
-                     require_finite_positive)
+                     require_finite_positive, require_integer)
 
 __all__ = [
     "BallLattice",
@@ -118,13 +117,16 @@ class BallLattice:
         return len(self.centers)
 
 
-@lru_cache(maxsize=16)
+@lru_cache(maxsize=16, typed=True)
 def ball_lattice(grid: Grid, stride: int | None = None, r_max: float | None = None) -> BallLattice:
     """Default search lattice: stride 2 for N >= 64 (cost control), else 1.
 
-    Cached, so each lattice is built and checked once per process."""
+    Cached, so each lattice is built and checked once per process (a cache
+    typed by argument, so ``stride=True`` never reuses the lattice of 1)."""
     if stride is None:
         stride = 2 if grid.n >= 64 else 1
+    require_integer("stride", stride)
+    stride = int(stride)
     if stride < 1:
         raise ValueError("stride must be >= 1")
     cap = grid.length / 2.0
@@ -166,43 +168,34 @@ def _validate_pq(grid: Grid, p: float, q: float) -> None:
         raise ValueError(f"q must lie in [0, max(2, n)], got {q}")
 
 
-# Engine limits (see the module docstring): elements per temporary, the byte
-# budget for caching a lattice's rank table, the relative slack between
-# vectorised and scalar ``pow``, and the safety factor of the FFT error bound.
+# Engine limits (see the module docstring): elements per temporary, the
+# relative slack between vectorised and scalar ``pow``, and the safety factor
+# of the FFT error bound.
 _CHUNK_ELEMS = 1 << 16
-_TABLE_BYTES = 1 << 24
 _SHORTLIST_RTOL = 1e-9
 _FFT_SAFETY = 4.0
 
-# Single-entry cache: {"key": lattice, "rank0": the origin's rank table,
-# "centers", "flat": their raster indices, "table": rank table or None,
-# "counts": points per ball, "spectra": rfftn of each radius's ball indicator}.
+# Single-entry cache: {"key": lattice, "windows": every N**dim window of each
+# radius's ball indicator tiled twice per axis (a view of the tiles), "starts":
+# each center's window, -center mod N, one row per axis, "flat": the centers'
+# raster indices, "counts": points per ball, "spectra": rfftn of each radius's
+# ball indicator}.
 _rank_cache: dict = {}
 
 
-def _rank_rows(grid: Grid, rank0: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """Rows of the rank table for the given centers: rank0 rolled to each center,
-    read as the window of the doubled table that starts at -center (mod N)."""
-    windows = sliding_window_view(np.tile(rank0, (2,) * grid.dim), rank0.shape)
-    return windows[tuple(((-centers) % grid.n).T)].reshape(len(centers), -1)
-
-
 def _tables(lattice: BallLattice) -> dict:
-    """The lattice's cached tables; the rank table only if it fits ``_TABLE_BYTES``."""
+    """The lattice's cached tables (see ``_rank_cache``)."""
     if _rank_cache.get("key") == lattice:
         return _rank_cache
     grid = lattice.grid
     n_radii = len(lattice.radii)
-    r2 = np.array([r * r for r in lattice.radii])
-    rank0 = np.searchsorted(r2, grid.wrapped_dist2).astype(np.min_scalar_type(n_radii))
+    r2 = np.array([r * r for r in lattice.radii]).reshape((-1,) + (1,) * grid.dim)
     centers = np.array(lattice.centers, dtype=np.intp).reshape(lattice.n_centers, grid.dim)
     _rank_cache.clear()  # drop the old tables before building the new ones
-    table = None
-    if lattice.n_centers * rank0.size <= _TABLE_BYTES:
-        table = _rank_rows(grid, rank0, centers)
-        table.flags.writeable = False
-    balls = rank0 <= np.arange(n_radii).reshape((-1,) + (1,) * grid.dim)
-    _rank_cache.update(key=lattice, rank0=rank0, centers=centers, table=table,
+    balls = grid.wrapped_dist2 <= r2
+    tiles = np.tile(balls, (1,) + (2,) * grid.dim)
+    _rank_cache.update(key=lattice, starts=((-centers) % grid.n).T.copy(),
+                       windows=sliding_window_view(tiles, grid.shape, axis=grid.axes),
                        flat=np.ravel_multi_index(tuple(centers.T), grid.shape),
                        counts=np.count_nonzero(balls.reshape(n_radii, -1), axis=1),
                        spectra=_forward(grid, balls.astype(float))[0])
@@ -242,15 +235,14 @@ def _exact_sums(tables: dict, flat: np.ndarray, shortlist: np.ndarray) -> np.nda
     rows, cols = np.divmod(shortlist, n_radii)
     step = max(1, _CHUNK_ELEMS // flat.size)
     src = np.broadcast_to(flat, (step, flat.size))
+    # the window at -c (mod N) of a tile is the ball rolled to c, in raster order
+    windows, starts = tables["windows"], tables["starts"]
     for j in sorted(set(cols.tolist())):
         need = rows[cols == j]
         for lo in range(0, len(need), step):
             sel = need[lo:lo + step]
-            if tables["table"] is not None:
-                block = tables["table"][sel]
-            else:
-                block = _rank_rows(lattice.grid, tables["rank0"], tables["centers"][sel])
-            sums[sel, j] = src[:len(block)][block <= j].reshape(len(block), -1).sum(axis=1)
+            mask = windows[(j,) + tuple(s[sel] for s in starts)].reshape(len(sel), -1)
+            sums[sel, j] = src[:len(sel)][mask].reshape(len(sel), -1).sum(axis=1)
     return sums
 
 

@@ -244,8 +244,8 @@ def reference_duhamel_trajectory(grid, times, u_old, lam, substeps, params):
 def reference_picard_iterate(grid, v0, config, track_xpt=False):
     """cgl.picard_iterate as a list-based loop: each sweep holds the free
     trajectory, the old iterate, every Duhamel integral and the new iterate
-    whole, takes the increment as ``max`` over the output times afterwards,
-    and only then swaps the iterates.  The bitwise reference for the
+    whole, takes the increment as ``max`` over the output times afterwards
+    (NaN if any time's term is NaN), and only then swaps the iterates.  The bitwise reference for the
     streaming sweep's in-place bookkeeping; the integrals are the solver's
     own (``list(cgl._duhamel_trajectory(...))``), no smallness warning."""
     params = SemigroupParams(lam=config.lam, grid=grid)
@@ -261,7 +261,8 @@ def reference_picard_iterate(grid, v0, config, track_xpt=False):
             integrals = list(cgl._duhamel_trajectory(grid, times, u_old, config.lam,
                                                      config.duhamel_substeps, mult, work))
             u_new = [free[i] + integrals[i] for i in range(len(times))]
-            inc = max(l2_norm(grid, u_new[i] - u_old[i]) for i in range(len(times)))
+            terms = [l2_norm(grid, u_new[i] - u_old[i]) for i in range(len(times))]
+            inc = float("nan") if any(np.isnan(terms)) else max(terms)
             if not np.isfinite(inc):
                 raise cgl.NonContraction(
                     f"iterate diverged (non-finite increment at iteration {it})",

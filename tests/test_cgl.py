@@ -218,6 +218,16 @@ class TestPicard:
         assert len(calls) == tracked.iterations + 1
         assert untracked.xpt == tracked.xpt
 
+    def test_overflowed_iterate_raises_noncontraction(self):
+        # once every time after t = 0 is NaN, only the finite t = 0 term (0.0)
+        # is left: a running maximum that skips NaN reported convergence and
+        # xpt_norm then failed on the non-finite iterate
+        g = make_grid(2, 16, TWO_PI)
+        v0 = normalized(g, bump_pair(g), 30.0)
+        with pytest.raises(NonContraction, match="non-finite increment") as err:
+            picard_iterate(g, v0, self.small_config(smallness=np.inf))
+        assert np.isnan(err.value.increments[-1])
+
     def test_large_data_raises_noncontraction(self):
         g = make_grid(2, 32, TWO_PI)
         v0 = normalized(g, bump_pair(g), 10.0)
@@ -500,8 +510,8 @@ class TestStreamingSweep:
         assert got.value.increments == want.value.increments
 
     def test_increment_takes_max_order(self, monkeypatch):
-        # the running maximum keeps max()'s order: a NaN term wins at the
-        # first output time and is passed over after it
+        # the running maximum keeps max()'s order, and a NaN term at any
+        # output time makes the increment NaN
         g = make_grid(1, 8, TWO_PI)
         times = np.linspace(0.0, 0.3, 4)
         one = np.ones((1,) + g.shape, dtype=complex)
@@ -513,7 +523,8 @@ class TestStreamingSweep:
             monkeypatch.setattr(cgl, "_duhamel_trajectory",
                                 lambda *args, terms=terms: (t.copy() for t in terms))
             inc = cgl._sweep(g, times, free, u_old, self.config(), None, None)
-            want = max(l2_norm(g, t) for t in terms)
+            norms = [l2_norm(g, t) for t in terms]
+            want = float("nan") if any(np.isnan(norms)) else max(norms)
             assert repr(inc) == repr(want)
             assert all(x.tobytes() == t.tobytes() for x, t in zip(u_old, terms))
 

@@ -75,6 +75,19 @@ class TestGrid:
         with pytest.raises(ValueError):
             make_grid(2, 16, -1.0)
 
+    @pytest.mark.parametrize("name,args", [
+        ("dim", (2.0, 16)), ("dim", (True, 16)), ("dim", ("2", 16)),
+        ("n", (2, 16.0)), ("n", (1, True)), ("n", (2, None))])
+    def test_non_integer_sizes_rejected(self, name, args):
+        # 2.0 used to give Grid(dim=2.0, ...) and 16.0 a TypeError
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            make_grid(*args, TWO_PI)
+
+    def test_numpy_integer_sizes_accepted(self):
+        g = make_grid(np.int64(2), np.int32(16), TWO_PI)
+        assert g == make_grid(2, 16, TWO_PI)
+        assert type(g.dim) is int and type(g.n) is int
+
 
 class TestDerivatives:
     def test_sin_to_cos(self):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.lib.array_utils import byte_bounds
 
 from llglab import morrey
 from llglab.fields import Trajectory, gradient, make_grid
@@ -53,6 +54,19 @@ class TestBallLattice:
         # min(cap, nan) is cap: a NaN cap would quietly give the uncapped lattice
         with pytest.raises(ValueError, match="r_max"):
             ball_lattice(make_grid(2, 16, TWO_PI), r_max=r_max)
+
+    @pytest.mark.parametrize("stride", [2.5, 2.0, True, "2"])
+    def test_non_integer_stride_rejected(self, stride):
+        # 2.5 used to raise TypeError and True passed for a stride of 1
+        g = make_grid(2, 16, TWO_PI)
+        ball_lattice(g, stride=1)  # a cached stride-1 lattice must not answer for True
+        with pytest.raises(ValueError, match="stride must be an integer"):
+            ball_lattice(g, stride=stride)
+
+    def test_numpy_integer_stride_accepted(self):
+        lat = ball_lattice(make_grid(2, 16, TWO_PI), stride=np.int64(3))
+        assert lat == ball_lattice(make_grid(2, 16, TWO_PI), stride=3)
+        assert type(lat.stride) is int
 
     def test_default_lattice_built_once_per_grid(self):
         g = make_grid(2, 16, TWO_PI)
@@ -229,72 +243,69 @@ class TestBatchedEngine:
         f = random_field(g, seed=dim * n + stride)
         cached = [_report_tuple(morrey_norm(g, f, p, 1.0, lat)) for p in (1.0, 2.0, 3.2)]
         monkeypatch.setattr(morrey, "_rank_cache", {})
-        monkeypatch.setattr(morrey, "_TABLE_BYTES", 0)
         # chunks of 3 centers (or 1 for wide fields) leave a ragged last chunk
         monkeypatch.setattr(morrey, "_CHUNK_ELEMS", 3 * g.num_points)
         uncached = [_report_tuple(morrey_norm(g, f, p, 1.0, lat)) for p in (1.0, 2.0, 3.2)]
-        assert morrey._rank_cache["table"] is None
+        assert morrey._rank_cache["key"] == lat
         assert uncached == cached
         assert uncached[1] == reference_morrey_norm(g, f, 2.0, 1.0, lat)
 
 
 class TestHybridTables:
-    """FFT screen plus exact rank-row sums against the reference loop, with ==.
-
-    Budgets: "every" is the default ``_TABLE_BYTES`` on a lattice capped to a
-    few radii, "some" a budget that holds exactly the rank table, and "none"
-    a zero budget, which rebuilds the shortlisted rows chunk by chunk."""
+    """FFT screen plus exact ball-window sums against the reference loop, with ==,
+    on a lattice capped to a few radii and on the full one."""
 
     LATTICES = {1: (32, 3, 4), 2: (16, 3, 4), 3: (8, 1, 2)}  # dim: n, stride, capped r_max/h
 
-    def _lattice(self, dim, budget, monkeypatch):
+    def _lattices(self, dim):
         n, stride, r_cells = self.LATTICES[dim]
         g = make_grid(dim, n, TWO_PI)
-        lat = ball_lattice(g, stride=stride, r_max=r_cells * g.h if budget == "every" else None)
-        if budget == "some":
-            monkeypatch.setattr(morrey, "_TABLE_BYTES", lat.n_centers * g.num_points)
-        elif budget == "none":
-            monkeypatch.setattr(morrey, "_TABLE_BYTES", 0)
-        monkeypatch.setattr(morrey, "_rank_cache", {})
-        return g, lat
+        return g, [ball_lattice(g, stride=stride, r_max=r_cells * g.h),
+                   ball_lattice(g, stride=stride)]
 
     @pytest.mark.parametrize("chunk", ["default", "ragged"])
-    @pytest.mark.parametrize("budget", ["every", "some", "none"])
     @pytest.mark.parametrize("field", ["random", "constant"])
     @pytest.mark.parametrize("dim", [1, 2, 3])
-    def test_bitwise_equal_to_reference_loop(self, monkeypatch, dim, field, budget, chunk):
-        g, lat = self._lattice(dim, budget, monkeypatch)
+    def test_bitwise_equal_to_reference_loop(self, monkeypatch, dim, field, chunk):
+        g, lattices = self._lattices(dim)
+        monkeypatch.setattr(morrey, "_rank_cache", {})
         if chunk == "ragged":  # a constant field's full-lattice shortlist ends on a short chunk
             monkeypatch.setattr(morrey, "_CHUNK_ELEMS", 5 * g.num_points + 1)
-            assert lat.n_centers % 5
+            assert lattices[0].n_centers % 5
         if field == "random":
             f = random_field(g, seed=7 * dim)
         else:  # every ball of one radius ties; the first center must win
             f = np.full((2,) + g.shape, 0.3)
-        for p, q in ((1.0, 0.0), (2.0, 2.0), (3.2, 1.0)):
-            assert (_report_tuple(morrey_norm(g, f, p, q, lat))
-                    == reference_morrey_norm(g, f, p, q, lat)), (p, q)
-        table = morrey._rank_cache["table"]
-        assert (table is None) == (budget == "none")
-        assert table is None or table.nbytes <= morrey._TABLE_BYTES
+        for lat in lattices:
+            for p, q in ((1.0, 0.0), (2.0, 2.0), (3.2, 1.0)):
+                assert (_report_tuple(morrey_norm(g, f, p, q, lat))
+                        == reference_morrey_norm(g, f, p, q, lat)), (len(lat.radii), p, q)
 
-    def test_rank_rows_hold_each_ball_in_raster_order(self, monkeypatch):
-        g, lat = self._lattice(2, "every", monkeypatch)
-        morrey_norm(g, np.ones(g.shape), 2.0, 2.0, lat)
-        for center, row in zip(lat.centers, morrey._rank_cache["table"]):
-            rolled = np.roll(g.wrapped_dist2, shift=center, axis=(0, 1)).ravel()
+    def test_ball_windows_hold_each_ball_in_raster_order(self, monkeypatch):
+        monkeypatch.setattr(morrey, "_rank_cache", {})
+        g, (lat, _) = self._lattices(2)
+        tables = morrey._tables(lat)
+        for center, start in zip(lat.centers, tables["starts"].T):
+            rolled = np.roll(g.wrapped_dist2, shift=center, axis=(0, 1))
             for j, r in enumerate(lat.radii):
-                assert np.array_equal(np.flatnonzero(row <= j), np.flatnonzero(rolled <= r * r))
+                assert np.array_equal(tables["windows"][(j, *start)], rolled <= r * r)
 
     @pytest.mark.parametrize("dim,n", [(1, 64), (2, 32), (2, 64), (3, 16)])
     def test_default_lattice_tables_fit_the_budget(self, monkeypatch, dim, n):
+        # the exact-sum tables (every cached array but the screen's spectra,
+        # center indices and ball sizes) span under 256 KiB of memory, views
+        # counted by the buffer they span; a rank table of one byte per
+        # (center, point) took 1-16 MiB on these lattices
         monkeypatch.setattr(morrey, "_rank_cache", {})
         g = make_grid(dim, n, TWO_PI)
         f = random_field(g, seed=n)
         rep = morrey_norm(g, f, 2.0, 2.0)
         assert recompute_witness(g, f, rep) == rep.value
         tables = morrey._rank_cache
-        assert tables["table"].nbytes <= morrey._TABLE_BYTES
+        spans = {k: byte_bounds(v)[1] - byte_bounds(v)[0] for k, v in tables.items()
+                 if isinstance(v, np.ndarray) and k not in ("spectra", "flat", "counts")}
+        assert sum(spans.values()) < 256 * 1024
+        assert spans["windows"] == len(rep.lattice.radii) * (2 * n) ** dim
         assert tables["spectra"].shape == (len(rep.lattice.radii),) + g.shape[:-1] + (n // 2 + 1,)
         assert [int(k) for k in tables["counts"]] == [
             int(np.count_nonzero(g.wrapped_dist2 <= r * r)) for r in rep.lattice.radii]
