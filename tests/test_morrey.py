@@ -252,8 +252,13 @@ class TestBatchedEngine:
 
 
 class TestHybridTables:
-    """FFT screen plus exact ball-window sums against the reference loop, with ==,
-    on a lattice capped to a few radii and on the full one."""
+    """FFT screen plus exact ball-window sums against the reference loop, with ==.
+
+    The ``budget`` ids name the rank-table byte budgets these cases once set;
+    with one exact-sum path each now picks a lattice and cache state: "every"
+    a lattice capped to a few radii, "some" the full lattice on an empty
+    cache, and "none" the full lattice right after the capped one filled the
+    cache, so its tables are rebuilt for the new key."""
 
     LATTICES = {1: (32, 3, 4), 2: (16, 3, 4), 3: (8, 1, 2)}  # dim: n, stride, capped r_max/h
 
@@ -264,24 +269,30 @@ class TestHybridTables:
                    ball_lattice(g, stride=stride)]
 
     @pytest.mark.parametrize("chunk", ["default", "ragged"])
+    @pytest.mark.parametrize("budget", ["every", "some", "none"])
     @pytest.mark.parametrize("field", ["random", "constant"])
     @pytest.mark.parametrize("dim", [1, 2, 3])
-    def test_bitwise_equal_to_reference_loop(self, monkeypatch, dim, field, chunk):
-        g, lattices = self._lattices(dim)
+    def test_bitwise_equal_to_reference_loop(self, monkeypatch, dim, field, budget, chunk):
+        g, (capped, full) = self._lattices(dim)
         monkeypatch.setattr(morrey, "_rank_cache", {})
         if chunk == "ragged":  # a constant field's full-lattice shortlist ends on a short chunk
             monkeypatch.setattr(morrey, "_CHUNK_ELEMS", 5 * g.num_points + 1)
-            assert lattices[0].n_centers % 5
+            assert capped.n_centers % 5
         if field == "random":
             f = random_field(g, seed=7 * dim)
         else:  # every ball of one radius ties; the first center must win
             f = np.full((2,) + g.shape, 0.3)
-        for lat in lattices:
-            for p, q in ((1.0, 0.0), (2.0, 2.0), (3.2, 1.0)):
-                assert (_report_tuple(morrey_norm(g, f, p, q, lat))
-                        == reference_morrey_norm(g, f, p, q, lat)), (len(lat.radii), p, q)
+        lat = capped if budget == "every" else full
+        if budget == "none":
+            morrey_norm(g, f, 2.0, 2.0, capped)
+            assert morrey._rank_cache["key"] == capped
+        for p, q in ((1.0, 0.0), (2.0, 2.0), (3.2, 1.0)):
+            assert (_report_tuple(morrey_norm(g, f, p, q, lat))
+                    == reference_morrey_norm(g, f, p, q, lat)), (p, q)
+        assert morrey._rank_cache["key"] == lat
 
-    def test_ball_windows_hold_each_ball_in_raster_order(self, monkeypatch):
+    def test_rank_rows_hold_each_ball_in_raster_order(self, monkeypatch):
+        # each shortlisted ball's mask is a window of its radius's tiled indicator
         monkeypatch.setattr(morrey, "_rank_cache", {})
         g, (lat, _) = self._lattices(2)
         tables = morrey._tables(lat)
