@@ -19,7 +19,12 @@ potential part.  The mild solution is the fixed point of
 iterated here on a uniform time grid with a composite midpoint exponential
 rule for the integral.  The integral is accumulated in Fourier space, where
 S(t) is the diagonal multiplier exp((i - lam)|xi|^2 t): each forcing node
-costs one forward FFT, and each output time one inverse FFT.  A solve
+adds one forward FFT of its forcing, and each output time costs one
+inverse FFT.  A node transforms u once, and that spectrum serves both the
+gauge solve's div u and the nonlinearity's grad u; with the two Poisson
+solves of the gauge fields (a transform pair each) and the inverses of
+div u and grad u, a node makes eight n-d transforms, 16 one-axis passes in
+2-D.  A solve
 computes each multiplier once, for all its sweeps, and runs every forcing
 node in one reused ``Workspace``, so after the first node no node
 allocates an array.  A sweep streams: the integral at each output time is
@@ -210,27 +215,21 @@ class NonlinearityParts:
 
 
 def nonlinearity_F(grid: Grid, u: np.ndarray, a: np.ndarray, a0_1: np.ndarray,
-                   a0_2: np.ndarray, lam: float, *,
-                   work: Workspace | None = None) -> NonlinearityParts:
+                   a0_2: np.ndarray, lam: float, *, work: Workspace | None = None,
+                   u_hat: np.ndarray | None = None) -> NonlinearityParts:
     """The nonlinearity F(a, u) of the module docstring, split into its parts.
 
     Every array, the returned parts included, is taken from ``work`` (a fresh
     ``Workspace`` when None): the parts alias ``work`` and stay valid until
-    the caller's enclosing ``work.scope()`` exits.
+    the caller's enclosing ``work.scope()`` exits.  ``u_hat`` as for
+    ``gauge_fields_from_u``: given, grad u is made from it.
     """
     work = Workspace() if work is None else work
     u = np.asarray(u, dtype=complex)
     mu = lam - 1j
     f1, f2, f3 = (work.take(u.shape, complex) for _ in range(3))
     with work.scope():
-        uc = np.conjugate(u, out=work.take(u.shape, complex))
-        # pair[l, k] = u_l conj(u_k); Im of it is the (l, k, *shape) matrix
-        pair = np.multiply(u[:, None], uc[None, :],
-                           out=work.take((len(u),) + u.shape, complex))
-        np.einsum("lk...,k...->l...", pair.imag, u, out=f1)
-    np.multiply(mu * 1j, f1, out=f1)
-    with work.scope():
-        gu = gradient(grid, u, work=work)  # (deriv axis, component, *shape)
+        gu = gradient(grid, u, work=work, spectrum=u_hat)  # (deriv axis, component, *shape)
         # sum_k a_k d_k u accumulated from zero, as np.einsum("k...,kl...->l...")
         # sums it, so the bytes (signed zeros included) are the einsum's; f3
         # is free until the quintic part and holds each term
@@ -240,11 +239,19 @@ def nonlinearity_F(grid: Grid, u: np.ndarray, a: np.ndarray, a0_1: np.ndarray,
             advect += np.multiply(a[k], gu[k], out=f3)
     np.multiply(mu * 2j, advect, out=f2)
     with work.scope():
+        uc = np.conjugate(u, out=f3)  # f3 is still free
+        # pair[l, k] = u_l conj(u_k); Im of it is the (l, k, *shape) matrix
+        pair = np.multiply(u[:, None], uc[None, :],
+                           out=work.take((len(u),) + u.shape, complex))
+        np.einsum("lk...,k...->l...", pair.imag, u, out=f1)
+    np.multiply(mu * 1j, f1, out=f1)
+    with work.scope():
         f2 -= _times_u(1j, a0_1, u, work)
     with work.scope():
         a_sq = np.sum(np.square(a, out=work.take(a.shape, float)), axis=0,
                       out=work.take(u.shape[1:], float))
         np.multiply(np.multiply(-mu, a_sq, out=work.take(u.shape[1:], complex)), u, out=f3)
+    with work.scope():
         f3 -= _times_u(1j, a0_2, u, work)
     return NonlinearityParts(f1=f1, f2=f2, f3=f3)
 
@@ -256,9 +263,12 @@ def _times_u(c: complex, field: np.ndarray, u: np.ndarray, work: Workspace) -> n
 
 
 def _forcing_at(grid: Grid, u_node: np.ndarray, lam: float, work: Workspace) -> np.ndarray:
-    """F(u_node) = f1 + f2 + f3, gauge fields included, in an array taken from ``work``."""
-    a, a0_1, a0_2 = gauge_fields_from_u(grid, u_node, lam, work=work)
-    parts = nonlinearity_F(grid, u_node, a, a0_1, a0_2, lam, work=work)
+    """F(u_node) = f1 + f2 + f3, gauge fields included, in an array taken from
+    ``work``.  u_node is complex; its spectrum is taken once and serves both
+    the gauge solve's div u and the nonlinearity's grad u."""
+    u_hat, _ = _forward(grid, u_node, out=work.take(u_node.shape, complex))
+    a, a0_1, a0_2 = gauge_fields_from_u(grid, u_node, lam, work=work, u_hat=u_hat)
+    parts = nonlinearity_F(grid, u_node, a, a0_1, a0_2, lam, work=work, u_hat=u_hat)
     total = np.add(parts.f1, parts.f2, out=work.take(u_node.shape, complex))
     total += parts.f3
     return total
@@ -270,12 +280,16 @@ def _forcing_at(grid: Grid, u_node: np.ndarray, lam: float, work: Workspace) -> 
 
 @dataclass
 class PicardResult:
+    """A mild solve: its last iterate and how it got there.  ``config`` is
+    the configuration it was solved with."""
+
     trajectory: Trajectory
     xpt: XptReport
     increments: list
     converged: bool
     iterations: int
     initial_norm: float
+    config: CglConfig
     iteration_log: list = field(default_factory=list)
 
 
@@ -424,12 +438,23 @@ def picard_iterate(grid: Grid, v0: np.ndarray, config: CglConfig,
         xpt = xpt_norm(grid, traj, config.p)
     return PicardResult(trajectory=traj, xpt=xpt, increments=increments,
                         converged=converged, iterations=len(increments),
-                        initial_norm=initial_norm, iteration_log=iteration_log)
+                        initial_norm=initial_norm, config=config,
+                        iteration_log=iteration_log)
 
 
 def fixed_point_residual(grid: Grid, result: PicardResult, v0: np.ndarray,
                          config: CglConfig) -> float:
-    """Sup-over-time L2 defect of u against its own Duhamel right-hand side."""
+    """Sup-over-time L2 defect of u against its own Duhamel right-hand side.
+
+    The right-hand side uses the solve's own rule: a ``config`` whose
+    ``lam`` or ``duhamel_substeps`` differs from ``result.config`` raises
+    ``ValueError``, since the defect would then measure the mismatch, not
+    the solve."""
+    for name in ("lam", "duhamel_substeps"):
+        given, solved = getattr(config, name), getattr(result.config, name)
+        if given != solved:
+            raise ValueError(f"config.{name} = {given!r} differs from the {solved!r} "
+                             "the result was solved with")
     params = SemigroupParams(lam=config.lam, grid=grid)
     v0 = np.asarray(v0, dtype=complex)
     times = result.trajectory.times

@@ -16,7 +16,9 @@ output comes back real) and of ``fftn``/``ifftn`` for complex input.  Every
 pass after the first writes into the spectrum in place, and ``_inverse``
 consumes the spectrum it is given.  Both take ``out=``, an array to write
 the result into.  Every operator makes one forward transform of its input
-and one inverse transform of its whole output stack: ``gradient``
+(none when ``gradient`` or ``divergence`` is given the input's spectrum as
+``spectrum=``, so that one transform can serve both) and one inverse
+transform of its whole output stack: ``gradient``
 multiplies the one spectrum by each axis's multiplier and inverts the
 ``(dim, ...)`` stack together, ``divergence`` sums its components in
 spectral space, and ``inverse_laplacian_divergence`` solves every
@@ -325,16 +327,29 @@ def derivative(grid: Grid, values: np.ndarray, axis: int, order: int = 1) -> np.
     return _apply_multiplier(grid, values, mult)
 
 
-def gradient(grid: Grid, values: np.ndarray, *, work: Workspace | None = None) -> np.ndarray:
+def _spectrum_of(grid: Grid, values: np.ndarray, work: Workspace,
+                 spectrum: np.ndarray | None):
+    """(spectrum, real_in) of ``values``: ``spectrum`` itself when given (it
+    must be ``_forward``'s spectrum of ``values``; it is only read), else
+    one forward transform into an array from ``work``."""
+    if spectrum is not None:
+        return spectrum, np.isrealobj(values)
+    return _forward(grid, values, out=_spectrum(grid, values, work))
+
+
+def gradient(grid: Grid, values: np.ndarray, *, work: Workspace | None = None,
+             spectrum: np.ndarray | None = None) -> np.ndarray:
     """Stack of first derivatives; output shape (dim, *values.shape).
 
     One forward transform, one inverse of the whole stack; bitwise equal to
     stacking ``derivative(grid, values, ax, 1)`` over the axes.  With
-    ``work`` the spectra come from it, and so does a complex result.
+    ``work`` the spectra come from it, and so does a complex result.  Given
+    ``spectrum``, ``_forward``'s spectrum of ``values`` (read, not written),
+    it makes no forward transform.
     """
     work = Workspace() if work is None else work
     values = np.asarray(values)
-    spec, real_in = _forward(grid, values, out=_spectrum(grid, values, work))
+    spec, real_in = _spectrum_of(grid, values, work, spectrum)
     mults = [_layout(grid, m, real_in) for m in grid.derivative_multipliers]
     stack = work.take((grid.dim,) + spec.shape, np.result_type(spec, *mults))
     for ax, m in enumerate(mults):
@@ -347,13 +362,14 @@ def laplacian(grid: Grid, values: np.ndarray) -> np.ndarray:
     return _inverse(grid, spec * grid.laplacian_multipliers[real_in], real_in)
 
 
-def _divergence_spectrum(grid: Grid, vec: np.ndarray, work: Workspace):
+def _divergence_spectrum(grid: Grid, vec: np.ndarray, work: Workspace,
+                         spectrum: np.ndarray | None = None):
     """(spectrum of div vec, real_in) from one transform of the component
-    stack, in arrays taken from ``work``."""
+    stack, or from its given ``spectrum``, in arrays taken from ``work``."""
     vec = np.asarray(vec)
     if vec.shape[0] != grid.dim:
         raise ValueError(f"expected {grid.dim} components, got {vec.shape[0]}")
-    spec, real_in = _forward(grid, vec, out=_spectrum(grid, vec, work))
+    spec, real_in = _spectrum_of(grid, vec, work, spectrum)
     mults = [_layout(grid, m, real_in) for m in grid.derivative_multipliers]
     dtype = np.result_type(spec, *mults)
     div_hat = np.multiply(spec[0], mults[0], out=work.take(spec.shape[1:], dtype))
@@ -364,12 +380,14 @@ def _divergence_spectrum(grid: Grid, vec: np.ndarray, work: Workspace):
     return div_hat, real_in
 
 
-def divergence(grid: Grid, vec: np.ndarray, *, work: Workspace | None = None) -> np.ndarray:
+def divergence(grid: Grid, vec: np.ndarray, *, work: Workspace | None = None,
+               spectrum: np.ndarray | None = None) -> np.ndarray:
     """Divergence of a stack of components laid out along axis 0.
 
-    ``work`` as for ``gradient``.
+    ``work`` and ``spectrum`` as for ``gradient``.
     """
-    div_hat, real_in = _divergence_spectrum(grid, vec, Workspace() if work is None else work)
+    div_hat, real_in = _divergence_spectrum(grid, vec, Workspace() if work is None else work,
+                                            spectrum)
     return _inverse(grid, div_hat, real_in)
 
 

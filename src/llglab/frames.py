@@ -168,7 +168,7 @@ def coulomb_gauge_fix(grid: Grid, state: GaugeState) -> GaugeState:
 
 
 def gauge_fields_from_u(grid: Grid, u: np.ndarray, lam: float, *,
-                        work: Workspace | None = None):
+                        work: Workspace | None = None, u_hat: np.ndarray | None = None):
     """Connection and time-connection split recovered from u alone.
 
     Under the divergence-free gauge the connection solves, component-wise,
@@ -183,33 +183,42 @@ def gauge_fields_from_u(grid: Grid, u: np.ndarray, lam: float, *,
 
     Every array, the returned ones included, is taken from ``work`` (a fresh
     ``Workspace`` when None): the results alias ``work`` and stay valid until
-    the caller's enclosing ``work.scope()`` exits.
+    the caller's enclosing ``work.scope()`` exits.  ``u_hat``, when given, is
+    ``fields._forward``'s spectrum of the complex u; it is only read, and
+    ``div u`` is made from it instead of from a transform of its own.  The
+    bytes are the same either way.
     """
     work = Workspace() if work is None else work
     u = np.asarray(u, dtype=complex)
     a = work.take(u.shape, float)
     a0 = work.take((2,) + u.shape[1:], float)
+    # conj(u) is made once per Poisson solve and given back before it, so no
+    # solve's spectra sit above it: a node that holds u_hat through this call
+    # needs no larger workspace than one that transformed u twice
     with work.scope():
-        uc = np.conjugate(u, out=work.take(u.shape, complex))
+        # pair[k, b] = u_b conj(u_k): Im of it is component k of the
+        # right-hand side of a_b
+        pair = work.take((len(u),) + u.shape, complex)
         with work.scope():
-            # pair[k, b] = u_b conj(u_k): Im of it is component k of the
-            # right-hand side of a_b
-            pair = np.multiply(u[None, :], uc[:, None],
-                               out=work.take((len(u),) + u.shape, complex))
-            inverse_laplacian_divergence(grid, pair.imag, out=a, work=work)
+            uc = np.conjugate(u, out=work.take(u.shape, complex))
+            np.multiply(u[None, :], uc[:, None], out=pair)
+        inverse_laplacian_divergence(grid, pair.imag, out=a, work=work)
+    with work.scope():
         # rhs[:, 0] and rhs[:, 1] are the right-hand sides of a0_1 and a0_2
         rhs = work.take((len(u), 2) + u.shape[1:], float)
         with work.scope():
-            div_u = divergence(grid, u, work=work)
-            w1 = np.multiply(uc, div_u, out=work.take(u.shape, complex))
-            np.multiply(lam, w1.imag, out=rhs[:, 0])
-            rhs[:, 0] -= w1.real
-        with work.scope():
-            au = np.multiply(a, u, out=work.take(u.shape, complex))
-            w2 = np.multiply(np.sum(au, axis=0, out=work.take(u.shape[1:], complex)),
-                             uc, out=uc)
-            np.multiply(lam, w2.real, out=rhs[:, 1])
-            rhs[:, 1] += w2.imag
+            uc = np.conjugate(u, out=work.take(u.shape, complex))
+            with work.scope():
+                div_u = divergence(grid, u, work=work, spectrum=u_hat)
+                w1 = np.multiply(uc, div_u, out=work.take(u.shape, complex))
+                np.multiply(lam, w1.imag, out=rhs[:, 0])
+                rhs[:, 0] -= w1.real
+            with work.scope():
+                au = np.multiply(a, u, out=work.take(u.shape, complex))
+                w2 = np.multiply(np.sum(au, axis=0, out=work.take(u.shape[1:], complex)),
+                                 uc, out=uc)
+                np.multiply(lam, w2.real, out=rhs[:, 1])
+                rhs[:, 1] += w2.imag
         inverse_laplacian_divergence(grid, rhs, out=a0, work=work)
     return a, a0[0], a0[1]
 

@@ -88,16 +88,24 @@ __all__ = [
 class BallLattice:
     """Centers (integer index tuples) and dyadic radii on one grid.
 
+    ``centers`` None means every ``stride``-th index along each axis.
     Everything is checked once, here; ``morrey_norm`` only checks that it is
     handed the grid the lattice was built for.
     """
 
     grid: Grid
-    centers: tuple
+    centers: tuple | None
     radii: tuple
     stride: int = 1
 
     def __post_init__(self):
+        require_integer("stride", self.stride)
+        if self.stride < 1:
+            raise ValueError(f"stride must be >= 1, got {self.stride}")
+        object.__setattr__(self, "stride", int(self.stride))
+        if self.centers is None:
+            object.__setattr__(self, "centers", tuple(
+                product(range(0, self.grid.n, self.stride), repeat=self.grid.dim)))
         if len(self.centers) == 0:
             raise ValueError("lattice must carry at least one center")
         n, dim = self.grid.n, self.grid.dim
@@ -125,10 +133,6 @@ def ball_lattice(grid: Grid, stride: int | None = None, r_max: float | None = No
     typed by argument, so ``stride=True`` never reuses the lattice of 1)."""
     if stride is None:
         stride = 2 if grid.n >= 64 else 1
-    require_integer("stride", stride)
-    stride = int(stride)
-    if stride < 1:
-        raise ValueError("stride must be >= 1")
     cap = grid.length / 2.0
     if r_max is not None:
         require_finite_positive("r_max", r_max)
@@ -140,8 +144,7 @@ def ball_lattice(grid: Grid, stride: int | None = None, r_max: float | None = No
         r = 2.0 * r
     if not radii:
         raise ValueError("no admissible radius <= L/2; increase r_max")
-    centers = tuple(product(range(0, grid.n, stride), repeat=grid.dim))
-    return BallLattice(grid=grid, centers=centers, radii=tuple(radii), stride=stride)
+    return BallLattice(grid=grid, centers=None, radii=tuple(radii), stride=stride)
 
 
 @dataclass(frozen=True)

@@ -291,7 +291,7 @@ def reference_picard_iterate(grid, v0, config, track_xpt=False):
                             increments=increments, converged=converged,
                             iterations=len(increments),
                             initial_norm=morrey_norm(grid, v0, 2.0, 2.0).value,
-                            iteration_log=iteration_log)
+                            config=config, iteration_log=iteration_log)
 
 
 def reference_fixed_point_residual(grid, result, v0, config):

@@ -191,6 +191,24 @@ class TestPicard:
         result = picard_iterate(g, v0, cfg)
         assert fixed_point_residual(g, result, v0, cfg) <= 10.0 * cfg.picard_tol
 
+    @pytest.mark.parametrize("change", [dict(duhamel_substeps=2), dict(lam=0.5)],
+                             ids=["substeps", "lam"])
+    def test_residual_rejects_another_rule(self, change):
+        # with another rule the residual used to return the quadrature
+        # mismatch instead of the solve's defect
+        g = make_grid(2, 16, TWO_PI)
+        cfg = self.small_config(picard_tol=1e-12)
+        v0 = normalized(g, bump_pair(g), 1e-3)
+        result = picard_iterate(g, v0, cfg)
+        other = CglConfig(**{**vars(cfg), **change})
+        name = next(iter(change))
+        with pytest.raises(ValueError, match=f"config.{name} = "):
+            fixed_point_residual(g, result, v0, other)
+        assert result.config is cfg
+        # the fields the rule does not read may differ
+        assert (fixed_point_residual(g, result, v0, CglConfig(**{**vars(cfg), "picard_tol": 1e-6}))
+                == fixed_point_residual(g, result, v0, cfg))
+
     def test_trajectory_starts_at_initial_data(self):
         g = make_grid(2, 16, TWO_PI)
         v0 = normalized(g, bump_pair(g), 1e-3)
@@ -394,13 +412,32 @@ class TestNodeWorkspace:
                     assert got.tobytes() == want.tobytes()
         assert work.nbytes > 0  # the later passes ran in the reused buffer
 
-    def test_warm_node_allocates_little(self):
-        # the node of the picard_large benchmark: 2-D N=64, two components.
-        # Without a workspace its temporaries peak at 1,506 KiB; in a warm one
-        # the peak is about 133 KiB (numpy's iteration buffers for the
-        # mixed-type and broadcast products), so 400 KiB leaves a 3x margin.
-        import tracemalloc
+    @pytest.mark.parametrize("dim,n", [(1, 16), (2, 16), (3, 8)])
+    def test_shared_spectrum_gives_the_plain_bytes(self, dim, n):
+        # u_hat= makes div u and grad u from one given transform of u
+        from llglab.fields import _forward
 
+        g = make_grid(dim, n, TWO_PI)
+        rng = np.random.default_rng(90 + dim)
+        shape = (dim,) + g.shape
+        lam = 0.7
+        u = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        plain = gauge_fields_from_u(g, u, lam)
+        plain_parts = nonlinearity_F(g, u, *plain, lam)
+        u_hat, _ = _forward(g, u)
+        kept = u_hat.copy()
+        shared = gauge_fields_from_u(g, u, lam, u_hat=u_hat)
+        parts = nonlinearity_F(g, u, *shared, lam, u_hat=u_hat)
+        assert u_hat.tobytes() == kept.tobytes()  # read, never written
+        for got, want in zip((*shared, parts.f1, parts.f2, parts.f3),
+                             (*plain, plain_parts.f1, plain_parts.f2, plain_parts.f3)):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    @staticmethod
+    def picard_large_node():
+        """The node of the picard_large benchmark (2-D N=64, two components)
+        with its forcing's transform, and the workspace it runs in."""
         from llglab.fields import _forward
 
         g = make_grid(2, 64, TWO_PI)
@@ -412,9 +449,35 @@ class TestNodeWorkspace:
                 forcing = cgl._forcing_at(g, u, 1.0, work)
                 _forward(g, forcing, out=forcing)
 
+        return node, work
+
+    def test_warm_node_makes_sixteen_fft_passes(self, monkeypatch):
+        # u's spectrum 2, the a solve 4, div u's inverse 2, the a0 solve 4,
+        # grad u's inverse 2, the forcing's spectrum 2; transforming u once
+        # for div u and once for grad u made 18
+        node, _ = self.picard_large_node()
+        node()
+        passes = []
+        for name in ("fft", "ifft", "rfft", "irfft"):
+            def counted(*args, _fn=getattr(np.fft, name), _name=name, **kw):
+                passes.append(_name)
+                return _fn(*args, **kw)
+            monkeypatch.setattr(np.fft, name, counted)
+        node()
+        assert len(passes) == 16, passes
+
+    def test_warm_node_allocates_little(self):
+        # Without a workspace the node's temporaries peak at 1,506 KiB; in a
+        # warm one the peak is about 133 KiB (numpy's iteration buffers for
+        # the mixed-type and broadcast products), so 400 KiB leaves a 3x margin.
+        import tracemalloc
+
+        node, work = self.picard_large_node()
         node()
         node()
-        assert work.nbytes <= 1506 * 1024  # no more than the old transient peak
+        # the workspace's high-water: sharing u's spectrum between the gauge
+        # solve and the nonlinearity must not raise it
+        assert work.nbytes <= 917_504
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]

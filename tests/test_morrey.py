@@ -63,6 +63,22 @@ class TestBallLattice:
         with pytest.raises(ValueError, match="stride must be an integer"):
             ball_lattice(g, stride=stride)
 
+    @pytest.mark.parametrize("stride,message", [
+        (2.5, "must be an integer"), (True, "must be an integer"),
+        (-1, "must be >= 1"), (0, "must be >= 1")])
+    def test_bad_stride_rejected_at_construction(self, stride, message):
+        # a lattice built directly used to keep any stride, which then did
+        # not describe its centers
+        with pytest.raises(ValueError, match=f"stride {message}"):
+            BallLattice(grid=make_grid(1, 8, TWO_PI), centers=((0,),), radii=(0.25,),
+                        stride=stride)
+
+    def test_no_centers_means_the_strided_sub_lattice(self):
+        g = make_grid(2, 16, TWO_PI)
+        lat = BallLattice(grid=g, centers=None, radii=(g.h,), stride=np.int64(5))
+        assert lat.centers == tuple((i, j) for i in (0, 5, 10, 15) for j in (0, 5, 10, 15))
+        assert type(lat.stride) is int
+
     def test_numpy_integer_stride_accepted(self):
         lat = ball_lattice(make_grid(2, 16, TWO_PI), stride=np.int64(3))
         assert lat == ball_lattice(make_grid(2, 16, TWO_PI), stride=3)
