@@ -17,20 +17,21 @@ potential part.  The mild solution is the fixed point of
     u(t) = S(t) v0 + int_0^t S(t - s) F(u(s)) ds,
 
 iterated here on a uniform time grid with a composite midpoint exponential
-rule for the integral.  The integral is accumulated in Fourier space, where
-S(t) is the diagonal multiplier exp((i - lam)|xi|^2 t): each forcing node
-adds one forward FFT of its forcing, and each output time costs one
-inverse FFT.  A node transforms u once, and that spectrum serves both the
-gauge solve's div u and the nonlinearity's grad u; with the two Poisson
-solves of the gauge fields (a transform pair each) and the inverses of
-div u and grad u, a node makes eight n-d transforms, 16 one-axis passes in
-2-D.  A solve
-computes each multiplier once, for all its sweeps, and runs every forcing
-node in one reused ``Workspace``, so after the first node no node
-allocates an array.  A sweep streams: the integral at each output time is
-yielded as soon as it is made, the new iterate is formed in it and
-replaces the old one an output time later, so a solve holds S(t) v0 and
-one iterate, and the residual check no trajectory of its own.
+rule for the integral.  One private ``_Rule`` per solve holds that rule:
+the output times, the multipliers of S(t) and the node ``Workspace``, which
+every sweep reuses, and the node loop of one interval, ``add_interval``.
+The integral is accumulated in Fourier space, where S(t) is the diagonal
+multiplier exp((i - lam)|xi|^2 t): each forcing node adds one forward FFT
+of its forcing, and each output time costs one inverse FFT.  A node
+transforms u once, and that spectrum serves both the gauge solve's div u
+and the nonlinearity's grad u; with the two Poisson solves of the gauge
+fields (a transform pair each) and the inverses of div u and grad u, a
+node makes eight n-d transforms, 16 one-axis passes in 2-D.  After the
+first node no node allocates an array.  A sweep streams: the integral at
+each output time is yielded as soon as it is made, the new iterate is
+formed in it and replaces the old one an output time later, so a solve
+holds S(t) v0 and one iterate, and the residual check no trajectory of
+its own.
 Contraction needs small initial data; large data is reported as
 NonContraction, never forced.
 """
@@ -293,65 +294,69 @@ class PicardResult:
     iteration_log: list = field(default_factory=list)
 
 
-def _multiplier_cache(params: SemigroupParams):
-    """semigroup_multiplier(params, offset), computed once per float offset.
+class _Rule:
+    """The composite midpoint exponential rule of one solve for its Duhamel
+    integrals int_0^{t_i} S(t_i - s) F(u(s)) ds: ``duhamel_substeps``
+    midpoint nodes per interval of ``times``, the gauge fields recomputed at
+    each from u(s), the iterate's linear interpolant in time.
 
-    One cache serves every sweep of a solve: equal offsets share one array,
-    so a dyadic uniform time grid computes substeps + 1 of them.  Offsets
-    that differ in the last bit (np.linspace times that are not binary
-    fractions) stay distinct, as their multipliers do.
+    It owns what every sweep reuses: one ``semigroup_multiplier`` per float
+    offset (substeps + 1 on a dyadic uniform grid; offsets that differ in
+    the last bit, as np.linspace times that are not binary fractions give,
+    stay distinct, as their multipliers do) and the ``Workspace`` that
+    holds every array of a node, so a node after the first allocates none.
     """
-    return functools.cache(functools.partial(semigroup_multiplier, params))
 
+    def __init__(self, grid: Grid, config: CglConfig, times: np.ndarray):
+        self.grid, self.times = grid, times
+        self.lam, self.substeps = config.lam, config.duhamel_substeps
+        self.params = SemigroupParams(lam=config.lam, grid=grid)
+        self.mult = functools.cache(functools.partial(semigroup_multiplier, self.params))
+        self.work = Workspace()
 
-def _duhamel_trajectory(grid: Grid, times: np.ndarray, u_old: list, lam: float,
-                        substeps: int, mult, work: Workspace):
-    """Composite midpoint exponential rule for int_0^{t_i} S(t_i - s) F(u_old(s)) ds,
-    yielded as I_0, I_1, ..., I_n one output time at a time.
-
-    Evaluated interval-recursively: I_{i+1} = S(dt) I_i + local part, which by
-    the exact semigroup law equals the single composite rule over [0, t_i]
-    with i * substeps midpoint nodes.  The gauge fields are recomputed from
-    the (lagged) iterate at every quadrature node; u_old(s) is its linear
-    interpolant in time.
-
-    The accumulator lives in Fourier space, where S(t) is a diagonal
-    multiplier: each node adds the spectrum of its forcing times the
-    multiplier of t_{i+1} - s, each interval multiplies by the multiplier of
-    dt, and each output time takes one inverse FFT.  ``mult`` maps an offset
-    to its multiplier and ``work`` holds every array of a node; both belong
-    to the solve (``_multiplier_cache``, a ``Workspace``), so every sweep of
-    it reuses them, and a node after the first allocates no array.
-
-    Each yielded I_i is a fresh array owned by the caller, who may write
-    into it.  The nodes of interval i read only ``u_old[i]`` and
-    ``u_old[i + 1]``, when the sweep resumes after yielding I_i, so once I_i
-    is yielded the caller may replace ``u_old[i - 1]`` in the list.
-    """
-    yield np.zeros_like(u_old[0])
-    acc_hat = np.zeros_like(u_old[0], dtype=complex)
-    for i in range(len(times) - 1):
+    def add_interval(self, i: int, u_a: np.ndarray, u_b: np.ndarray,
+                     acc_hat: np.ndarray) -> None:
+        """Add the nodes of [t_i, t_{i+1}] into the Fourier accumulator: each
+        node's forcing spectrum times the multiplier of t_{i+1} - s, times
+        the node weight.  ``u_a``, ``u_b`` are the iterate at t_i, t_{i+1},
+        the only entries of it the interval reads."""
+        times, work = self.times, self.work
         dt = times[i + 1] - times[i]
-        acc_hat *= mult(dt)
-        sub = dt / substeps
-        for j in range(substeps):
+        sub = dt / self.substeps
+        for j in range(self.substeps):
             s = times[i] + (j + 0.5) * sub
             w = (s - times[i]) / dt
             with work.scope():
-                u_s = np.multiply(1.0 - w, u_old[i], out=work.take(acc_hat.shape, complex))
+                u_s = np.multiply(1.0 - w, u_a, out=work.take(acc_hat.shape, complex))
                 with work.scope():
-                    u_s += np.multiply(w, u_old[i + 1], out=work.take(acc_hat.shape, complex))
-                forcing = _forcing_at(grid, u_s, lam, work)
-                spec, _ = _forward(grid, forcing, out=forcing)
-                spec *= mult(times[i + 1] - s)
+                    u_s += np.multiply(w, u_b, out=work.take(acc_hat.shape, complex))
+                forcing = _forcing_at(self.grid, u_s, self.lam, work)
+                spec, _ = _forward(self.grid, forcing, out=forcing)
+                spec *= self.mult(times[i + 1] - s)
                 spec *= sub
                 acc_hat += spec
-        # a complex inverse given out= leaves acc_hat, which carries over, alone
-        yield _inverse(grid, acc_hat, False, out=np.empty_like(acc_hat))
+
+    def integrals(self, u: list):
+        """The integrals of the iterate ``u``, yielded as I_0, ..., I_n one
+        output time at a time, interval-recursively: I_{i+1} = S(dt) I_i +
+        the nodes of interval i, which by the exact semigroup law is the
+        composite rule over [0, t_{i+1}].  S(dt) is a diagonal multiplier on
+        the Fourier accumulator; each output time takes one inverse FFT.
+
+        Each I_i is a fresh array the caller may write into.  Interval i
+        reads ``u[i]`` and ``u[i + 1]`` when the generator resumes after
+        yielding I_i, so the caller may then replace ``u[i - 1]``.
+        """
+        yield np.zeros_like(u[0])
+        acc_hat = np.zeros_like(u[0], dtype=complex)
+        for i in range(len(self.times) - 1):
+            acc_hat *= self.mult(self.times[i + 1] - self.times[i])
+            self.add_interval(i, u[i], u[i + 1], acc_hat)
+            # a complex inverse given out= leaves acc_hat, which carries over, alone
+            yield _inverse(self.grid, acc_hat, False, out=np.empty_like(acc_hat))
 
 
-def _sweep(grid: Grid, times: np.ndarray, free: list, u_old: list,
-           config: CglConfig, mult, work: Workspace) -> float:
+def _sweep(rule: _Rule, free: list, u_old: list) -> float:
     """One Picard sweep: replace each ``u_old[i]`` in the list by
     u_new[i] = free[i] + I_i and return max_i ||u_new[i] - u_old[i]||_2,
     or NaN if any term is NaN, so a diverged iterate never passes for a
@@ -361,13 +366,11 @@ def _sweep(grid: Grid, times: np.ndarray, free: list, u_old: list,
     output time later, once the nodes that read it are done, so a sweep
     holds ``free`` and one iterate instead of four trajectories.
     """
-    integrals = _duhamel_trajectory(grid, times, u_old, config.lam,
-                                    config.duhamel_substeps, mult, work)
-    for i, integral in enumerate(integrals):
+    for i, integral in enumerate(rule.integrals(u_old)):
         if i:
             u_old[i - 1] = u_new
         u_new = np.add(free[i], integral, out=integral)
-        term = l2_norm(grid, u_new - u_old[i])
+        term = l2_norm(rule.grid, u_new - u_old[i])
         if i == 0 or term > inc or math.isnan(term):
             inc = term
     u_old[-1] = u_new
@@ -385,7 +388,6 @@ def picard_iterate(grid: Grid, v0: np.ndarray, config: CglConfig,
     v0 = np.asarray(v0, dtype=complex)
     if v0.shape != (grid.dim,) + grid.shape:
         raise ValueError(f"v0 must have shape {(grid.dim,) + grid.shape}")
-    params = SemigroupParams(lam=config.lam, grid=grid)
     initial_norm = morrey_norm(grid, v0, 2.0, 2.0).value
     if initial_norm > config.smallness:
         warnings.warn(
@@ -394,11 +396,10 @@ def picard_iterate(grid: Grid, v0: np.ndarray, config: CglConfig,
             SmallnessWarning,
         )
 
-    times = np.linspace(0.0, config.t_end, config.time_steps + 1)
-    free = [apply_semigroup(v0, t, params) for t in times]
+    rule = _Rule(grid, config, np.linspace(0.0, config.t_end, config.time_steps + 1))
+    free = [apply_semigroup(v0, t, rule.params) for t in rule.times]
     # entries of u_old are replaced, never written into, so it may share free's
     u_old = list(free)
-    mult, work = _multiplier_cache(params), Workspace()
 
     increments: list = []
     iteration_log: list = []
@@ -407,7 +408,7 @@ def picard_iterate(grid: Grid, v0: np.ndarray, config: CglConfig,
     xpt = None
     with np.errstate(over="ignore", invalid="ignore"):
         for it in range(1, config.picard_max_iter + 1):
-            inc = _sweep(grid, times, free, u_old, config, mult, work)
+            inc = _sweep(rule, free, u_old)
             if not np.isfinite(inc):
                 raise NonContraction(
                     f"iterate diverged (non-finite increment at iteration {it})",
@@ -415,7 +416,7 @@ def picard_iterate(grid: Grid, v0: np.ndarray, config: CglConfig,
                 )
             row = {"iter": it, "increment": inc}
             if track_xpt:
-                xpt = xpt_norm(grid, Trajectory(times, u_old), config.p)
+                xpt = xpt_norm(grid, Trajectory(rule.times, u_old), config.p)
                 row.update(xpt_r1=xpt.r1, xpt_r2=xpt.r2, xpt_r3=xpt.r3)
             iteration_log.append(row)
             if increments and inc > increments[-1]:
@@ -433,7 +434,7 @@ def picard_iterate(grid: Grid, v0: np.ndarray, config: CglConfig,
                 converged = True
                 break
 
-    traj = Trajectory(times, u_old)
+    traj = Trajectory(rule.times, u_old)
     if xpt is None:  # untracked; a tracked run already measured the final iterate
         xpt = xpt_norm(grid, traj, config.p)
     return PicardResult(trajectory=traj, xpt=xpt, increments=increments,
@@ -446,23 +447,23 @@ def fixed_point_residual(grid: Grid, result: PicardResult, v0: np.ndarray,
                          config: CglConfig) -> float:
     """Sup-over-time L2 defect of u against its own Duhamel right-hand side.
 
-    The right-hand side uses the solve's own rule: a ``config`` whose
-    ``lam`` or ``duhamel_substeps`` differs from ``result.config`` raises
-    ``ValueError``, since the defect would then measure the mismatch, not
-    the solve."""
+    The right-hand side uses the solve's own rule and datum: a ``config``
+    whose ``lam`` or ``duhamel_substeps`` differs from ``result.config``, or
+    a ``v0`` other than the solve's (its trajectory starts at S(0) v0 = v0),
+    raises ``ValueError``, since the defect would then measure the
+    mismatch, not the solve."""
     for name in ("lam", "duhamel_substeps"):
         given, solved = getattr(config, name), getattr(result.config, name)
         if given != solved:
             raise ValueError(f"config.{name} = {given!r} differs from the {solved!r} "
                              "the result was solved with")
-    params = SemigroupParams(lam=config.lam, grid=grid)
     v0 = np.asarray(v0, dtype=complex)
-    times = result.trajectory.times
     u = result.trajectory.fields
-    integrals = _duhamel_trajectory(grid, times, u, config.lam, config.duhamel_substeps,
-                                    _multiplier_cache(params), Workspace())
-    return max(l2_norm(grid, u_t - apply_semigroup(v0, t, params) - integral)
-               for u_t, t, integral in zip(u, times, integrals))
+    if not np.array_equal(v0, u[0]):
+        raise ValueError("v0 is not the initial datum the result was solved from")
+    rule = _Rule(grid, config, result.trajectory.times)
+    return max(l2_norm(grid, u_t - apply_semigroup(v0, t, rule.params) - integral)
+               for u_t, t, integral in zip(u, rule.times, rule.integrals(u)))
 
 
 # ---------------------------------------------------------------------------

@@ -63,10 +63,9 @@ radius and the tiled ball indicators, ``n_radii * (2N)**dim`` bytes
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product
-from numbers import Integral
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -86,33 +85,25 @@ __all__ = [
 
 @dataclass(frozen=True)
 class BallLattice:
-    """Centers (integer index tuples) and dyadic radii on one grid.
-
-    ``centers`` None means every ``stride``-th index along each axis.
-    Everything is checked once, here; ``morrey_norm`` only checks that it is
-    handed the grid the lattice was built for.
+    """Dyadic radii on one grid, centered at every ``stride``-th index
+    along each axis; ``centers`` (integer index tuples) is derived from
+    ``stride``, so it always describes them.  Everything is checked once,
+    here; ``morrey_norm`` only checks that it is handed the grid the lattice
+    was built for.
     """
 
     grid: Grid
-    centers: tuple | None
     radii: tuple
     stride: int = 1
+    centers: tuple = field(init=False)
 
     def __post_init__(self):
         require_integer("stride", self.stride)
         if self.stride < 1:
             raise ValueError(f"stride must be >= 1, got {self.stride}")
         object.__setattr__(self, "stride", int(self.stride))
-        if self.centers is None:
-            object.__setattr__(self, "centers", tuple(
-                product(range(0, self.grid.n, self.stride), repeat=self.grid.dim)))
-        if len(self.centers) == 0:
-            raise ValueError("lattice must carry at least one center")
-        n, dim = self.grid.n, self.grid.dim
-        for c in self.centers:
-            if not (isinstance(c, tuple) and len(c) == dim
-                    and all(isinstance(i, Integral) and 0 <= i < n for i in c)):
-                raise ValueError(f"center {c!r} is not a {dim}-tuple of indices in [0, {n})")
+        object.__setattr__(self, "centers", tuple(
+            product(range(0, self.grid.n, self.stride), repeat=self.grid.dim)))
         if len(self.radii) == 0:
             raise ValueError("lattice must carry at least one radius")
         require_finite_positive("smallest radius", self.radii[0])
@@ -144,7 +135,7 @@ def ball_lattice(grid: Grid, stride: int | None = None, r_max: float | None = No
         r = 2.0 * r
     if not radii:
         raise ValueError("no admissible radius <= L/2; increase r_max")
-    return BallLattice(grid=grid, centers=None, radii=tuple(radii), stride=stride)
+    return BallLattice(grid=grid, radii=tuple(radii), stride=stride)
 
 
 @dataclass(frozen=True)

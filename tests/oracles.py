@@ -12,7 +12,7 @@ import numpy as np
 from scipy import integrate
 
 from llglab import cgl
-from llglab.fields import (Trajectory, Workspace, derivative, inverse_laplacian_divergence,
+from llglab.fields import (Trajectory, derivative, inverse_laplacian_divergence,
                            l2_norm, laplacian, normalize_spin)
 from llglab.morrey import morrey_norm, xpt_norm
 from llglab.semigroup import SemigroupParams, apply_semigroup
@@ -221,8 +221,8 @@ def reference_duhamel_trajectory(grid, times, u_old, lam, substeps, params):
     Every node's forcing is built from ``reference_gauge_fields`` and
     ``nonlinearity_direct`` and goes through its own apply_semigroup, and
     the accumulator through one more per interval: two FFTs and a fresh
-    multiplier per call.  cgl._duhamel_trajectory accumulates the same rule
-    in Fourier space and must agree to rounding.
+    multiplier per call.  cgl._Rule.integrals accumulates the same rule in
+    Fourier space and must agree to rounding.
     """
     integrals = [np.zeros_like(u_old[0])]
     acc = np.zeros_like(u_old[0])
@@ -247,19 +247,17 @@ def reference_picard_iterate(grid, v0, config, track_xpt=False):
     whole, takes the increment as ``max`` over the output times afterwards
     (NaN if any time's term is NaN), and only then swaps the iterates.  The bitwise reference for the
     streaming sweep's in-place bookkeeping; the integrals are the solver's
-    own (``list(cgl._duhamel_trajectory(...))``), no smallness warning."""
-    params = SemigroupParams(lam=config.lam, grid=grid)
+    own (``list(rule.integrals(...))`` of one ``cgl._Rule``), no smallness warning."""
     v0 = np.asarray(v0, dtype=complex)
     times = np.linspace(0.0, config.t_end, config.time_steps + 1)
-    free = [apply_semigroup(v0, t, params) for t in times]
+    rule = cgl._Rule(grid, config, times)
+    free = [apply_semigroup(v0, t, rule.params) for t in times]
     u_old = [f.copy() for f in free]
-    mult, work = cgl._multiplier_cache(params), Workspace()
     increments, iteration_log = [], []
     converged, grow_streak, xpt = False, 0, None
     with np.errstate(over="ignore", invalid="ignore"):
         for it in range(1, config.picard_max_iter + 1):
-            integrals = list(cgl._duhamel_trajectory(grid, times, u_old, config.lam,
-                                                     config.duhamel_substeps, mult, work))
+            integrals = list(rule.integrals(u_old))
             u_new = [free[i] + integrals[i] for i in range(len(times))]
             terms = [l2_norm(grid, u_new[i] - u_old[i]) for i in range(len(times))]
             inc = float("nan") if any(np.isnan(terms)) else max(terms)
@@ -297,14 +295,12 @@ def reference_picard_iterate(grid, v0, config, track_xpt=False):
 def reference_fixed_point_residual(grid, result, v0, config):
     """cgl.fixed_point_residual over whole lists: every S(t_i) v0 and every
     Duhamel integral first, then ``max`` of the defects, operands in order."""
-    params = SemigroupParams(lam=config.lam, grid=grid)
     v0 = np.asarray(v0, dtype=complex)
     times = result.trajectory.times
     u = result.trajectory.fields
-    free = [apply_semigroup(v0, t, params) for t in times]
-    integrals = list(cgl._duhamel_trajectory(grid, times, u, config.lam,
-                                             config.duhamel_substeps,
-                                             cgl._multiplier_cache(params), Workspace()))
+    rule = cgl._Rule(grid, config, times)
+    free = [apply_semigroup(v0, t, rule.params) for t in times]
+    integrals = list(rule.integrals(u))
     return max(l2_norm(grid, u[i] - free[i] - integrals[i]) for i in range(len(times)))
 
 

@@ -209,6 +209,21 @@ class TestPicard:
         assert (fixed_point_residual(g, result, v0, CglConfig(**{**vars(cfg), "picard_tol": 1e-6}))
                 == fixed_point_residual(g, result, v0, cfg))
 
+    @pytest.mark.parametrize("other", [lambda v0: 2 * v0, lambda v0: np.roll(v0, 1, axis=-1)],
+                             ids=["doubled", "shifted"])
+    def test_residual_rejects_another_datum(self, other):
+        # with 2 * v0 the residual used to read 1.0e-3, the defect of a
+        # right-hand side the result was not solved for
+        g = make_grid(2, 16, TWO_PI)
+        cfg = self.small_config(picard_tol=1e-12)
+        v0 = normalized(g, bump_pair(g), 1e-3)
+        result = picard_iterate(g, v0, cfg)
+        with pytest.raises(ValueError, match="v0 is not the initial datum"):
+            fixed_point_residual(g, result, other(v0), cfg)
+        residual = fixed_point_residual(g, result, v0.copy(), cfg)
+        assert residual == reference_fixed_point_residual(g, result, v0, cfg)
+        assert residual <= 10.0 * cfg.picard_tol
+
     def test_trajectory_starts_at_initial_data(self):
         g = make_grid(2, 16, TWO_PI)
         v0 = normalized(g, bump_pair(g), 1e-3)
@@ -315,7 +330,7 @@ class TestPicard:
     def test_internal_quadrature_matches_standalone_duhamel(self):
         # the solver's interval-recursive integral is the same composite
         # midpoint exponential rule as the standalone quadrature
-        from llglab.cgl import _duhamel_trajectory, _forcing_at, _multiplier_cache
+        from llglab.cgl import _forcing_at, _Rule
         from llglab.semigroup import SemigroupParams, apply_semigroup
         from oracles import reference_duhamel_integral as duhamel_integral
 
@@ -326,8 +341,8 @@ class TestPicard:
         steps, sub = 4, 3
         times = np.linspace(0.0, 0.3, steps + 1)
         u_old = [apply_semigroup(v0, t, params) for t in times]
-        integrals = list(_duhamel_trajectory(g, times, u_old, lam, sub,
-                                             _multiplier_cache(params), Workspace()))
+        rule = _Rule(g, CglConfig(lam=lam, duhamel_substeps=sub), times)
+        integrals = list(rule.integrals(u_old))
 
         def forcing(s):
             i = min(int(s / (times[1] - times[0])), steps - 1)
@@ -345,7 +360,7 @@ class TestSpectralSweep:
 
     @pytest.mark.parametrize("dim,n,substeps", [(1, 16, 2), (2, 16, 3), (3, 8, 2)])
     def test_matches_per_operator_sweep(self, dim, n, substeps):
-        from llglab.cgl import _duhamel_trajectory, _multiplier_cache
+        from llglab.cgl import _Rule
         from llglab.semigroup import SemigroupParams
 
         g = make_grid(dim, n, TWO_PI)
@@ -356,8 +371,8 @@ class TestSpectralSweep:
         shape = (dim,) + g.shape
         u_old = [0.3 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
                  for _ in times]
-        got = list(_duhamel_trajectory(g, times, u_old, lam, substeps,
-                                       _multiplier_cache(params), Workspace()))
+        got = list(_Rule(g, CglConfig(lam=lam, duhamel_substeps=substeps), times)
+                   .integrals(u_old))
         want = reference_duhamel_trajectory(g, times, u_old, lam, substeps, params)
         scale = max(np.abs(w).max() for w in want)
         assert scale > 0 and len(got) == len(want)
@@ -384,6 +399,35 @@ class TestSpectralSweep:
         result = picard_iterate(g, v0, cfg)
         assert result.iterations >= 3
         assert len(offsets) == len(set(offsets)) == 4 + 1
+
+    @pytest.mark.parametrize("dim,n", [(1, 16), (2, 16), (3, 8)])
+    def test_interval_reads_only_its_two_iterates(self, dim, n):
+        # add_interval(i, u[i], u[i + 1], acc) gives the same bytes when every
+        # other entry of u is NaN, also after those entries ran through the
+        # rule's workspace: the streaming sweep, which replaces u[i - 1] once
+        # I_i is yielded, relies on it, and so would an interval-by-interval
+        # march
+        from llglab.cgl import _Rule
+
+        g = make_grid(dim, n, TWO_PI)
+        rng = np.random.default_rng(60 + dim)
+        times = np.linspace(0.0, 0.3, 5)
+        shape = (dim,) + g.shape
+        u = [0.3 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+             for _ in times]
+        acc0 = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        rule = _Rule(g, CglConfig(lam=0.8, duhamel_substeps=3), times)
+        for i in range(len(times) - 1):
+            masked = [x if k in (i, i + 1) else np.full_like(x, np.nan)
+                      for k, x in enumerate(u)]
+            want = acc0.copy()
+            rule.add_interval(i, u[i], u[i + 1], want)
+            for k in range(len(times) - 1):
+                junk = acc0.copy()
+                rule.add_interval(k, masked[k], masked[k + 1], junk)
+            got = acc0.copy()
+            rule.add_interval(i, masked[i], masked[i + 1], got)
+            assert np.isfinite(want).all() and got.tobytes() == want.tobytes()
 
 
 class TestNodeWorkspace:
@@ -583,9 +627,10 @@ class TestStreamingSweep:
                       [one, 2 * one, nan, nan]):
             free = [0 * one for _ in times]
             u_old = list(free)
-            monkeypatch.setattr(cgl, "_duhamel_trajectory",
-                                lambda *args, terms=terms: (t.copy() for t in terms))
-            inc = cgl._sweep(g, times, free, u_old, self.config(), None, None)
+            rule = cgl._Rule(g, self.config(), times)
+            monkeypatch.setattr(rule, "integrals",
+                                lambda u, terms=terms: (t.copy() for t in terms))
+            inc = cgl._sweep(rule, free, u_old)
             norms = [l2_norm(g, t) for t in terms]
             want = float("nan") if any(np.isnan(norms)) else max(norms)
             assert repr(inc) == repr(want)
