@@ -494,7 +494,11 @@ def stability_experiment(grid: Grid, v0_a: np.ndarray, v0_b: np.ndarray,
 
     ``base`` is the solve from v0_a under ``config`` when the caller has it
     (``picard_iterate``'s result, tracked or not); it is made here otherwise.
+    ``halvings`` is an integer >= 2: one ratio has no spread to check.
     """
+    require_integer("halvings", halvings)
+    if halvings < 2:
+        raise ValueError(f"halvings must be >= 2, got {halvings}")
     v0_a = np.asarray(v0_a, dtype=complex)
     v0_b = np.asarray(v0_b, dtype=complex)
     perturbation = v0_b - v0_a

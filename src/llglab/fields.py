@@ -23,6 +23,9 @@ multiplies the one spectrum by each axis's multiplier and inverts the
 ``(dim, ...)`` stack together, ``divergence`` sums its components in
 spectral space, and ``inverse_laplacian_divergence`` solves every
 right-hand side of a ``(dim, *batch, *grid)`` stack in the same call.
+Every single multiplier (``derivative``, ``laplacian``, S(t), the mollifier,
+the ball-norm screen) goes through ``_apply_multiplier``, the one forward ->
+multiply -> inverse round trip; ``_layout`` halves a full table for real input.
 
 A computation repeated many times on one grid, such as the nodes of a
 mild solve, runs in a ``Workspace``: ``gradient``, ``divergence`` and
@@ -113,28 +116,27 @@ class Grid:
         shape[axis] = self.n
         return table.reshape(shape)
 
-    @cached_property
-    def k_squared(self) -> np.ndarray:
-        """|xi|^2 with Nyquist retained (even-order calculus, semigroup)."""
+    def _axis_sum(self, table: np.ndarray) -> np.ndarray:
+        """The grid-shaped sum over the axes of a 1d table laid along each one."""
         out = np.zeros(self.shape)
         for ax in range(self.dim):
-            out = out + self.axis_table(ax, self.wavenumbers**2)
+            out = out + self.axis_table(ax, table)
         return out
 
     @cached_property
-    def laplacian_multipliers(self) -> tuple:
-        """-|xi|^2 in the layouts of ``_forward``'s spectrum, indexed by ``real_in``:
-        the full spectrum (complex input), then its half (rfftn) part."""
-        full = -self.k_squared
-        return full, np.ascontiguousarray(full[..., : self.n // 2 + 1])
+    def k_squared(self) -> np.ndarray:
+        """|xi|^2 with Nyquist retained (even-order calculus, semigroup)."""
+        return self._axis_sum(self.wavenumbers**2)
+
+    @cached_property
+    def _laplacian_multiplier(self) -> np.ndarray:
+        """-|xi|^2, full layout; ``_layout`` slices its half for real input."""
+        return -self.k_squared
 
     @cached_property
     def k_squared_odd(self) -> np.ndarray:
         """Sum of squared Nyquist-zeroed wavenumbers, consistent with div/grad."""
-        out = np.zeros(self.shape)
-        for ax in range(self.dim):
-            out = out + self.axis_table(ax, self.wavenumbers_odd**2)
-        return out
+        return self._axis_sum(self.wavenumbers_odd**2)
 
     @cached_property
     def inv_k_squared_odd(self) -> np.ndarray:
@@ -158,10 +160,7 @@ class Grid:
     @cached_property
     def wrapped_dist2(self) -> np.ndarray:
         """Squared wrapped distance from the origin, as a grid-shaped table."""
-        out = np.zeros(self.shape)
-        for ax in range(self.dim):
-            out = out + self.axis_table(ax, self.wrapped_offsets) ** 2
-        return out
+        return self._axis_sum(self.wrapped_offsets**2)
 
     def coordinates(self) -> list:
         x = np.arange(self.n) * self.h
@@ -289,14 +288,6 @@ def _inverse(grid: Grid, spec: np.ndarray, real_in: bool,
     return out
 
 
-def _spectrum(grid: Grid, values: np.ndarray, work: Workspace) -> np.ndarray:
-    """An array from ``work`` shaped for ``_forward``'s spectrum of ``values``."""
-    shape = values.shape
-    if np.isrealobj(values):
-        shape = shape[:-1] + (grid.n // 2 + 1,)
-    return work.take(shape, np.result_type(values, 1j))
-
-
 def _layout(grid: Grid, mult, real_in: bool):
     """A full-spectrum multiplier in the layout of ``_forward``'s spectrum:
     its half-spectrum (rfftn) part for real input, unchanged otherwise."""
@@ -310,7 +301,9 @@ def _apply_multiplier(grid: Grid, values: np.ndarray, mult: np.ndarray) -> np.nd
     """Multiply the spectral coefficients of ``values`` by ``mult``.
 
     Real input goes through the real transform and comes back real, so only
-    multipliers that map real fields to real fields belong here.
+    multipliers that map real fields to real fields belong here.  The product
+    is out of place: a float32 field's spectrum is complex64, and an in-place
+    product would bring a float32 result back, not a float64 one.
     """
     spec, real_in = _forward(grid, np.asarray(values))
     return _inverse(grid, spec * _layout(grid, mult, real_in), real_in)
@@ -334,7 +327,10 @@ def _spectrum_of(grid: Grid, values: np.ndarray, work: Workspace,
     one forward transform into an array from ``work``."""
     if spectrum is not None:
         return spectrum, np.isrealobj(values)
-    return _forward(grid, values, out=_spectrum(grid, values, work))
+    shape = values.shape
+    if np.isrealobj(values):
+        shape = shape[:-1] + (grid.n // 2 + 1,)
+    return _forward(grid, values, out=work.take(shape, np.result_type(values, 1j)))
 
 
 def gradient(grid: Grid, values: np.ndarray, *, work: Workspace | None = None,
@@ -358,8 +354,7 @@ def gradient(grid: Grid, values: np.ndarray, *, work: Workspace | None = None,
 
 
 def laplacian(grid: Grid, values: np.ndarray) -> np.ndarray:
-    spec, real_in = _forward(grid, np.asarray(values))
-    return _inverse(grid, spec * grid.laplacian_multipliers[real_in], real_in)
+    return _apply_multiplier(grid, values, grid._laplacian_multiplier)
 
 
 def _divergence_spectrum(grid: Grid, vec: np.ndarray, work: Workspace,

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 import numpy.random  # numpy 2 loads it on first use; load it with the package
 
-from .fields import (Grid, SpinField, _forward, _inverse, gradient, normalize_spin,
-                     require_finite_positive)
+from .fields import (Grid, SpinField, _apply_multiplier, _forward, _inverse, gradient,
+                     normalize_spin, require_finite_positive, require_integer)
 from .frames import build_frame
 from .morrey import morrey_norm
 
@@ -55,6 +55,11 @@ class InitialDataSpec:
             raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
         if not np.isfinite(self.amplitude):
             raise ValueError(f"amplitude must be finite, got {self.amplitude}")
+        require_integer("wavenumber", self.wavenumber)
+        if self.roughness_modes is not None:
+            require_integer("roughness_modes", self.roughness_modes)
+            if self.roughness_modes < 1:
+                raise ValueError(f"roughness_modes must be >= 1, got {self.roughness_modes}")
         require_finite_positive("width", self.width)
         require_finite_positive("mollification_k", self.mollification_k)
         norm = float(np.linalg.norm(self.m_infinity))
@@ -122,9 +127,7 @@ def mollify_and_project(grid: Grid, m_raw: SpinField, k: float):
     """
     mult = _mollifier_multiplier(grid, k)
     raw = m_raw.values
-    spec, _ = _forward(grid, raw.astype(complex))
-    spec *= mult
-    smoothed = _inverse(grid, spec, False).real
+    smoothed = _apply_multiplier(grid, raw.astype(complex), mult).real
     modulus = np.sqrt((smoothed**2).sum(axis=0))
     min_mod, max_mod = float(modulus.min()), float(modulus.max())
     if min_mod < 0.75:

@@ -7,8 +7,9 @@ The spatial norm of a field f is the supremum over lattice balls of
 with wrapped Euclidean distance and closed balls.  Radii are dyadic
 multiples of the grid spacing capped at half the box length (a torus ball of
 larger radius is not a ball), and centers run over a strided sub-lattice.
-A ``BallLattice`` belongs to the grid it was built for and is checked once,
-when it is made; ``ball_lattice`` caches the default one per grid.  Only
+A ``BallLattice`` derives both from its grid, stride and optional radius
+cap ``r_max``, belongs to that grid and is checked once, when it is made;
+``ball_lattice`` caches the default one per grid.  Only
 ``morrey_norm`` takes a lattice, and it rejects one built for another grid;
 the trajectory norms, solvers and diagnostics measure on the default lattice.
 
@@ -63,15 +64,15 @@ radius and the tiled ball indicators, ``n_radii * (2N)**dim`` bytes
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from functools import lru_cache
 from itertools import product
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .fields import (Grid, Trajectory, _forward, _inverse, gradient, pointwise_magnitude,
-                     require_finite_positive, require_integer)
+from .fields import (Grid, Trajectory, _apply_multiplier, _forward, gradient,
+                     pointwise_magnitude, require_finite_positive, require_integer)
 
 __all__ = [
     "BallLattice",
@@ -85,31 +86,38 @@ __all__ = [
 
 @dataclass(frozen=True)
 class BallLattice:
-    """Dyadic radii on one grid, centered at every ``stride``-th index
-    along each axis; ``centers`` (integer index tuples) is derived from
-    ``stride``, so it always describes them.  Everything is checked once,
-    here; ``morrey_norm`` only checks that it is handed the grid the lattice
-    was built for.
+    """Balls on one grid, centered at every ``stride``-th index along each
+    axis, with the dyadic radii h, 2h, 4h, ... up to min(L/2, ``r_max``).
+    ``centers`` (integer index tuples) and ``radii`` are derived, so they
+    always describe the lattice.  Everything is checked once, here;
+    ``morrey_norm`` only checks that it is handed the grid it was built for.
     """
 
     grid: Grid
-    radii: tuple
     stride: int = 1
+    r_max: InitVar[float | None] = None
+    radii: tuple = field(init=False)
     centers: tuple = field(init=False)
 
-    def __post_init__(self):
+    def __post_init__(self, r_max):
         require_integer("stride", self.stride)
         if self.stride < 1:
             raise ValueError(f"stride must be >= 1, got {self.stride}")
         object.__setattr__(self, "stride", int(self.stride))
         object.__setattr__(self, "centers", tuple(
             product(range(0, self.grid.n, self.stride), repeat=self.grid.dim)))
-        if len(self.radii) == 0:
-            raise ValueError("lattice must carry at least one radius")
-        require_finite_positive("smallest radius", self.radii[0])
-        for a, b in zip(self.radii, self.radii[1:]):
-            if not b == 2.0 * a:
-                raise ValueError("radii must be strictly doubling")
+        cap = self.grid.length / 2.0
+        if r_max is not None:
+            require_finite_positive("r_max", r_max)
+            cap = min(cap, float(r_max))
+        radii = []
+        r = self.grid.h
+        while r <= cap * (1.0 + 1e-12):
+            radii.append(r)
+            r = 2.0 * r
+        if not radii:
+            raise ValueError("no admissible radius <= L/2; increase r_max")
+        object.__setattr__(self, "radii", tuple(radii))
 
     @property
     def n_centers(self) -> int:
@@ -124,18 +132,7 @@ def ball_lattice(grid: Grid, stride: int | None = None, r_max: float | None = No
     typed by argument, so ``stride=True`` never reuses the lattice of 1)."""
     if stride is None:
         stride = 2 if grid.n >= 64 else 1
-    cap = grid.length / 2.0
-    if r_max is not None:
-        require_finite_positive("r_max", r_max)
-        cap = min(cap, float(r_max))
-    radii = []
-    r = grid.h
-    while r <= cap * (1.0 + 1e-12):
-        radii.append(r)
-        r = 2.0 * r
-    if not radii:
-        raise ValueError("no admissible radius <= L/2; increase r_max")
-    return BallLattice(grid=grid, radii=tuple(radii), stride=stride)
+    return BallLattice(grid=grid, stride=stride, r_max=r_max)
 
 
 @dataclass(frozen=True)
@@ -201,7 +198,7 @@ def _screen(tables: dict, magp: np.ndarray) -> tuple:
     and a bound on their distance from the exact sums (module docstring)."""
     grid = tables["key"].grid
     x = magp.astype(float, copy=False)
-    conv = _inverse(grid, _forward(grid, x)[0] * tables["spectra"], True)
+    conv = _apply_multiplier(grid, x, tables["spectra"])
     approx = conv.reshape(len(conv), -1)[:, tables["flat"]].T
     counts = tables["counts"]
     # Higham Thm 24.2: relative 2-norm error of one transform of log2(N**dim)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import Grid, _forward, _inverse, gradient, make_grid, require_finite_positive
+from .fields import Grid, _apply_multiplier, gradient, make_grid, require_finite_positive
 from .initial_data import spectral_bump
 from .morrey import morrey_norm
 
@@ -66,13 +66,10 @@ def apply_semigroup(values: np.ndarray, t: float, params: SemigroupParams) -> np
     """Apply S(t) spectrally; t = 0 returns the input unchanged (complex copy)."""
     if not 0 <= t < np.inf:
         raise ValueError(f"semigroup time must be finite and nonnegative, got {t}")
-    grid = params.grid
     values = np.asarray(values, dtype=complex)
     if t == 0:
         return values.copy()
-    spec, _ = _forward(grid, values)
-    spec *= semigroup_multiplier(params, t)
-    return _inverse(grid, spec, False)
+    return _apply_multiplier(params.grid, values, semigroup_multiplier(params, t))
 
 
 def apply_grad_semigroup(values: np.ndarray, t: float, params: SemigroupParams) -> np.ndarray:

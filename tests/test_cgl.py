@@ -689,6 +689,19 @@ class TestStability:
         assert rep.exact_zero
         assert rep.spread == 0.0
 
+    @pytest.mark.parametrize("halvings", [0, 1, -2, 2.5, True])
+    def test_too_few_halvings_fail_before_any_solve(self, monkeypatch, halvings):
+        # fewer than two ratios have spread 0.0, which would read as stable
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a solve ran before halvings was checked")
+
+        monkeypatch.setattr(cgl, "picard_iterate", forbidden)
+        g = make_grid(2, 16, TWO_PI)
+        v0 = normalized(g, bump_pair(g), 1e-3)
+        cfg = CglConfig(lam=1.0, t_end=0.25, time_steps=4, duhamel_substeps=2)
+        with pytest.raises(ValueError, match="halvings"):
+            stability_experiment(g, v0, 2 * v0, cfg, halvings=halvings)
+
     def test_linear_response_ratios(self):
         g = make_grid(2, 16, TWO_PI)
         x = g.coordinates()[0]

@@ -33,8 +33,16 @@ class TestSpecValidation:
         ("rough_mollified", {"mollification_k": float("inf")}),
         ("rough_mollified", {"mollification_k": -4.0}),
         ("constant", {"m_infinity": (0.0, 0.0, float("nan"))}),
+        # a wave of wavenumber 1.5 is not periodic on the box
+        ("equatorial_wave", {"wavenumber": 1.5}),
+        ("equatorial_wave", {"wavenumber": True}),
+        # no modes, or a negative count, make a constant "rough" datum
+        ("rough_mollified", {"roughness_modes": 0}),
+        ("rough_mollified", {"roughness_modes": -3}),
+        ("rough_mollified", {"roughness_modes": 2.5}),
     ], ids=["nan_amplitude", "inf_amplitude", "nan_width", "zero_width", "inf_k",
-            "negative_k", "nan_background"])
+            "negative_k", "nan_background", "fractional_wavenumber", "bool_wavenumber",
+            "zero_modes", "negative_modes", "fractional_modes"])
     def test_non_finite_or_non_positive_rejected(self, kind, values):
         with pytest.raises(ValueError):
             InitialDataSpec(kind=kind, **values)
