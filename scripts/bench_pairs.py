@@ -5,11 +5,14 @@
         [--workload W ...] [--seed S ...] [--claim WORKLOAD:METRIC] [--what TEXT]
 
 The parent side is a ``git archive`` of COMMIT unpacked into a temporary
-directory, removed at the end; the change side is this working tree.  Ten
-pairs run per workload and seed.  Each pair runs
-``python3 bench/run.py --workload W --seed S --seconds T --trace 0`` once
-in each tree, back to back; odd pairs run the parent first, even pairs the
-change.  T is ``BENCHMARK.json``'s ``run_seconds`` (36), and the workloads
+directory; the change side is a copy, next to it, of the files git would
+commit from this working tree: the tracked files that are present, with
+their changes, and the untracked files that are not ignored.  Both sides
+thus start from a clean tree, with no build or bench output left in it,
+and both are removed at the end.  Ten pairs run per workload and seed.
+Each pair runs ``python3 bench/run.py --workload W --seed S --seconds T
+--trace 0`` once in each tree, back to back; odd pairs run the parent
+first, even pairs the change.  T is ``BENCHMARK.json``'s ``run_seconds`` (36), and the workloads
 are its ``workloads`` unless given; they run in the order given, each on
 every seed.
 
@@ -34,6 +37,7 @@ import io
 import json
 import math
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
@@ -79,6 +83,22 @@ def unpack_commit(commit: str, dest: Path) -> None:
                          capture_output=True, check=True).stdout
     with tarfile.open(fileobj=io.BytesIO(tar)) as archive:
         archive.extractall(dest, filter="data")
+
+
+def snapshot_worktree(root: Path, dest: Path) -> None:
+    """Copy into ``dest`` the files git would commit from the working tree at
+    ``root``: tracked files that are present and untracked files that are
+    not ignored, each as it is on disk."""
+    listing = subprocess.run(["git", "ls-files", "-z", "--cached", "--others",
+                              "--exclude-standard"], cwd=root, capture_output=True,
+                             check=True).stdout.decode()
+    for name in filter(None, listing.split("\0")):
+        source = root / name
+        if not (source.is_symlink() or source.is_file()):
+            continue  # a tracked file deleted from the working tree
+        target = dest / name
+        target.parent.mkdir(parents=True, exist_ok=True)
+        shutil.copy2(source, target, follow_symlinks=False)
 
 
 def bench_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -150,18 +170,23 @@ def main(argv=None) -> int:
     doc = {"what": args.what,
            "command": f"python3 bench/run.py --workload W --seed S --seconds {seconds:g} --trace 0",
            "parent": {"git_commit": parent_commit},
-           "change": {"git_commit": None, "note": "the working tree"},
+           "change": {"git_commit": None,
+                      "note": ("a copy of the working tree's tracked files that are "
+                               "present and untracked files that are not ignored")},
            "host": {"platform": platform.platform(), "python": platform.python_version()},
            "protocol": (f"{PAIRS} pairs per workload and seed; each pair runs the parent "
-                        "(git archive of its commit) and the change (the working tree) once "
-                        "each, back to back, odd pairs parent first. Quartiles are "
+                        "(git archive of its commit) and the change (a copy of the files git "
+                        "would commit from the working tree, beside it in the same temporary "
+                        "directory) once each, back to back, odd pairs parent first. "
+                        "Quartiles are "
                         "statistics.quantiles(method='inclusive'); a pair is won by the lower "
                         "value, ties count for neither; the rule is at least 9 in 10 pairs won "
                         "and a median gap larger than the parent's interquartile range."),
            "claim": None, "summary": {}, "runs": []}
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as workdir:
-        trees = {"parent": Path(workdir) / "parent", "change": ROOT}
+        trees = {"parent": Path(workdir) / "parent", "change": Path(workdir) / "change"}
         unpack_commit(parent_commit, trees["parent"])
+        snapshot_worktree(ROOT, trees["change"])
         for workload in workloads:
             for seed in seeds:
                 for pair in range(1, PAIRS + 1):

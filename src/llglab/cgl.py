@@ -19,7 +19,9 @@ potential part.  The mild solution is the fixed point of
 iterated here on a uniform time grid with a composite midpoint exponential
 rule for the integral.  One private ``_Rule`` per solve holds that rule:
 the output times, the multipliers of S(t) and the node ``Workspace``, which
-every sweep reuses, and the node loop of one interval, ``add_interval``.
+every sweep reuses, the node loop of one interval, ``add_interval``, and
+the datum v0 with its spectrum, from which ``free`` remakes S(t_i) v0
+whenever output time i needs it.
 The integral is accumulated in Fourier space, where S(t) is the diagonal
 multiplier exp((i - lam)|xi|^2 t): each forcing node adds one forward FFT
 of its forcing, and each output time costs one inverse FFT.  A node
@@ -30,8 +32,9 @@ node makes eight n-d transforms, 16 one-axis passes in 2-D.  After the
 first node no node allocates an array.  A sweep streams: the integral at
 each output time is yielded as soon as it is made, the new iterate is
 formed in it and replaces the old one an output time later, so a solve
-holds S(t) v0 and one iterate, and the residual check no trajectory of
-its own.
+holds one trajectory, the iterate, and the residual check none of its own.
+S(t_i) v0 is never kept: each sweep remakes it from v0's spectrum with one
+inverse transform per output time.
 Contraction needs small initial data; large data is reported as
 NonContraction, never forced.
 """
@@ -303,16 +306,26 @@ class _Rule:
     It owns what every sweep reuses: one ``semigroup_multiplier`` per float
     offset (substeps + 1 on a dyadic uniform grid; offsets that differ in
     the last bit, as np.linspace times that are not binary fractions give,
-    stay distinct, as their multipliers do) and the ``Workspace`` that
-    holds every array of a node, so a node after the first allocates none.
+    stay distinct, as their multipliers do), the ``Workspace`` that holds
+    every array of a node, so a node after the first allocates none, and
+    the datum ``v0`` with its spectrum, one field, from which ``free``
+    remakes S(t_i) v0 instead of the solve keeping a trajectory of them.
     """
 
-    def __init__(self, grid: Grid, config: CglConfig, times: np.ndarray):
+    def __init__(self, grid: Grid, config: CglConfig, times: np.ndarray,
+                 v0: np.ndarray):
         self.grid, self.times = grid, times
         self.lam, self.substeps = config.lam, config.duhamel_substeps
         self.params = SemigroupParams(lam=config.lam, grid=grid)
         self.mult = functools.cache(functools.partial(semigroup_multiplier, self.params))
         self.work = Workspace()
+        self.v0 = np.asarray(v0, dtype=complex)
+        self.v0_hat, _ = _forward(grid, self.v0)
+
+    def free(self, i: int) -> np.ndarray:
+        """S(t_i) v0, a fresh array, made from the spectrum of v0 with one
+        inverse transform: the bytes of ``apply_semigroup(v0, t_i)``."""
+        return apply_semigroup(self.v0, self.times[i], self.params, spectrum=self.v0_hat)
 
     def add_interval(self, i: int, u_a: np.ndarray, u_b: np.ndarray,
                      acc_hat: np.ndarray) -> None:
@@ -356,20 +369,21 @@ class _Rule:
             yield _inverse(self.grid, acc_hat, False, out=np.empty_like(acc_hat))
 
 
-def _sweep(rule: _Rule, free: list, u_old: list) -> float:
+def _sweep(rule: _Rule, u_old: list) -> float:
     """One Picard sweep: replace each ``u_old[i]`` in the list by
-    u_new[i] = free[i] + I_i and return max_i ||u_new[i] - u_old[i]||_2,
+    u_new[i] = S(t_i) v0 + I_i and return max_i ||u_new[i] - u_old[i]||_2,
     or NaN if any term is NaN, so a diverged iterate never passes for a
     converged one.
 
     u_new[i] is formed in the yielded I_i and replaces ``u_old[i]`` one
-    output time later, once the nodes that read it are done, so a sweep
-    holds ``free`` and one iterate instead of four trajectories.
+    output time later, once the nodes that read it are done, and S(t_i) v0
+    is remade for it by ``rule.free``, so a sweep holds one iterate
+    instead of four trajectories.
     """
     for i, integral in enumerate(rule.integrals(u_old)):
         if i:
             u_old[i - 1] = u_new
-        u_new = np.add(free[i], integral, out=integral)
+        u_new = np.add(rule.free(i), integral, out=integral)
         term = l2_norm(rule.grid, u_new - u_old[i])
         if i == 0 or term > inc or math.isnan(term):
             inc = term
@@ -396,10 +410,8 @@ def picard_iterate(grid: Grid, v0: np.ndarray, config: CglConfig,
             SmallnessWarning,
         )
 
-    rule = _Rule(grid, config, np.linspace(0.0, config.t_end, config.time_steps + 1))
-    free = [apply_semigroup(v0, t, rule.params) for t in rule.times]
-    # entries of u_old are replaced, never written into, so it may share free's
-    u_old = list(free)
+    rule = _Rule(grid, config, np.linspace(0.0, config.t_end, config.time_steps + 1), v0)
+    u_old = [rule.free(i) for i in range(len(rule.times))]
 
     increments: list = []
     iteration_log: list = []
@@ -408,7 +420,7 @@ def picard_iterate(grid: Grid, v0: np.ndarray, config: CglConfig,
     xpt = None
     with np.errstate(over="ignore", invalid="ignore"):
         for it in range(1, config.picard_max_iter + 1):
-            inc = _sweep(rule, free, u_old)
+            inc = _sweep(rule, u_old)
             if not np.isfinite(inc):
                 raise NonContraction(
                     f"iterate diverged (non-finite increment at iteration {it})",
@@ -435,6 +447,7 @@ def picard_iterate(grid: Grid, v0: np.ndarray, config: CglConfig,
                 break
 
     traj = Trajectory(rule.times, u_old)
+    del rule  # its workspace, multipliers and v0 spectrum go before the norm runs
     if xpt is None:  # untracked; a tracked run already measured the final iterate
         xpt = xpt_norm(grid, traj, config.p)
     return PicardResult(trajectory=traj, xpt=xpt, increments=increments,
@@ -461,9 +474,9 @@ def fixed_point_residual(grid: Grid, result: PicardResult, v0: np.ndarray,
     u = result.trajectory.fields
     if not np.array_equal(v0, u[0]):
         raise ValueError("v0 is not the initial datum the result was solved from")
-    rule = _Rule(grid, config, result.trajectory.times)
-    return max(l2_norm(grid, u_t - apply_semigroup(v0, t, rule.params) - integral)
-               for u_t, t, integral in zip(u, rule.times, rule.integrals(u)))
+    rule = _Rule(grid, config, result.trajectory.times, v0)
+    return max(l2_norm(grid, u_t - rule.free(i) - integral)
+               for i, (u_t, integral) in enumerate(zip(u, rule.integrals(u))))
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,9 @@ spectral space, and ``inverse_laplacian_divergence`` solves every
 right-hand side of a ``(dim, *batch, *grid)`` stack in the same call.
 Every single multiplier (``derivative``, ``laplacian``, S(t), the mollifier,
 the ball-norm screen) goes through ``_apply_multiplier``, the one forward ->
-multiply -> inverse round trip; ``_layout`` halves a full table for real input.
+multiply -> inverse round trip (only multiply -> inverse when it is given the
+input's spectrum as ``spectrum=``, so that one transform of a datum serves
+every S(t) of it); ``_layout`` halves a full table for real input.
 
 A computation repeated many times on one grid, such as the nodes of a
 mild solve, runs in a ``Workspace``: ``gradient``, ``divergence`` and
@@ -127,6 +129,13 @@ class Grid:
     def k_squared(self) -> np.ndarray:
         """|xi|^2 with Nyquist retained (even-order calculus, semigroup)."""
         return self._axis_sum(self.wavenumbers**2)
+
+    @cached_property
+    def k_squared_distinct(self) -> tuple:
+        """(values, index): the distinct values of ``k_squared``, sorted, and
+        the grid-shaped index that rebuilds it, ``values[index]``."""
+        values, index = np.unique(self.k_squared, return_inverse=True)
+        return values, index.reshape(self.shape)
 
     @cached_property
     def _laplacian_multiplier(self) -> np.ndarray:
@@ -297,16 +306,22 @@ def _layout(grid: Grid, mult, real_in: bool):
     return m
 
 
-def _apply_multiplier(grid: Grid, values: np.ndarray, mult: np.ndarray) -> np.ndarray:
+def _apply_multiplier(grid: Grid, values: np.ndarray, mult: np.ndarray, *,
+                      spectrum: np.ndarray | None = None) -> np.ndarray:
     """Multiply the spectral coefficients of ``values`` by ``mult``.
 
     Real input goes through the real transform and comes back real, so only
     multipliers that map real fields to real fields belong here.  The product
     is out of place: a float32 field's spectrum is complex64, and an in-place
-    product would bring a float32 result back, not a float64 one.
+    product would bring a float32 result back, not a float64 one.  Given
+    ``spectrum``, ``_forward``'s spectrum of ``values`` (read, not written),
+    it makes no forward transform.
     """
-    spec, real_in = _forward(grid, np.asarray(values))
-    return _inverse(grid, spec * _layout(grid, mult, real_in), real_in)
+    values = np.asarray(values)
+    if spectrum is None:
+        spectrum = _forward(grid, values)[0]
+    real_in = np.isrealobj(values)
+    return _inverse(grid, spectrum * _layout(grid, mult, real_in), real_in)
 
 
 def derivative(grid: Grid, values: np.ndarray, axis: int, order: int = 1) -> np.ndarray:

@@ -68,7 +68,14 @@ class InitialDataSpec:
 
 
 def spectral_bump(grid: Grid, width: float, center: tuple | None = None) -> np.ndarray:
-    """Band-limited periodic Gaussian bump (positive up to truncation ringing)."""
+    """Band-limited periodic Gaussian bump (positive up to truncation ringing).
+
+    ``width`` is finite and positive; ``center``, when given, holds one grid
+    index per axis."""
+    require_finite_positive("width", width)
+    if center is not None and len(center) != grid.dim:
+        raise ValueError(f"center must have {grid.dim} entries, one per axis, "
+                         f"got {center!r}")
     k2 = grid.k_squared
     coeffs = np.exp(-0.5 * k2 * width**2).astype(complex)
     if center is not None:
@@ -165,7 +172,16 @@ def _random_band_limited(grid: Grid, rng: np.random.Generator, max_mode: int) ->
 def rough_raw_field(grid: Grid, amplitude: float, m_infinity, seed: int,
                     max_mode: int | None = None) -> SpinField:
     """Seeded band-limited random perturbation of a constant state, projected
-    to the sphere but not smoothed; the raw input of the mollify step."""
+    to the sphere but not smoothed; the raw input of the mollify step.
+
+    ``amplitude`` is finite and ``max_mode``, when given, an integer >= 1,
+    as ``InitialDataSpec`` requires of its amplitude and roughness_modes."""
+    if not np.isfinite(amplitude):
+        raise ValueError(f"amplitude must be finite, got {amplitude}")
+    if max_mode is not None:
+        require_integer("max_mode", max_mode)
+        if max_mode < 1:
+            raise ValueError(f"max_mode must be >= 1, got {max_mode}")
     rng = np.random.default_rng(seed)
     m_inf = np.asarray(m_infinity, dtype=float)
     m_inf = m_inf / np.linalg.norm(m_inf)

@@ -250,7 +250,7 @@ def reference_picard_iterate(grid, v0, config, track_xpt=False):
     own (``list(rule.integrals(...))`` of one ``cgl._Rule``), no smallness warning."""
     v0 = np.asarray(v0, dtype=complex)
     times = np.linspace(0.0, config.t_end, config.time_steps + 1)
-    rule = cgl._Rule(grid, config, times)
+    rule = cgl._Rule(grid, config, times, v0)
     free = [apply_semigroup(v0, t, rule.params) for t in times]
     u_old = [f.copy() for f in free]
     increments, iteration_log = [], []
@@ -298,7 +298,7 @@ def reference_fixed_point_residual(grid, result, v0, config):
     v0 = np.asarray(v0, dtype=complex)
     times = result.trajectory.times
     u = result.trajectory.fields
-    rule = cgl._Rule(grid, config, times)
+    rule = cgl._Rule(grid, config, times, v0)
     free = [apply_semigroup(v0, t, rule.params) for t in times]
     integrals = list(rule.integrals(u))
     return max(l2_norm(grid, u[i] - free[i] - integrals[i]) for i in range(len(times)))

@@ -1,6 +1,8 @@
 """The summary of scripts/bench_pairs.py on synthetic pairs."""
 
 import importlib.util
+import shutil
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -61,3 +63,27 @@ def test_runs_pair_up_by_workload_seed_and_pair():
     assert row["wall_s"]["change_wins"] == row["wall_s"]["parent_wins"] == 1
     assert not row["all_correct"] and row["counters_and_digests_equal"]
     assert [(r["pair"], r["side"]) for r in row["failed_runs"]] == [(2, "parent")]
+
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
+def test_snapshot_holds_what_git_would_commit(tmp_path):
+    root, dest = tmp_path / "tree", tmp_path / "snapshot"
+    files = {".gitignore": ".bench_out/\n*.pyc\n", "src/kept.py": "x = 1\n",
+             "src/edited.py": "y = 1\n", "gone.txt": "deleted later\n"}
+    for name, text in files.items():
+        (root / name).parent.mkdir(parents=True, exist_ok=True)
+        (root / name).write_text(text)
+    subprocess.run(["git", "init", "-q"], cwd=root, check=True)
+    subprocess.run(["git", "add", "-A"], cwd=root, check=True)
+    (root / "src/edited.py").write_text("y = 2\n")  # modified, not staged
+    (root / "gone.txt").unlink()
+    (root / "src/new.py").write_text("z = 3\n")  # untracked, not ignored
+    (root / ".bench_out").mkdir()
+    (root / ".bench_out/run.json").write_text("{}\n")
+    (root / "src/kept.pyc").write_bytes(b"ignored")
+
+    bench_pairs.snapshot_worktree(root, dest)
+    got = {p.relative_to(dest).as_posix(): p.read_text()
+           for p in dest.rglob("*") if p.is_file()}
+    assert got == {".gitignore": ".bench_out/\n*.pyc\n", "src/kept.py": "x = 1\n",
+                   "src/edited.py": "y = 2\n", "src/new.py": "z = 3\n"}

@@ -341,7 +341,7 @@ class TestPicard:
         steps, sub = 4, 3
         times = np.linspace(0.0, 0.3, steps + 1)
         u_old = [apply_semigroup(v0, t, params) for t in times]
-        rule = _Rule(g, CglConfig(lam=lam, duhamel_substeps=sub), times)
+        rule = _Rule(g, CglConfig(lam=lam, duhamel_substeps=sub), times, v0)
         integrals = list(rule.integrals(u_old))
 
         def forcing(s):
@@ -371,7 +371,7 @@ class TestSpectralSweep:
         shape = (dim,) + g.shape
         u_old = [0.3 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
                  for _ in times]
-        got = list(_Rule(g, CglConfig(lam=lam, duhamel_substeps=substeps), times)
+        got = list(_Rule(g, CglConfig(lam=lam, duhamel_substeps=substeps), times, u_old[0])
                    .integrals(u_old))
         want = reference_duhamel_trajectory(g, times, u_old, lam, substeps, params)
         scale = max(np.abs(w).max() for w in want)
@@ -416,7 +416,7 @@ class TestSpectralSweep:
         u = [0.3 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
              for _ in times]
         acc0 = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        rule = _Rule(g, CglConfig(lam=0.8, duhamel_substeps=3), times)
+        rule = _Rule(g, CglConfig(lam=0.8, duhamel_substeps=3), times, u[0])
         for i in range(len(times) - 1):
             masked = [x if k in (i, i + 1) else np.full_like(x, np.nan)
                       for k, x in enumerate(u)]
@@ -625,12 +625,11 @@ class TestStreamingSweep:
         nan = np.full_like(one, np.nan)
         for terms in ([nan, one, 2 * one, one], [0 * one, nan, 3 * one, nan],
                       [one, 2 * one, nan, nan]):
-            free = [0 * one for _ in times]
-            u_old = list(free)
-            rule = cgl._Rule(g, self.config(), times)
+            u_old = [0 * one for _ in times]
+            rule = cgl._Rule(g, self.config(), times, 0 * one)
             monkeypatch.setattr(rule, "integrals",
                                 lambda u, terms=terms: (t.copy() for t in terms))
-            inc = cgl._sweep(rule, free, u_old)
+            inc = cgl._sweep(rule, u_old)
             norms = [l2_norm(g, t) for t in terms]
             want = float("nan") if any(np.isnan(norms)) else max(norms)
             assert repr(inc) == repr(want)
@@ -638,12 +637,13 @@ class TestStreamingSweep:
 
 
 class TestSweepMemory:
-    """A warm mild solve holds S(t) v0 and one iterate, not four trajectories;
-    the residual holds no trajectory of its own.  2-D N=32 with 16 steps,
-    one substep and a dyadic t_end; a field is one (2, 32, 32) complex array.
+    """A warm mild solve holds one trajectory, the iterate, not four; the
+    residual holds no trajectory of its own.  2-D N=32 with 16 steps, one
+    substep and a dyadic t_end; a field is one (2, 32, 32) complex array.
     The list-based sweep peaked at 86 fields in the solve and 47 in the
-    residual; the streaming one at 69 (two trajectories, 34, plus the node
-    workspace, multipliers and norms) and 16."""
+    residual; the streaming one, which kept every S(t_i) v0, at 67 (two
+    trajectories, 34, plus the node workspace, multipliers and norms) and
+    17; remaking S(t_i) v0 from v0's spectrum brought the solve to 41."""
 
     @staticmethod
     def traced_peak(run):
@@ -666,10 +666,10 @@ class TestSweepMemory:
                              picard_tol=1e-12)
         self.field = self.v0.nbytes
 
-    def test_solve_holds_two_trajectories(self):
+    def test_solve_holds_one_trajectory(self):
         peak = self.traced_peak(lambda: picard_iterate(self.grid, self.v0, self.cfg))
         trajectory = (self.cfg.time_steps + 1) * self.field
-        assert peak <= 2 * trajectory + 40 * self.field, (
+        assert peak <= trajectory + 28 * self.field, (
             f"solve peaked at {peak / self.field:.1f} fields")
 
     def test_residual_holds_no_trajectory(self):

@@ -54,6 +54,39 @@ class TestCrossValidate:
             duhamel_substeps=4, picard_tol=1e-12)
         assert ratio >= 2.0
 
+    @staticmethod
+    def rough_refinement():
+        # a mollified rough datum, whose gradient is large enough that the
+        # cubic (f1) and transport (f2) parts of the nonlinearity show in the
+        # agreement; its ball norm is above the warning threshold, yet the
+        # mild solve converges in a few sweeps
+        g = make_grid(2, 32, TWO_PI)
+        m0 = generate_initial_data(
+            InitialDataSpec(kind="rough_mollified", amplitude=0.1, mollification_k=2.0),
+            g, seed=3)
+        return cross_validate_refinement(g, m0, lam=1.0, t_end=0.5, time_steps=16,
+                                         duhamel_substeps=8, picard_tol=1e-12,
+                                         smallness=np.inf)
+
+    def test_rough_datum_refinement_improves(self):
+        base, fine, ratio = self.rough_refinement()
+        assert base.sup_discrepancy <= 1e-3
+        assert ratio >= 2.0
+
+    @pytest.mark.parametrize("part", ["f1", "f2"])
+    def test_rough_datum_refinement_sees_a_flipped_part(self, monkeypatch, part):
+        # with one part's sign flipped the mild solver solves another flow, so
+        # refining no longer brings the two solvers together
+        original = cgl.nonlinearity_F
+
+        def flipped(*args, **kwargs):
+            parts = original(*args, **kwargs)
+            return replace(parts, **{part: -getattr(parts, part)})
+
+        monkeypatch.setattr(cgl, "nonlinearity_F", flipped)
+        _, _, ratio = self.rough_refinement()
+        assert ratio < 2.0
+
     def test_refinement_rejects_zero_direct_dt(self):
         g = make_grid(2, 16, TWO_PI)
         with pytest.raises(ValueError):

@@ -336,7 +336,7 @@ class TestTransformPasses:
             monkeypatch.setattr(morrey, "_rank_cache", {})
             tables = morrey._tables(ball_lattice(g))
             raw = initial_data.rough_raw_field(g, 0.3, (0.0, 0.0, 1.0), seed=3)
-            return [*cgl._Rule(g, cgl.CglConfig(lam=0.5, duhamel_substeps=3), times)
+            return [*cgl._Rule(g, cgl.CglConfig(lam=0.5, duhamel_substeps=3), times, u_old[0])
                     .integrals(u_old),
                     *morrey._screen(tables, np.abs(u_old[1][0]) ** 3.2), tables["spectra"],
                     morrey_norm(g, u_old[2], 3.2, 2.0).value,

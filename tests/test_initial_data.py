@@ -94,6 +94,38 @@ class TestGenerators:
         assert bump.min() > -1e-8  # positive up to spectral truncation ringing
 
 
+class TestGeneratorValidation:
+    @pytest.mark.parametrize("width", [float("nan"), float("inf"), 0.0, -0.5])
+    def test_spectral_bump_rejects_bad_width(self, width):
+        with pytest.raises(ValueError, match="width"):
+            spectral_bump(make_grid(2, 16, TWO_PI), width)
+
+    @pytest.mark.parametrize("center", [(3,), (3, 5, 7), ()])
+    def test_spectral_bump_rejects_center_of_wrong_length(self, center):
+        with pytest.raises(ValueError, match="center"):
+            spectral_bump(make_grid(2, 16, TWO_PI), 0.5, center=center)
+
+    @pytest.mark.parametrize("amplitude", [float("nan"), float("inf"), -float("inf")])
+    def test_rough_raw_field_rejects_non_finite_amplitude(self, amplitude):
+        with pytest.raises(ValueError, match="amplitude"):
+            rough_raw_field(make_grid(2, 16, TWO_PI), amplitude, (0, 0, 1), seed=1)
+
+    @pytest.mark.parametrize("max_mode", [0, -3, 2.5, True])
+    def test_rough_raw_field_rejects_bad_max_mode(self, max_mode):
+        with pytest.raises(ValueError, match="max_mode"):
+            rough_raw_field(make_grid(2, 16, TWO_PI), 0.3, (0, 0, 1), seed=1,
+                            max_mode=max_mode)
+
+    def test_rough_raw_field_keeps_its_bytes_for_valid_input(self):
+        # one mode is the smallest roughness and a numpy integer passes
+        g = make_grid(2, 16, TWO_PI)
+        one = rough_raw_field(g, 0.3, (0, 0, 1), seed=1, max_mode=np.int64(1))
+        assert np.abs(derivative(g, one.values, 0)).max() > 0
+        assert (rough_raw_field(g, 0.3, (0, 0, 1), seed=1, max_mode=5).values.tobytes()
+                == rough_raw_field(g, 0.3, (0, 0, 1), seed=1, max_mode=np.int64(5))
+                .values.tobytes())
+
+
 class TestMollify:
     def test_upper_bound_exact_convexity(self):
         g = make_grid(2, 64, TWO_PI)

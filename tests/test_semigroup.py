@@ -114,6 +114,36 @@ class TestApply:
         assert np.abs(out).max() < 1e-13
 
 
+class TestMultiplier:
+    """The distinct-|xi|^2 multiplier and the given-spectrum path keep the
+    bytes of the plain full-grid computation."""
+
+    @pytest.mark.parametrize("dim,n", [(1, 16), (2, 32), (3, 8)])
+    @pytest.mark.parametrize("lam", [0.1, 0.8, 1.0])
+    def test_equals_the_full_grid_exponential(self, dim, n, lam):
+        g = make_grid(dim, n, TWO_PI)
+        params = SemigroupParams(lam=lam, grid=g)
+        # non-dyadic times among them, as np.linspace's t_i and offsets are
+        for t in (1e-3, 0.03125, 0.1, 1 / 3, 0.5 / 16 * 7, *np.linspace(0.0, 0.3, 4)[1:]):
+            want = np.exp((1j - lam) * g.k_squared * t)
+            got = semigroup.semigroup_multiplier(params, t)
+            assert got.shape == g.shape and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dim,n", [(1, 16), (2, 16), (3, 8)])
+    @pytest.mark.parametrize("t", [0.0, 0.1, 1 / 3])
+    def test_given_spectrum_gives_the_plain_bytes(self, dim, n, t):
+        from llglab.fields import _forward
+
+        g = make_grid(dim, n, TWO_PI)
+        params = SemigroupParams(lam=0.7, grid=g)
+        v0 = np.stack([band_limited(g, seed=dim + k) for k in range(dim)])
+        spectrum, _ = _forward(g, v0)
+        kept = spectrum.copy()
+        got = apply_semigroup(v0, t, params, spectrum=spectrum)
+        assert got.tobytes() == apply_semigroup(v0, t, params).tobytes()
+        assert spectrum.tobytes() == kept.tobytes()
+
+
 class TestVerifyDecay:
     def test_non_expansive_case(self):
         grid = make_grid(2, 64, TWO_PI)
