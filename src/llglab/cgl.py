@@ -23,8 +23,11 @@ every sweep reuses, the node loop of one interval, ``add_interval``, and
 the datum v0 with its spectrum, from which ``free`` remakes S(t_i) v0
 whenever output time i needs it.
 The integral is accumulated in Fourier space, where S(t) is the diagonal
-multiplier exp((i - lam)|xi|^2 t): each forcing node adds one forward FFT
-of its forcing, and each output time costs one inverse FFT.  A node
+multiplier exp((i - lam)|xi|^2 t).  It depends on xi only through |xi|^2,
+so the rule keeps each multiplier as a table over the distinct |xi|^2
+values and gathers it onto the grid, into the workspace, where it is
+used.  Each forcing node adds one forward FFT of its forcing, and each
+output time costs one inverse FFT.  A node
 transforms u once, and that spectrum serves both the gauge solve's div u
 and the nonlinearity's grad u; with the two Poisson solves of the gauge
 fields (a transform pair each) and the inverses of div u and grad u, a
@@ -52,7 +55,7 @@ from .fields import (Grid, Trajectory, Workspace, _forward, _inverse, gradient,
                      l2_norm, require_finite_positive, require_integer)
 from .frames import gauge_fields_from_u
 from .morrey import morrey_norm, xpt_norm, XptReport
-from .semigroup import SemigroupParams, apply_semigroup, semigroup_multiplier
+from .semigroup import SemigroupParams, _multiplier_table, apply_semigroup
 
 __all__ = [
     "CglConfig",
@@ -303,13 +306,16 @@ class _Rule:
     midpoint nodes per interval of ``times``, the gauge fields recomputed at
     each from u(s), the iterate's linear interpolant in time.
 
-    It owns what every sweep reuses: one ``semigroup_multiplier`` per float
-    offset (substeps + 1 on a dyadic uniform grid; offsets that differ in
+    It owns what every sweep reuses: the multiplier of S(t) for each float
+    offset t (substeps + 1 on a dyadic uniform grid; offsets that differ in
     the last bit, as np.linspace times that are not binary fractions give,
-    stay distinct, as their multipliers do), the ``Workspace`` that holds
-    every array of a node, so a node after the first allocates none, and
-    the datum ``v0`` with its spectrum, one field, from which ``free``
-    remakes S(t_i) v0 instead of the solve keeping a trajectory of them.
+    stay distinct, as their multipliers do), kept as its table over the
+    distinct |xi|^2 values (8 KiB at 2-D N=64, not a 64 KiB grid) and
+    gathered onto the grid, by ``multiplier``, into a workspace array where
+    it is used; the ``Workspace`` that holds every array of a node, so a
+    node after the first allocates none; and the datum ``v0`` with its
+    spectrum, one field, from which ``free`` remakes S(t_i) v0 instead of
+    the solve keeping a trajectory of them.
     """
 
     def __init__(self, grid: Grid, config: CglConfig, times: np.ndarray,
@@ -317,7 +323,7 @@ class _Rule:
         self.grid, self.times = grid, times
         self.lam, self.substeps = config.lam, config.duhamel_substeps
         self.params = SemigroupParams(lam=config.lam, grid=grid)
-        self.mult = functools.cache(functools.partial(semigroup_multiplier, self.params))
+        self.table = functools.cache(functools.partial(_multiplier_table, self.params))
         self.work = Workspace()
         self.v0 = np.asarray(v0, dtype=complex)
         self.v0_hat, _ = _forward(grid, self.v0)
@@ -326,6 +332,14 @@ class _Rule:
         """S(t_i) v0, a fresh array, made from the spectrum of v0 with one
         inverse transform: the bytes of ``apply_semigroup(v0, t_i)``."""
         return apply_semigroup(self.v0, self.times[i], self.params, spectrum=self.v0_hat)
+
+    def multiplier(self, t: float, work: Workspace) -> np.ndarray:
+        """The bytes of ``semigroup_multiplier(params, t)``, gathered from
+        t's table into an array taken from ``work``.  The index is always in
+        range, so mode "clip" gathers as the default mode does, without the
+        default's output-sized buffer."""
+        return np.take(self.table(t), self.grid.k_squared_distinct[1], mode="clip",
+                       out=work.take(self.grid.shape, complex))
 
     def add_interval(self, i: int, u_a: np.ndarray, u_b: np.ndarray,
                      acc_hat: np.ndarray) -> None:
@@ -345,7 +359,7 @@ class _Rule:
                     u_s += np.multiply(w, u_b, out=work.take(acc_hat.shape, complex))
                 forcing = _forcing_at(self.grid, u_s, self.lam, work)
                 spec, _ = _forward(self.grid, forcing, out=forcing)
-                spec *= self.mult(times[i + 1] - s)
+                spec *= self.multiplier(times[i + 1] - s, work)
                 spec *= sub
                 acc_hat += spec
 
@@ -363,7 +377,8 @@ class _Rule:
         yield np.zeros_like(u[0])
         acc_hat = np.zeros_like(u[0], dtype=complex)
         for i in range(len(self.times) - 1):
-            acc_hat *= self.mult(self.times[i + 1] - self.times[i])
+            with self.work.scope():
+                acc_hat *= self.multiplier(self.times[i + 1] - self.times[i], self.work)
             self.add_interval(i, u[i], u[i + 1], acc_hat)
             # a complex inverse given out= leaves acc_hat, which carries over, alone
             yield _inverse(self.grid, acc_hat, False, out=np.empty_like(acc_hat))

@@ -81,26 +81,40 @@ def cross_validate(grid: Grid, m0: SpinField, lam: float, t_end: float,
                         picard_max_iter=picard_max_iter, smallness=smallness)
     v0 = mild_initial_data(grid, m0)
     mild = picard_iterate(grid, v0, cgl_cfg)
-    direct = solve(m0, llg_cfg, output_times=mild.trajectory.times)
-    return compare_with_mild(grid, mild, direct)
+    # the comparison reads only |u| of the mild solve: keep that, and let
+    # the solve and its datum go before the direct run
+    times, iterations = mild.trajectory.times, mild.iterations
+    g_mild = [pointwise_magnitude(grid, u) for u in mild.trajectory.fields]
+    del v0, mild
+    direct = solve(m0, llg_cfg, output_times=times)
+    return _compare(grid, times, g_mild, iterations, direct)
 
 
 def compare_with_mild(grid: Grid, mild: PicardResult, direct: LlgResult) -> CrossValidationReport:
     """Compare |grad m| of a direct run with a mild solve, both at the mild output times."""
-    if not np.array_equal(direct.trajectory.times, mild.trajectory.times):
+    return _compare(grid, mild.trajectory.times,
+                    (pointwise_magnitude(grid, u) for u in mild.trajectory.fields),
+                    mild.iterations, direct)
+
+
+def _compare(grid: Grid, times: np.ndarray, g_mild, mild_iterations: int,
+             direct: LlgResult) -> CrossValidationReport:
+    """The report of ``compare_with_mild`` from what it reads of the mild
+    solve: its output times, |u| at each (``g_mild``, an iterable) and its
+    iteration count."""
+    if not np.array_equal(direct.trajectory.times, times):
         raise ValueError("the direct run must record the mild solve's output times")
     discrepancies = []
-    for mv, u in zip(direct.trajectory.fields, mild.trajectory.fields):
+    for mv, g_m in zip(direct.trajectory.fields, g_mild):
         g_direct = pointwise_magnitude(grid, gradient(grid, mv))
-        g_mild = pointwise_magnitude(grid, u)
         denom = l2_norm(grid, g_direct)
-        num = l2_norm(grid, g_direct - g_mild)
+        num = l2_norm(grid, g_direct - g_m)
         discrepancies.append(num / denom if denom > 0 else 0.0)
     discrepancies = np.asarray(discrepancies)
     return CrossValidationReport(
-        times=mild.trajectory.times, discrepancies=discrepancies,
+        times=times, discrepancies=discrepancies,
         sup_discrepancy=float(discrepancies.max()),
-        direct_steps=direct.meta["steps"], mild_iterations=mild.iterations,
+        direct_steps=direct.meta["steps"], mild_iterations=mild_iterations,
     )
 
 

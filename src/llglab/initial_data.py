@@ -93,8 +93,7 @@ def _mollifier_multiplier(grid: Grid, k: float) -> np.ndarray:
     the wrapped grid and normalized so its discrete mass is one, which makes
     the induced circular convolution an exact convex combination.
     """
-    if not k > 0:
-        raise ValueError("mollification scale k must be positive")
+    require_finite_positive("mollification scale k", k)
     if 1.0 / k > grid.length / 2.0:
         raise ValueError("mollifier support 1/k must fit inside the torus (k >= 2/L)")
     s = (k**2) * grid.wrapped_dist2

@@ -5,7 +5,8 @@ multiplied by exp((i - lambda) |xi|^2 t).  The damping lambda > 0 makes the
 multiplier magnitude exp(-lambda |xi|^2 t) <= 1, so S(t) is non-expansive and
 smoothing.  The multiplier takes its exponential once per distinct |xi|^2
 (506 of the 4,096 modes of a 2-D N=64 grid), so remaking S(t) v0 at every
-output time of every Picard sweep stays cheap.
+output time of every Picard sweep stays cheap, and that table of distinct
+values is all a mild solve keeps of each S(t) it reuses.
 
 This module also provides a one-sided numerical check of the norm-decay
 power laws and the canonical datum it is run on.  ``verify_decays`` checks
@@ -61,15 +62,22 @@ class SemigroupParams:
         require_finite_positive("damping parameter lam", self.lam)
 
 
+def _multiplier_table(params: SemigroupParams, t: float) -> np.ndarray:
+    """exp((i - lambda) |xi|^2 t) at each distinct |xi|^2, in the order of
+    ``Grid.k_squared_distinct``: 506 values on a 2-D N=64 grid, 8 KiB."""
+    values, _ = params.grid.k_squared_distinct
+    return np.exp((1j - params.lam) * values * t)
+
+
 def semigroup_multiplier(params: SemigroupParams, t: float) -> np.ndarray:
     """The Fourier multiplier of S(t), exp((i - lambda) |xi|^2 t), fft layout.
 
-    The exponential is taken once per distinct |xi|^2 and spread over the
-    grid by ``Grid.k_squared_distinct``'s index: the same bytes as the
-    elementwise expression on the whole grid, at a fraction of the cost.
+    The exponential is taken once per distinct |xi|^2, in ``_multiplier_table``,
+    and spread over the grid by ``Grid.k_squared_distinct``'s index: the same
+    bytes as the elementwise expression on the whole grid, at a fraction of
+    the cost.
     """
-    values, index = params.grid.k_squared_distinct
-    return np.exp((1j - params.lam) * values * t)[index]
+    return _multiplier_table(params, t)[params.grid.k_squared_distinct[1]]
 
 
 def apply_semigroup(values: np.ndarray, t: float, params: SemigroupParams, *,

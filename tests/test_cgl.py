@@ -381,16 +381,16 @@ class TestSpectralSweep:
             assert np.abs(x - y).max() <= 1e-13 * scale
 
     def test_one_multiplier_per_distinct_offset(self, monkeypatch):
-        # one cache serves every sweep of a solve, not one sweep
-        from llglab.semigroup import semigroup_multiplier
+        # one cache of tables serves every sweep of a solve, not one sweep
+        from llglab.semigroup import _multiplier_table
 
         offsets = []
 
         def counted(params, t):
             offsets.append(t)
-            return semigroup_multiplier(params, t)
+            return _multiplier_table(params, t)
 
-        monkeypatch.setattr(cgl, "semigroup_multiplier", counted)
+        monkeypatch.setattr(cgl, "_multiplier_table", counted)
         g = make_grid(2, 16, TWO_PI)
         v0 = normalized(g, bump_pair(g), 0.02)
         # dyadic steps (t_end 0.5 over 8): equal offsets in every interval
@@ -399,6 +399,43 @@ class TestSpectralSweep:
         result = picard_iterate(g, v0, cfg)
         assert result.iterations >= 3
         assert len(offsets) == len(set(offsets)) == 4 + 1
+
+    @pytest.mark.parametrize("lam", [0.8, 2.5])
+    @pytest.mark.parametrize("t_end", [0.5, 0.3], ids=["dyadic", "linspace"])
+    @pytest.mark.parametrize("dim,n", [(1, 16), (2, 16), (3, 8)])
+    def test_gathered_tables_are_the_full_grid_multiplier(self, monkeypatch, dim, n,
+                                                          t_end, lam):
+        # every multiplier a sweep uses, the accumulator's S(dt) and each
+        # node's S(t_{i+1} - s), gathered from its table, is == to
+        # semigroup_multiplier of its offset; 0.3 over 4 steps gives offsets
+        # that differ in the last bit, each with a table of its own
+        from llglab.cgl import _Rule
+        from llglab.semigroup import SemigroupParams, semigroup_multiplier
+
+        g = make_grid(dim, n, TWO_PI)
+        rng = np.random.default_rng(70 + dim)
+        times = np.linspace(0.0, t_end, 5)
+        shape = (dim,) + g.shape
+        u = [0.3 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+             for _ in times]
+        rule = _Rule(g, CglConfig(lam=lam, duhamel_substeps=2), times, u[0])
+        used = []
+        gather = rule.multiplier
+
+        def recorded(t, work):
+            mult = gather(t, work)
+            used.append((t, mult.copy()))
+            return mult
+
+        monkeypatch.setattr(rule, "multiplier", recorded)
+        list(rule.integrals(u))
+        assert len(used) == (len(times) - 1) * (2 + 1)
+        params = SemigroupParams(lam=lam, grid=g)
+        for t, mult in used:
+            want = semigroup_multiplier(params, t)
+            assert mult.shape == want.shape and mult.tobytes() == want.tobytes()
+        distinct = len({t for t, _ in used})
+        assert distinct == 2 + 1 if t_end == 0.5 else distinct > 2 + 1
 
     @pytest.mark.parametrize("dim,n", [(1, 16), (2, 16), (3, 8)])
     def test_interval_reads_only_its_two_iterates(self, dim, n):
@@ -643,7 +680,8 @@ class TestSweepMemory:
     The list-based sweep peaked at 86 fields in the solve and 47 in the
     residual; the streaming one, which kept every S(t_i) v0, at 67 (two
     trajectories, 34, plus the node workspace, multipliers and norms) and
-    17; remaking S(t_i) v0 from v0's spectrum brought the solve to 41."""
+    17; remaking S(t_i) v0 from v0's spectrum brought the solve to 41, a
+    peak set by the final trajectory norm, not by the sweeps."""
 
     @staticmethod
     def traced_peak(run):

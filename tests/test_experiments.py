@@ -9,9 +9,11 @@ from llglab import cgl, experiments, runner
 from llglab.cgl import CglConfig, NonContraction, picard_iterate
 from llglab.config import ConfigError, parse_config
 from llglab.experiments import (
+    compare_with_mild,
     cross_validate,
     cross_validate_refinement,
     decay_report,
+    direct_config,
     mild_initial_data,
     uniqueness_experiment,
 )
@@ -86,6 +88,52 @@ class TestCrossValidate:
         monkeypatch.setattr(cgl, "nonlinearity_F", flipped)
         _, _, ratio = self.rough_refinement()
         assert ratio < 2.0
+
+    def test_compare_with_mild_is_the_report_of_cross_validate(self):
+        # the runner's path (a kept solve, then a direct run) and
+        # cross_validate's share one comparison: the same bytes
+        g = make_grid(2, 16, TWO_PI)
+        m0 = generate_initial_data(
+            InitialDataSpec(kind="equatorial_wave", amplitude=0.01), g)
+        cfg = CglConfig(lam=1.0, t_end=0.05, time_steps=4, duhamel_substeps=2,
+                        picard_tol=1e-12)
+        mild = picard_iterate(g, mild_initial_data(g, m0), cfg)
+        direct = solve(m0, direct_config(g, 1.0, 0.05), output_times=mild.trajectory.times)
+        got = compare_with_mild(g, mild, direct)
+        want = cross_validate(g, m0, lam=1.0, t_end=0.05, time_steps=4,
+                              duhamel_substeps=2, picard_tol=1e-12)
+        assert got.times.tobytes() == want.times.tobytes()
+        assert got.discrepancies.tobytes() == want.discrepancies.tobytes()
+        assert (got.sup_discrepancy, got.direct_steps, got.mild_iterations) == (
+            want.sup_discrepancy, want.direct_steps, want.mild_iterations)
+
+    def test_direct_run_holds_only_the_mild_magnitudes(self):
+        # the comparison reads |u| of the mild solve alone, so the solve and
+        # its datum go before the direct run.  2-D N=32, 16 x 8 nodes; a
+        # field is one (2, 32, 32) complex array.  Holding the solve through
+        # the direct run peaked at 54.1 fields; now the mild solve's
+        # trajectory norm sets the peak, at 41.6
+        import tracemalloc
+
+        g = make_grid(2, 32, TWO_PI)
+        m0 = generate_initial_data(
+            InitialDataSpec(kind="equatorial_wave", amplitude=0.01), g)
+
+        def run():
+            return cross_validate(g, m0, lam=1.0, t_end=0.5, time_steps=16,
+                                  duhamel_substeps=8, picard_tol=1e-12)
+
+        run()  # warm: grid tables, ball lattices, FFT plans
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            run()
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        field = 2 * g.num_points * np.dtype(complex).itemsize
+        assert peak <= 46 * field, f"cross_validate peaked at {peak / field:.1f} fields"
 
     def test_refinement_rejects_zero_direct_dt(self):
         g = make_grid(2, 16, TWO_PI)

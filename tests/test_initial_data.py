@@ -155,6 +155,14 @@ class TestMollify:
         with pytest.raises(ValueError):
             mollify_and_project(g, raw, 0.1)
 
+    @pytest.mark.parametrize("k", [np.inf, np.nan, 0.0, -2.0])
+    def test_non_finite_or_non_positive_scale_rejected(self, k):
+        # k = inf used to pass the check and return the raw field unsmoothed
+        g = make_grid(2, 16, TWO_PI)
+        raw = rough_raw_field(g, amplitude=0.1, m_infinity=(0, 0, 1), seed=1)
+        with pytest.raises(ValueError, match="mollification scale k must be finite"):
+            mollify_and_project(g, raw, k)
+
     def test_norm_bookkeeping_recomputable(self):
         g = make_grid(2, 32, TWO_PI)
         raw = rough_raw_field(g, amplitude=0.3, m_infinity=(0, 0, 1), seed=2)
