@@ -71,7 +71,6 @@ from .llg import (
     llg_rhs,
     solve,
     stability_cap,
-    step,
 )
 from .initial_data import (
     InitialDataSpec,

@@ -216,10 +216,6 @@ class NonlinearityParts:
     f2: np.ndarray
     f3: np.ndarray
 
-    @property
-    def total(self) -> np.ndarray:
-        return self.f1 + self.f2 + self.f3
-
 
 def nonlinearity_F(grid: Grid, u: np.ndarray, a: np.ndarray, a0_1: np.ndarray,
                    a0_2: np.ndarray, lam: float, *, work: Workspace | None = None,

@@ -485,12 +485,13 @@ class SpinField:
     grid: Grid
     values: np.ndarray
 
+    def __post_init__(self):
+        if np.shape(self.values) != (3,) + self.grid.shape:
+            raise ValueError(f"spin field must have shape {(3,) + self.grid.shape}")
+
     @classmethod
     def from_values(cls, grid: Grid, values: np.ndarray):
-        values = np.asarray(values, dtype=float)
-        if values.shape != (3,) + grid.shape:
-            raise ValueError(f"spin field must have shape {(3,) + grid.shape}")
-        return cls(grid=grid, values=normalize_spin(values))
+        return cls(grid=grid, values=normalize_spin(np.asarray(values, dtype=float)))
 
     def unit_defect(self) -> float:
         return float(np.abs(np.sqrt((self.values**2).sum(axis=0)) - 1.0).max())

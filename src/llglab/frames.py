@@ -25,7 +25,6 @@ from .fields import (
     Grid,
     SpinField,
     Workspace,
-    _cross,
     divergence,
     gradient,
     inverse_laplacian_divergence,
@@ -61,19 +60,6 @@ class TangentFrame:
 
     X: np.ndarray
     Y: np.ndarray
-
-    def defects(self, m: np.ndarray) -> dict:
-        """Sup-norm violations of the frame invariants, for diagnostics."""
-        X, Y = self.X, self.Y
-        cross = _cross(X, Y)
-        return {
-            "unit_X": float(np.abs((X**2).sum(axis=0) - 1.0).max()),
-            "unit_Y": float(np.abs((Y**2).sum(axis=0) - 1.0).max()),
-            "XY": float(np.abs((X * Y).sum(axis=0)).max()),
-            "Xm": float(np.abs((X * m).sum(axis=0)).max()),
-            "Ym": float(np.abs((Y * m).sum(axis=0)).max()),
-            "cross": float(np.abs(cross - m).max()),
-        }
 
 
 def build_frame(m: SpinField) -> TangentFrame:

@@ -44,7 +44,6 @@ __all__ = [
     "LlgConfig",
     "stability_cap",
     "llg_rhs",
-    "step",
     "EnergyLedger",
     "LlgResult",
     "solve",
@@ -146,14 +145,6 @@ def _advance(grid: Grid, m: np.ndarray, rhs0: np.ndarray, dt: float,
     return k2
 
 
-def step(m: SpinField, config: LlgConfig) -> SpinField:
-    """One explicit RK step followed by pointwise renormalization."""
-    grid = config.grid
-    rhs0 = llg_rhs(grid, m.values, config.lam)
-    raw = _advance(grid, m.values, rhs0, config.dt, config.lam, config.scheme)
-    return SpinField(grid, _renormalize(raw, time=0.0, step_index=0))
-
-
 def _renormalize(raw: np.ndarray, time, step_index) -> np.ndarray:
     """raw / |raw| in place, as normalize_spin computes it, once the squared
     norms show no collapse and no non-finite value."""
@@ -189,9 +180,12 @@ def solve(m0: SpinField, config: LlgConfig, output_times=None, n_outputs: int = 
     The dissipation integral accumulates by trapezoid at every integrator
     step with d_t m re-evaluated from the right-hand side (never finite
     differenced).  Output times are landed on exactly by locally shrinking
-    the step to an integer divisor of each output interval.
+    the step to an integer divisor of each output interval; they run from 0
+    to exactly ``config.t_end``.  m0 must lie on ``config.grid``.
     """
     grid = config.grid
+    if m0.grid != grid:
+        raise ValueError(f"m0 lies on {m0.grid}, not on the config's {grid}")
     if output_times is None:
         output_times = np.linspace(0.0, config.t_end, n_outputs)
     output_times = np.asarray(output_times, dtype=float)
@@ -199,6 +193,9 @@ def solve(m0: SpinField, config: LlgConfig, output_times=None, n_outputs: int = 
         raise ValueError(f"need at least {MIN_OUTPUTS} output times, got {len(output_times)}")
     if output_times[0] != 0.0 or np.any(np.diff(output_times) <= 0):
         raise ValueError("output times must start at 0 and increase")
+    if output_times[-1] != config.t_end:
+        raise ValueError(f"output times must end at t_end = {config.t_end!r}, "
+                         f"got {output_times[-1]!r}")
 
     m = np.asarray(m0.values, dtype=float)
     if float(np.abs((m * m).sum(axis=0) - 1.0).max()) > 1e-10:

@@ -309,9 +309,6 @@ class XptReport:
     r3: float
     p: float
     t_end: float
-    r1_time: float
-    r2_time: float
-    r3_time: float
 
     @property
     def total(self) -> float:
@@ -319,27 +316,19 @@ class XptReport:
 
 
 def xpt_norm(grid: Grid, traj: Trajectory, p: float) -> XptReport:
+    """The three sups of ``XptReport`` over the samples of ``traj``; p > 2."""
     if p <= 2:
         raise ValueError(f"trajectory norm needs p > 2, got {p}")
     if len(traj) == 0:
         raise ValueError("empty trajectory")
     r1 = r2 = r3 = 0.0
-    t1 = t2 = t3 = float(traj.times[0])
     for t, u in zip(traj.times, traj.fields):
         # |u| once: a real scalar field's magnitude is its abs, the identity on |u|
         mag = pointwise_magnitude(grid, u)
-        n3 = morrey_norm(grid, mag, 2.0, 2.0).value
-        if n3 > r3:
-            r3, t3 = n3, float(t)
+        r3 = max(r3, morrey_norm(grid, mag, 2.0, 2.0).value)
         if t > 0.0:
-            n1 = morrey_norm(grid, mag, p, 2.0).value
-            w1 = t ** (0.5 - 1.0 / p) * n1
-            if w1 > r1:
-                r1, t1 = w1, float(t)
+            r1 = max(r1, t ** (0.5 - 1.0 / p) * morrey_norm(grid, mag, p, 2.0).value)
             gu = gradient(grid, u)
-            n2 = morrey_norm(grid, gu, 2.0, 2.0).value
-            w2 = np.sqrt(t) * n2
-            if w2 > r2:
-                r2, t2 = w2, float(t)
+            r2 = max(r2, np.sqrt(t) * morrey_norm(grid, gu, 2.0, 2.0).value)
     return XptReport(r1=float(r1), r2=float(r2), r3=float(r3), p=float(p),
-                     t_end=float(traj.times[-1]), r1_time=t1, r2_time=t2, r3_time=t3)
+                     t_end=float(traj.times[-1]))

@@ -123,7 +123,6 @@ class DecayReport:
     norms: np.ndarray
     ratio_series: np.ndarray
     max_ratio: float
-    base_norm: float
     c_max: float
     trend_ok: bool
     passed: bool
@@ -203,9 +202,8 @@ def verify_decays(values: np.ndarray, p: float, cases, q: float, t_list: np.ndar
         reports.append(DecayReport(
             p=float(p), p_tilde=float(p_tilde), q=float(q), lam=params.lam,
             gradient=bool(gradient_norm), t_samples=t_list, norms=series,
-            ratio_series=ratios, max_ratio=max_ratio, base_norm=float(base),
-            c_max=float(c_max), trend_ok=trend_ok,
-            passed=bool(max_ratio <= c_max and trend_ok),
+            ratio_series=ratios, max_ratio=max_ratio, c_max=float(c_max),
+            trend_ok=trend_ok, passed=bool(max_ratio <= c_max and trend_ok),
         ))
     return reports
 

@@ -304,6 +304,21 @@ def reference_fixed_point_residual(grid, result, v0, config):
     return max(l2_norm(grid, u[i] - free[i] - integrals[i]) for i in range(len(times)))
 
 
+def frame_defects(frame, m):
+    """Sup-norm violations of the invariants of a tangent frame (X, Y) along
+    m: unit length, orthogonality to each other and to m, and X x Y = m."""
+    X, Y = frame.X, frame.Y
+    cross = np.cross(X, Y, axis=0)
+    return {
+        "unit_X": float(np.abs((X**2).sum(axis=0) - 1.0).max()),
+        "unit_Y": float(np.abs((Y**2).sum(axis=0) - 1.0).max()),
+        "XY": float(np.abs((X * Y).sum(axis=0)).max()),
+        "Xm": float(np.abs((X * m).sum(axis=0)).max()),
+        "Ym": float(np.abs((Y * m).sum(axis=0)).max()),
+        "cross": float(np.abs(cross - m).max()),
+    }
+
+
 def reference_gauge_fields(grid, u, lam):
     """gauge_fields_from_u with one elliptic solve per right-hand side and
     div u summed from per-axis derivatives in physical space."""

@@ -1,4 +1,3 @@
-import inspect
 import sys
 from dataclasses import replace
 
@@ -152,12 +151,41 @@ class TestCrossValidate:
                            time_steps=4, duhamel_substeps=2)
 
 
-    def test_mild_keywords_default_to_the_config_fields(self):
-        params = inspect.signature(cross_validate).parameters
-        names = ("p", "time_steps", "duhamel_substeps", "picard_tol", "picard_max_iter",
-                 "smallness")
-        cfg = CglConfig(lam=1.0, t_end=1.0)
-        assert {n: params[n].default for n in names} == {n: getattr(cfg, n) for n in names}
+    @staticmethod
+    def mild_config_of(monkeypatch, **cgl):
+        """The CglConfig that cross_validate hands its mild solve, which is
+        stopped there."""
+        seen = []
+
+        def stop(grid, v0, config, track_xpt=False):
+            seen.append(config)
+            raise StopIteration
+
+        monkeypatch.setattr("llglab.experiments.picard_iterate", stop)
+        g = make_grid(2, 16, TWO_PI)
+        with pytest.raises(StopIteration):
+            cross_validate(g, constant_spin(g), lam=0.8, t_end=0.05, **cgl)
+        return seen[0]
+
+    def test_mild_keywords_default_to_the_config_fields(self, monkeypatch):
+        assert self.mild_config_of(monkeypatch) == CglConfig(lam=0.8, t_end=0.05)
+        mild = dict(p=3.1, time_steps=4, duhamel_substeps=2, picard_tol=1e-11,
+                    picard_max_iter=3, smallness=np.inf)
+        assert self.mild_config_of(monkeypatch, **mild) == CglConfig(lam=0.8, t_end=0.05,
+                                                                     **mild)
+
+    @pytest.mark.parametrize("bad,error", [({"duhamel_substeps": 0}, ValueError),
+                                           ({"substeps": 2}, TypeError)],
+                             ids=["duhamel_substeps_0", "unknown_key"])
+    def test_bad_mild_keyword_fails_before_either_solve(self, monkeypatch, bad, error):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a solve ran before the mild keywords were checked")
+
+        monkeypatch.setattr("llglab.experiments.picard_iterate", forbidden)
+        monkeypatch.setattr("llglab.experiments.solve", forbidden)
+        g = make_grid(2, 16, TWO_PI)
+        with pytest.raises(error):
+            cross_validate(g, constant_spin(g), lam=1.0, t_end=0.05, **bad)
 
     def test_mild_solve_takes_p_and_iteration_cap(self):
         g = make_grid(2, 16, TWO_PI)
@@ -216,15 +244,21 @@ class TestMildInitialData:
                 monkeypatch.setattr(module, "llg_rhs", forbidden)
         assert np.array_equal(mild_initial_data(g, m0), expected)
 
+    def test_datum_on_another_grid_rejected(self):
+        # same shape, twice the box: the coefficients would be those of another field
+        m0 = generate_initial_data(InitialDataSpec(kind="bump_chart", amplitude=0.4),
+                                   make_grid(1, 16, TWO_PI))
+        with pytest.raises(ValueError, match="not on"):
+            mild_initial_data(make_grid(1, 16, 2.0 * TWO_PI), m0)
+
 
 class TestUniqueness:
     def test_identical_discretizations_exact_zero(self):
+        # a constant datum is a fixed point of both discretizations
         g = make_grid(2, 16, TWO_PI)
-        m0 = generate_initial_data(
-            InitialDataSpec(kind="equatorial_wave", amplitude=0.1), g)
-        rep = uniqueness_experiment(g, m0, lam=1.0, t_end=0.1, n_outputs=5,
-                                    schemes=("projected-rk2", "projected-rk2"),
-                                    dt_ratio=1.0)
+        m0 = generate_initial_data(InitialDataSpec(kind="constant"), g)
+        rep = uniqueness_experiment(g, m0, lam=1.0, t_end=0.1, n_outputs=5)
+        assert rep.differences.max() == 0.0
         assert rep.exact_zero
         assert rep.status == "PASS"
 

@@ -408,6 +408,18 @@ class TestSpinField:
         with pytest.raises(ValueError):
             SpinField.from_values(g, np.zeros((2, 16)))
 
+    @pytest.mark.parametrize("shape", [(2, 16, 16), (3, 16), (3, 16, 8), (3, 16, 16, 1)])
+    def test_constructor_rejects_other_shapes(self, shape):
+        g = make_grid(2, 16, TWO_PI)
+        with pytest.raises(ValueError, match=r"spin field must have shape \(3, 16, 16\)"):
+            SpinField(g, np.zeros(shape))
+
+    def test_constructor_keeps_the_given_array(self):
+        g = make_grid(2, 16, TWO_PI)
+        values = np.zeros((3,) + g.shape)
+        values[2] = 1.0
+        assert SpinField(g, values).values is values
+
     def test_renormalization(self):
         g = make_grid(1, 16, TWO_PI)
         raw = np.stack([np.full(g.shape, 2.0), np.zeros(g.shape), np.ones(g.shape)])

@@ -9,12 +9,12 @@ from llglab.llg import (
     SCHEMES,
     BlowupSuspected,
     LlgConfig,
+    _renormalize,
     check_energy_inequality,
     check_equivalent_form,
     llg_rhs,
     solve,
     stability_cap,
-    step,
 )
 
 from oracles import reference_llg_march, reference_llg_rhs
@@ -229,18 +229,23 @@ class TestBitwiseOracle:
 
 
 class TestStep:
+    @staticmethod
+    def one_step(m):
+        # a solve of exactly one step: t_end is the step the config allows
+        dt = stability_cap(m.grid, 1.0)
+        res = solve(m, LlgConfig(grid=m.grid, lam=1.0, t_end=dt, dt=dt), n_outputs=2)
+        assert res.meta["steps"] == 1
+        return res.trajectory.fields[-1]
+
     def test_constant_unchanged(self):
-        g = make_grid(1, 16, TWO_PI)
-        cfg = LlgConfig(grid=g, lam=1.0, t_end=1.0, dt=stability_cap(g, 1.0))
-        m = constant_spin(g)
-        out = step(m, cfg)
-        assert np.abs(out.values - m.values).max() < 1e-14
+        m = constant_spin(make_grid(1, 16, TWO_PI))
+        out = self.one_step(m)
+        assert np.abs(out - m.values).max() < 1e-14
 
     def test_unit_norm_after_step(self):
         g = make_grid(1, 32, TWO_PI)
-        cfg = LlgConfig(grid=g, lam=1.0, t_end=1.0, dt=stability_cap(g, 1.0))
-        out = step(equatorial(g), cfg)
-        assert out.unit_defect() < 1e-15
+        out = self.one_step(equatorial(g))
+        assert SpinField(g, out).unit_defect() < 1e-15
 
     def test_dt_cap_enforced(self):
         g = make_grid(1, 32, TWO_PI)
@@ -280,23 +285,19 @@ class TestStep:
         assert err_full / err_half >= 3.5
 
     def test_nan_raises_blowup(self):
-        g = make_grid(1, 16, TWO_PI)
-        cfg = LlgConfig(grid=g, lam=1.0, t_end=1.0, dt=stability_cap(g, 1.0))
-        bad = constant_spin(g).values.copy()
-        bad[0, 3] = np.nan
+        raw = constant_spin(make_grid(1, 16, TWO_PI)).values.copy()
+        raw[0, 3] = np.nan
         with pytest.raises(BlowupSuspected):
-            step(SpinField(g, bad), cfg)
+            _renormalize(raw, time=0.0, step_index=0)
 
     def test_blowup_reports_time_of_last_good_state(self):
-        # the last good state is the step's input, at time 0 relative to the step
-        g = make_grid(1, 16, TWO_PI)
-        cfg = LlgConfig(grid=g, lam=1.0, t_end=1.0, dt=stability_cap(g, 1.0))
-        bad = constant_spin(g).values.copy()
-        bad[0, 3] = np.nan
+        # the renormalization of a step carries the time and index it was given
+        raw = constant_spin(make_grid(1, 16, TWO_PI)).values.copy()
+        raw[0, 3] = np.nan
         with pytest.raises(BlowupSuspected) as exc:
-            step(SpinField(g, bad), cfg)
-        assert exc.value.time == 0.0
-        assert exc.value.step_index == 0
+            _renormalize(raw, time=0.25, step_index=7)
+        assert exc.value.time == 0.25
+        assert exc.value.step_index == 7
 
 
 class TestSolve:
@@ -330,6 +331,20 @@ class TestSolve:
         res = solve(equatorial(g), cfg, output_times=times)
         assert np.array_equal(res.trajectory.times, times)
         assert np.array_equal(res.ledger.times, times)
+
+    @pytest.mark.parametrize("last", [0.2, 0.05])
+    def test_output_times_end_at_t_end(self, last):
+        g = make_grid(1, 16, TWO_PI)
+        cfg = LlgConfig(grid=g, lam=1.0, t_end=0.1, dt=stability_cap(g, 1.0))
+        with pytest.raises(ValueError, match="end at t_end"):
+            solve(equatorial(g), cfg, output_times=[0.0, last])
+
+    def test_datum_on_another_grid_rejected(self):
+        # same shape, another box: the datum's grid must be the config's
+        g = make_grid(1, 16, TWO_PI)
+        cfg = LlgConfig(grid=g, lam=1.0, t_end=0.01, dt=stability_cap(g, 1.0))
+        with pytest.raises(ValueError, match="not on the config's"):
+            solve(equatorial(make_grid(1, 16, 2.0 * TWO_PI)), cfg, n_outputs=2)
 
     def test_wild_data_never_fails_silently(self):
         g = make_grid(1, 64, TWO_PI)

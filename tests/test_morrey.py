@@ -422,18 +422,6 @@ class TestTrajectoryNorms:
         assert rep.r2 == np.sqrt(t) * morrey_norm(g, gradient(g, u), 2.0, 2.0).value
         assert rep.r3 == morrey_norm(g, u, 2.0, 2.0).value
 
-    def test_witness_times_identify_planted_sup(self):
-        g = make_grid(2, 16, TWO_PI)
-        x, _ = g.coordinates()
-        u_small = np.zeros((2,) + g.shape, dtype=complex)
-        u_small[0] = 0.01 * np.exp(1j * x)
-        u_big = 10.0 * u_small
-        traj = Trajectory(np.array([1.0, 2.0]), [u_small, u_big])
-        rep = xpt_norm(g, traj, 3.2)
-        assert rep.r1_time == 2.0
-        assert rep.r2_time == 2.0
-        assert rep.r3_time == 2.0
-
     def test_validation(self):
         g = make_grid(2, 16, TWO_PI)
         traj = Trajectory(np.array([0.0]), [np.zeros((2,) + g.shape, dtype=complex)])
