@@ -4,12 +4,13 @@
     python3 scripts/bench_pairs.py --parent COMMIT --out BENCH_name.json \\
         [--workload W ...] [--seed S ...] [--claim WORKLOAD:METRIC] [--what TEXT]
 
-The parent side is a ``git archive`` of COMMIT unpacked into a temporary
-directory; the change side is a copy, next to it, of the files git would
-commit from this working tree: the tracked files that are present, with
-their changes, and the untracked files that are not ignored.  Both sides
-thus start from a clean tree, with no build or bench output left in it,
-and both are removed at the end.  Ten pairs run per workload and seed.
+Both sides are unpacked the same way, by ``git archive`` of a tree into a
+temporary directory: the parent side from COMMIT, the change side from the
+tree of what git would commit from this working tree (the tracked files
+that are present, with their changes, and the untracked files that are not
+ignored), written through a copy of the index so the real one is left
+alone.  Both sides thus start from a clean tree, with no build or bench
+output left in it, and both are removed at the end.  Ten pairs run per workload and seed.
 Each pair runs ``python3 bench/run.py --workload W --seed S --seconds T
 --trace 0`` once in each tree, back to back; odd pairs run the parent
 first, even pairs the change.  T is ``BENCHMARK.json``'s ``run_seconds`` (36), and the workloads
@@ -36,6 +37,7 @@ import argparse
 import io
 import json
 import math
+import os
 import platform
 import shutil
 import statistics
@@ -78,27 +80,30 @@ def summarize(pairs: list) -> dict:
                          and gap > iqr)}
 
 
-def unpack_commit(commit: str, dest: Path) -> None:
-    tar = subprocess.run(["git", "archive", "--format=tar", commit], cwd=ROOT,
+def unpack_tree(root: Path, tree: str, dest: Path) -> None:
+    """Unpack ``git archive`` of ``tree`` (a commit or tree id) of the
+    repository at ``root`` into ``dest``."""
+    tar = subprocess.run(["git", "archive", "--format=tar", tree], cwd=root,
                          capture_output=True, check=True).stdout
     with tarfile.open(fileobj=io.BytesIO(tar)) as archive:
         archive.extractall(dest, filter="data")
 
 
-def snapshot_worktree(root: Path, dest: Path) -> None:
-    """Copy into ``dest`` the files git would commit from the working tree at
-    ``root``: tracked files that are present and untracked files that are
-    not ignored, each as it is on disk."""
-    listing = subprocess.run(["git", "ls-files", "-z", "--cached", "--others",
-                              "--exclude-standard"], cwd=root, capture_output=True,
-                             check=True).stdout.decode()
-    for name in filter(None, listing.split("\0")):
-        source = root / name
-        if not (source.is_symlink() or source.is_file()):
-            continue  # a tracked file deleted from the working tree
-        target = dest / name
-        target.parent.mkdir(parents=True, exist_ok=True)
-        shutil.copy2(source, target, follow_symlinks=False)
+def worktree_tree(root: Path) -> str:
+    """The id of a git tree holding what git would commit from the working
+    tree at ``root``: tracked files that are present and untracked files
+    that are not ignored, each as it is on disk.  It is written through a
+    temporary copy of the index, so the real index is not touched."""
+    index = Path(subprocess.run(["git", "rev-parse", "--path-format=absolute",
+                                 "--git-path", "index"], cwd=root, capture_output=True,
+                                text=True, check=True).stdout.strip())
+    with tempfile.TemporaryDirectory(prefix="bench_pairs_index_") as tmp:
+        env = {**os.environ, "GIT_INDEX_FILE": str(Path(tmp) / "index")}
+        if index.exists():
+            shutil.copyfile(index, env["GIT_INDEX_FILE"])
+        subprocess.run(["git", "add", "-A"], cwd=root, env=env, check=True)
+        return subprocess.run(["git", "write-tree"], cwd=root, env=env, capture_output=True,
+                              text=True, check=True).stdout.strip()
 
 
 def bench_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -170,14 +175,15 @@ def main(argv=None) -> int:
     doc = {"what": args.what,
            "command": f"python3 bench/run.py --workload W --seed S --seconds {seconds:g} --trace 0",
            "parent": {"git_commit": parent_commit},
-           "change": {"git_commit": None,
-                      "note": ("a copy of the working tree's tracked files that are "
-                               "present and untracked files that are not ignored")},
+           "change": {"git_commit": None, "git_tree": None,
+                      "note": ("git archive of the tree of the working tree's tracked "
+                               "files that are present and untracked files that are "
+                               "not ignored")},
            "host": {"platform": platform.platform(), "python": platform.python_version()},
            "protocol": (f"{PAIRS} pairs per workload and seed; each pair runs the parent "
-                        "(git archive of its commit) and the change (a copy of the files git "
-                        "would commit from the working tree, beside it in the same temporary "
-                        "directory) once each, back to back, odd pairs parent first. "
+                        "(git archive of its commit) and the change (git archive of the tree "
+                        "git would commit from the working tree, beside it in the same "
+                        "temporary directory) once each, back to back, odd pairs parent first. "
                         "Quartiles are "
                         "statistics.quantiles(method='inclusive'); a pair is won by the lower "
                         "value, ties count for neither; the rule is at least 9 in 10 pairs won "
@@ -185,8 +191,9 @@ def main(argv=None) -> int:
            "claim": None, "summary": {}, "runs": []}
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as workdir:
         trees = {"parent": Path(workdir) / "parent", "change": Path(workdir) / "change"}
-        unpack_commit(parent_commit, trees["parent"])
-        snapshot_worktree(ROOT, trees["change"])
+        doc["change"]["git_tree"] = worktree_tree(ROOT)
+        unpack_tree(ROOT, parent_commit, trees["parent"])
+        unpack_tree(ROOT, doc["change"]["git_tree"], trees["change"])
         for workload in workloads:
             for seed in seeds:
                 for pair in range(1, PAIRS + 1):

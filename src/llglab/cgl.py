@@ -97,16 +97,12 @@ class BetaPair:
     The time convolution of the semigroup decay t^-delta1 against a source
     weight s^-delta2 is controlled by B[delta1, delta2] =
     int_0^1 (1-t)^-delta1 t^-delta2 dt, finite iff both exponents are < 1.
-    There it is the Beta function B(1 - delta2, 1 - delta1) =
-    Gamma(1 - delta1) Gamma(1 - delta2) / Gamma(2 - delta1 - delta2), the
-    closed form ``beta_value`` holds.
     """
 
     label: str
     delta1: float
     delta2: float
     valid: bool
-    beta_value: float | None
 
 
 @dataclass(frozen=True)
@@ -115,12 +111,6 @@ class ExponentWindowReport:
     pairs: tuple
     valid: bool
     first_failing: BetaPair | None
-
-
-def _beta(delta1: float, delta2: float) -> float:
-    """int_0^1 (1-t)^-delta1 t^-delta2 dt in closed form, for delta1, delta2 < 1."""
-    return (math.gamma(1.0 - delta1) * math.gamma(1.0 - delta2)
-            / math.gamma(2.0 - delta1 - delta2))
 
 
 def exponent_window_check(p: float) -> ExponentWindowReport:
@@ -132,9 +122,7 @@ def exponent_window_check(p: float) -> ExponentWindowReport:
     quintic:   sources s^(-5(1/2 - 1/p)), kernels t^(-(4-p)/p), t^(-(5-p)/p),
                t^(-(5/p - 3/2)).
 
-    Valid overall iff every pair has both exponents < 1.  Each valid pair
-    carries its time-convolution constant
-    B[delta1, delta2] = Gamma(1 - delta1) Gamma(1 - delta2) / Gamma(2 - delta1 - delta2).
+    Valid overall iff every pair has both exponents < 1.
     """
     if p <= 2:
         raise ValueError(f"window check needs p > 2, got {p}")
@@ -156,8 +144,7 @@ def exponent_window_check(p: float) -> ExponentWindowReport:
     first_failing = None
     for label, d1, d2 in raw:
         valid = d1 < 1.0 and d2 < 1.0
-        beta = _beta(d1, d2) if valid else None
-        pair = BetaPair(label=label, delta1=d1, delta2=d2, valid=valid, beta_value=beta)
+        pair = BetaPair(label=label, delta1=d1, delta2=d2, valid=valid)
         pairs.append(pair)
         if not valid and first_failing is None:
             first_failing = pair
@@ -283,17 +270,21 @@ def _forcing_at(grid: Grid, u_node: np.ndarray, lam: float, work: Workspace) -> 
 
 @dataclass
 class PicardResult:
-    """A mild solve: its last iterate and how it got there.  ``config`` is
-    the configuration it was solved with."""
+    """A mild solve: its last iterate and how it got there.  ``increments``
+    holds each sweep's increment; ``xpt_history`` each sweep's trajectory
+    norms when the solve tracked them, else nothing.  ``config`` is the
+    configuration it was solved with."""
 
     trajectory: Trajectory
     xpt: XptReport
     increments: list
     converged: bool
-    iterations: int
-    initial_norm: float
     config: CglConfig
-    iteration_log: list = field(default_factory=list)
+    xpt_history: list = field(default_factory=list)
+
+    @property
+    def iterations(self) -> int:
+        return len(self.increments)
 
 
 class _Rule:
@@ -306,7 +297,7 @@ class _Rule:
     offset t (substeps + 1 on a dyadic uniform grid; offsets that differ in
     the last bit, as np.linspace times that are not binary fractions give,
     stay distinct, as their multipliers do), kept as its table over the
-    distinct |xi|^2 values (8 KiB at 2-D N=64, not a 64 KiB grid) and
+    distinct |xi|^2 values (8 KiB at 2-D N=64) and
     gathered onto the grid, by ``multiplier``, into a workspace array where
     it is used; the ``Workspace`` that holds every array of a node, so a
     node after the first allocates none; and the datum ``v0`` with its
@@ -388,8 +379,7 @@ def _sweep(rule: _Rule, u_old: list) -> float:
 
     u_new[i] is formed in the yielded I_i and replaces ``u_old[i]`` one
     output time later, once the nodes that read it are done, and S(t_i) v0
-    is remade for it by ``rule.free``, so a sweep holds one iterate
-    instead of four trajectories.
+    is remade for it by ``rule.free``, so a sweep holds one iterate.
     """
     for i, integral in enumerate(rule.integrals(u_old)):
         if i:
@@ -425,7 +415,7 @@ def picard_iterate(grid: Grid, v0: np.ndarray, config: CglConfig,
     u_old = [rule.free(i) for i in range(len(rule.times))]
 
     increments: list = []
-    iteration_log: list = []
+    xpt_history: list = []
     converged = False
     grow_streak = 0
     xpt = None
@@ -437,11 +427,9 @@ def picard_iterate(grid: Grid, v0: np.ndarray, config: CglConfig,
                     f"iterate diverged (non-finite increment at iteration {it})",
                     increments + [inc],
                 )
-            row = {"iter": it, "increment": inc}
             if track_xpt:
                 xpt = xpt_norm(grid, Trajectory(rule.times, u_old), config.p)
-                row.update(xpt_r1=xpt.r1, xpt_r2=xpt.r2, xpt_r3=xpt.r3)
-            iteration_log.append(row)
+                xpt_history.append(xpt)
             if increments and inc > increments[-1]:
                 grow_streak += 1
                 if grow_streak >= 3:
@@ -462,9 +450,7 @@ def picard_iterate(grid: Grid, v0: np.ndarray, config: CglConfig,
     if xpt is None:  # untracked; a tracked run already measured the final iterate
         xpt = xpt_norm(grid, traj, config.p)
     return PicardResult(trajectory=traj, xpt=xpt, increments=increments,
-                        converged=converged, iterations=len(increments),
-                        initial_norm=initial_norm, config=config,
-                        iteration_log=iteration_log)
+                        converged=converged, config=config, xpt_history=xpt_history)
 
 
 def fixed_point_residual(grid: Grid, result: PicardResult, v0: np.ndarray,

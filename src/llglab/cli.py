@@ -142,6 +142,8 @@ def _cmd_cgl_solve(args) -> int:
 
 def _cmd_llg_run(args) -> int:
     try:
+        if args.snapshot_every < 0:
+            raise ValueError(f"--snapshot-every must be >= 0, got {args.snapshot_every}")
         grid = make_grid(args.dim, args.n, args.length)
         if args.dt is not None and args.dt_fraction is not None:
             raise ValueError("--dt and --dt-fraction are both set; keep one")

@@ -63,6 +63,13 @@ def _three_floats(raw: str) -> tuple:
     return vals
 
 
+def _seed(raw: str) -> int:
+    seed = int(raw)
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    return seed
+
+
 def _check_list(raw: str) -> tuple:
     checks = tuple(c for c in raw.replace(",", " ").split() if c)
     for check in checks:
@@ -83,7 +90,7 @@ _SCHEMA = {
             "duhamel_substeps": int, "picard_tol": float, "picard_max_iter": int,
             "smallness": float},
     "experiments": {"checks": _check_list},
-    "output": {"dir": str, "seed": int},
+    "output": {"dir": str, "seed": _seed},
 }
 _REQUIRED = {
     "grid": ("dim", "n", "length"),
@@ -118,9 +125,9 @@ class LabConfig:
         if not env:
             return self.seed
         try:
-            return int(env)
+            return _seed(env)
         except ValueError:
-            raise ConfigError(f"LLGLAB_SEED = {env!r} is not an integer") from None
+            raise ConfigError(f"LLGLAB_SEED = {env!r} is not a non-negative integer") from None
 
 
 def _read_section(parser, section) -> dict:

@@ -174,9 +174,13 @@ def rough_raw_field(grid: Grid, amplitude: float, m_infinity, seed: int,
     to the sphere but not smoothed; the raw input of the mollify step.
 
     ``amplitude`` is finite and ``max_mode``, when given, an integer >= 1,
-    as ``InitialDataSpec`` requires of its amplitude and roughness_modes."""
+    as ``InitialDataSpec`` requires of its amplitude and roughness_modes;
+    ``seed`` is an integer >= 0."""
     if not np.isfinite(amplitude):
         raise ValueError(f"amplitude must be finite, got {amplitude}")
+    require_integer("seed", seed)
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     if max_mode is not None:
         require_integer("max_mode", max_mode)
         if max_mode < 1:

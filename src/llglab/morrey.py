@@ -5,35 +5,37 @@ The spatial norm of a field f is the supremum over lattice balls of
     (r**(q - n) * sum_{x in B_r(c)} |f(x)|**p * h**n) ** (1/p)
 
 with wrapped Euclidean distance and closed balls.  Radii are dyadic
-multiples of the grid spacing capped at half the box length (a torus ball of
+multiples of the grid spacing up to half the box length (a torus ball of
 larger radius is not a ball), and centers run over a strided sub-lattice.
-A ``BallLattice`` derives both from its grid, stride and optional radius
-cap ``r_max``, belongs to that grid and is checked once, when it is made;
-``ball_lattice`` caches the default one per grid.  Only
-``morrey_norm`` takes a lattice, and it rejects one built for another grid;
-the trajectory norms, solvers and diagnostics measure on the default lattice.
+A ``BallLattice`` derives both from its grid and stride, belongs to that
+grid and is checked once, when it is made; ``ball_lattice`` caches the
+default one per grid.  Only ``morrey_norm`` takes a lattice, and it rejects
+one built for another grid; the trajectory norms, solvers and diagnostics
+measure on the default lattice.
 
 The trajectory norms take time-weighted suprema of the spatial norms
 (components r1, r2, r3).
 
-``morrey_norm`` screens every (center, radius) ball with one FFT convolution,
-sums exactly only the balls that can win, and returns bit for bit what a
-plain loop over ``|f|**p [ball mask].sum()`` returns:
+``morrey_norm`` takes ``|f|`` in the field's dtype and its p-th power, every
+sum and the winner's expression in float64.  It screens every (center,
+radius) ball with one FFT convolution, sums exactly only the balls that can
+win, and returns bit for bit what a plain loop over
+``|f|**p [ball mask].sum()`` returns:
 
-* Screen.  One ``rfftn`` of ``|f|**p`` (in float64) times the cached
+* Screen.  One ``rfftn`` of ``|f|**p`` times the cached
   spectrum of each radius's ball indicator, and one batched ``irfftn``
   sampled at the lattice centers, estimate every ball's sum (a torus ball is
   symmetric, so the convolution is the ball sum).  ``_screen`` bounds each
   estimate's distance from the exact sum by the FFT rounding of the
   transform, the product and the inverse (Higham, *Accuracy and Stability of
   Numerical Algorithms*, Thm 24.2, times ``_FFT_SAFETY``) plus twice the
-  rounding bound of a K-term sum in the sums' dtype in any order (eq. 4.4),
-  which holds whatever order numpy's pairwise summation adds in.
+  rounding bound of a K-term float64 sum in any order (eq. 4.4), which
+  holds whatever order numpy's pairwise summation adds in.
 * Shortlist.  The bounds give each ball's value an upper and a lower bound.
   A ball is summed exactly only if its upper bound reaches the largest lower
-  bound, less a relative ``_SHORTLIST_RTOL`` (at least 1e4 ulps of the sums'
-  dtype) for vectorised against scalar ``pow``.  The FFT only prunes; every
-  value the norm reports comes from an exact sum.
+  bound, less a relative ``_SHORTLIST_RTOL`` for vectorised against scalar
+  ``pow``.  The FFT only prunes; every value the norm reports comes from an
+  exact sum.
 * Exact sums.  Each radius's closed-ball indicator at the origin
   (``dist2 <= r_j * r_j`` on the wrapped distance table) is tiled twice
   along every axis; the ``N**dim`` window of that tile starting at
@@ -44,12 +46,11 @@ plain loop over ``|f|**p [ball mask].sum()`` returns:
 * Winner.  The scalar expression and a strict ``>`` in center-major,
   radius-minor order pick the winner among the shortlist, which keeps the
   value, the witness and the first-wins tie-breaking.  The weights
-  ``r**(q - n)`` are computed once per call.  Float64 sums are scanned as
+  ``r**(q - n)`` are computed once per call.  The sums are scanned as
   Python floats, which makes the same IEEE products and the same C ``pow``
-  as numpy's float64 scalars without boxing one per ball; sums of any other
-  dtype stay numpy scalars, so a float32 field's expression runs in float32.
-  Every ball that ties the winner bitwise is shortlisted;
-  ``MorreyReport.exact_sums`` counts the shortlist.
+  as numpy's float64 scalars without boxing one per ball.  Every ball that
+  ties the winner bitwise is shortlisted; ``MorreyReport.exact_sums``
+  counts the shortlist.
 
 Cost of one call with the tables cached: an FFT of one field and an inverse
 FFT of one field per radius, then a gather of ``N**dim`` mask bytes and a
@@ -64,7 +65,7 @@ radius and the tiled ball indicators, ``n_radii * (2N)**dim`` bytes
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product
 
@@ -72,7 +73,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .fields import (Grid, Trajectory, _apply_multiplier, _forward, gradient,
-                     pointwise_magnitude, require_finite_positive, require_integer)
+                     pointwise_magnitude, require_integer)
 
 __all__ = [
     "BallLattice",
@@ -87,7 +88,7 @@ __all__ = [
 @dataclass(frozen=True)
 class BallLattice:
     """Balls on one grid, centered at every ``stride``-th index along each
-    axis, with the dyadic radii h, 2h, 4h, ... up to min(L/2, ``r_max``).
+    axis, with the dyadic radii h, 2h, 4h, ... up to L/2.
     ``centers`` (integer index tuples) and ``radii`` are derived, so they
     always describe the lattice.  Everything is checked once, here;
     ``morrey_norm`` only checks that it is handed the grid it was built for.
@@ -95,28 +96,21 @@ class BallLattice:
 
     grid: Grid
     stride: int = 1
-    r_max: InitVar[float | None] = None
     radii: tuple = field(init=False)
     centers: tuple = field(init=False)
 
-    def __post_init__(self, r_max):
+    def __post_init__(self):
         require_integer("stride", self.stride)
         if self.stride < 1:
             raise ValueError(f"stride must be >= 1, got {self.stride}")
         object.__setattr__(self, "stride", int(self.stride))
         object.__setattr__(self, "centers", tuple(
             product(range(0, self.grid.n, self.stride), repeat=self.grid.dim)))
-        cap = self.grid.length / 2.0
-        if r_max is not None:
-            require_finite_positive("r_max", r_max)
-            cap = min(cap, float(r_max))
         radii = []
         r = self.grid.h
-        while r <= cap * (1.0 + 1e-12):
+        while r <= self.grid.length / 2.0 * (1.0 + 1e-12):
             radii.append(r)
             r = 2.0 * r
-        if not radii:
-            raise ValueError("no admissible radius <= L/2; increase r_max")
         object.__setattr__(self, "radii", tuple(radii))
 
     @property
@@ -125,14 +119,14 @@ class BallLattice:
 
 
 @lru_cache(maxsize=16, typed=True)
-def ball_lattice(grid: Grid, stride: int | None = None, r_max: float | None = None) -> BallLattice:
+def ball_lattice(grid: Grid, stride: int | None = None) -> BallLattice:
     """Default search lattice: stride 2 for N >= 64 (cost control), else 1.
 
     Cached, so each lattice is built and checked once per process (a cache
     typed by argument, so ``stride=True`` never reuses the lattice of 1)."""
     if stride is None:
         stride = 2 if grid.n >= 64 else 1
-    return BallLattice(grid=grid, stride=stride, r_max=r_max)
+    return BallLattice(grid=grid, stride=stride)
 
 
 @dataclass(frozen=True)
@@ -197,8 +191,7 @@ def _screen(tables: dict, magp: np.ndarray) -> tuple:
     """FFT estimates of every lattice ball's sum of ``magp``, (centers, radii),
     and a bound on their distance from the exact sums (module docstring)."""
     grid = tables["key"].grid
-    x = magp.astype(float, copy=False)
-    conv = _apply_multiplier(grid, x, tables["spectra"])
+    conv = _apply_multiplier(grid, magp, tables["spectra"])
     approx = conv.reshape(len(conv), -1)[:, tables["flat"]].T
     counts = tables["counts"]
     # Higham Thm 24.2: relative 2-norm error of one transform of log2(N**dim)
@@ -208,12 +201,12 @@ def _screen(tables: dict, magp: np.ndarray) -> tuple:
     eta = _FFT_SAFETY * grid.dim * np.ceil(np.log2(grid.n)) * stage
     # forward transform, ball spectrum (|spectrum| <= K points), product and
     # inverse; the sup norm is at most the 2-norm
-    fft_err = eta / (1 - eta) * (3 * counts * np.sqrt(np.vdot(x, x)) + np.sqrt(counts) * x.sum())
-    # summing K terms in the sums' dtype, in whatever order numpy adds them:
-    # K - 1 roundings, gamma_(K-1) (Higham eq. 4.4), doubled for a margin where
-    # it is tight (balls of a few points)
-    u_sum = 0.5 * np.finfo(np.result_type(magp, 1.0)).eps
-    gamma = 2 * (counts - 1) * u_sum / (1 - (counts - 1) * u_sum)
+    fft_err = eta / (1 - eta) * (3 * counts * np.sqrt(np.vdot(magp, magp))
+                                 + np.sqrt(counts) * magp.sum())
+    # summing K terms in whatever order numpy adds them: K - 1 roundings,
+    # gamma_(K-1) (Higham eq. 4.4), doubled for a margin where it is tight
+    # (balls of a few points)
+    gamma = 2 * (counts - 1) * u / (1 - (counts - 1) * u)
     return approx, fft_err + gamma * (approx + fft_err)
 
 
@@ -247,7 +240,7 @@ def morrey_norm(grid: Grid, values: np.ndarray, p: float, q: float,
         lattice = ball_lattice(grid)
     elif lattice.grid != grid:
         raise ValueError(f"lattice belongs to {lattice.grid}, not to {grid}")
-    magp = pointwise_magnitude(grid, values) ** p
+    magp = pointwise_magnitude(grid, values).astype(float, copy=False) ** p
     if not np.isfinite(magp).all():
         raise ValueError(f"|values|**{p} is not finite everywhere")
     tables = _tables(lattice)
@@ -257,18 +250,12 @@ def morrey_norm(grid: Grid, values: np.ndarray, p: float, q: float,
     weights = np.array([r ** (q - ndim) for r in lattice.radii])
     upper = (weights * ((approx + err) * hn)) ** (1.0 / p)
     lower = (weights * (np.maximum(approx - err, 0.0) * hn)) ** (1.0 / p)
-    # the scalar expression runs in the sums' precision (float32 for float32 fields)
-    rtol = max(_SHORTLIST_RTOL, 1e4 * np.finfo(np.result_type(magp, 1.0)).eps)
     # a ball that can reach the best lower bound, or any ball when a bound is NaN
-    shortlist = np.flatnonzero(~(upper < lower.max() * (1.0 - rtol)))
+    shortlist = np.flatnonzero(~(upper < lower.max() * (1.0 - _SHORTLIST_RTOL)))
     sums = _exact_sums(tables, magp.ravel(), shortlist)
     rows, cols = np.divmod(shortlist, len(lattice.radii))
-    exact = sums[rows, cols]
-    # float64 sums are scanned as Python floats (the same IEEE products and C
-    # pow as numpy's scalars); other dtypes stay numpy scalars, so a float32
-    # sum keeps the expression in float32
-    if exact.dtype == np.float64:
-        exact = exact.tolist()
+    # scanned as Python floats: the same IEEE products and C pow as numpy's scalars
+    exact = sums[rows, cols].tolist()
     weight = weights.tolist()
     best_val = -1.0
     best_center = lattice.centers[0]

@@ -115,9 +115,10 @@ def _write_ledger(path: Path, ledger) -> None:
 
 def _write_picard_log(path: Path, result) -> None:
     """One row per sweep; the xpt cells are empty for an untracked solve."""
+    history = result.xpt_history or [None] * result.iterations
     _write_csv(path, "iter,increment,xpt_R1,xpt_R2,xpt_R3",
-               ((e["iter"], e["increment"], e.get("xpt_r1"), e.get("xpt_r2"), e.get("xpt_r3"))
-                for e in result.iteration_log))
+               ((it, inc) + ((x.r1, x.r2, x.r3) if x else (None,) * 3)
+                for it, (inc, x) in enumerate(zip(result.increments, history), 1)))
 
 
 def _write_decay_series(path: Path, rep) -> None:

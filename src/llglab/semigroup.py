@@ -13,8 +13,8 @@ power laws and the canonical datum it is run on.  ``verify_decays`` checks
 several laws of one datum together: it computes the base norm once
 and S(t)f (and its gradient, when a law measures it) once per sample time,
 then measures every law on that state, so the runner's four laws cost 13
-applications of S(t) and 53 ball norms, not 52 and 56.  ``verify_decay`` is
-its one-law call.
+applications of S(t) and 53 ball norms.  ``verify_decay`` is its one-law
+call.
 """
 
 from __future__ import annotations

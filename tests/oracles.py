@@ -9,12 +9,11 @@ definition exactly; the enumeration itself is the independent part.
 from itertools import product
 
 import numpy as np
-from scipy import integrate
 
 from llglab import cgl
 from llglab.fields import (Trajectory, derivative, inverse_laplacian_divergence,
                            l2_norm, laplacian, normalize_spin)
-from llglab.morrey import morrey_norm, xpt_norm
+from llglab.morrey import xpt_norm
 from llglab.semigroup import SemigroupParams, apply_semigroup
 
 
@@ -185,14 +184,6 @@ def finite_difference_gradient(grid, values, axis):
     return (np.roll(values, -1, axis=ax) - np.roll(values, 1, axis=ax)) / (2 * h)
 
 
-def beta_quadrature(delta1: float, delta2: float) -> float:
-    """int_0^1 (1-t)^-delta1 t^-delta2 dt by QUADPACK's QAWS rule, which takes
-    the two algebraic endpoint singularities exactly in its weight."""
-    val, _ = integrate.quad(lambda t: 1.0, 0.0, 1.0, weight="alg",
-                            wvar=(-delta2, -delta1))
-    return float(val)
-
-
 def reference_duhamel_integral(forcing, t: float, steps: int,
                                params: SemigroupParams) -> np.ndarray:
     """Approximate int_0^t S(t-s) F(s) ds by the midpoint exponential rule.
@@ -253,7 +244,7 @@ def reference_picard_iterate(grid, v0, config, track_xpt=False):
     rule = cgl._Rule(grid, config, times, v0)
     free = [apply_semigroup(v0, t, rule.params) for t in times]
     u_old = [f.copy() for f in free]
-    increments, iteration_log = [], []
+    increments, xpt_history = [], []
     converged, grow_streak, xpt = False, 0, None
     with np.errstate(over="ignore", invalid="ignore"):
         for it in range(1, config.picard_max_iter + 1):
@@ -265,11 +256,9 @@ def reference_picard_iterate(grid, v0, config, track_xpt=False):
                 raise cgl.NonContraction(
                     f"iterate diverged (non-finite increment at iteration {it})",
                     increments + [inc])
-            row = {"iter": it, "increment": inc}
             if track_xpt:
                 xpt = xpt_norm(grid, Trajectory(times, u_new), config.p)
-                row.update(xpt_r1=xpt.r1, xpt_r2=xpt.r2, xpt_r3=xpt.r3)
-            iteration_log.append(row)
+                xpt_history.append(xpt)
             if increments and inc > increments[-1]:
                 grow_streak += 1
                 if grow_streak >= 3:
@@ -287,9 +276,7 @@ def reference_picard_iterate(grid, v0, config, track_xpt=False):
     traj = Trajectory(times, u_old)
     return cgl.PicardResult(trajectory=traj, xpt=xpt or xpt_norm(grid, traj, config.p),
                             increments=increments, converged=converged,
-                            iterations=len(increments),
-                            initial_norm=morrey_norm(grid, v0, 2.0, 2.0).value,
-                            config=config, iteration_log=iteration_log)
+                            config=config, xpt_history=xpt_history)
 
 
 def reference_fixed_point_residual(grid, result, v0, config):

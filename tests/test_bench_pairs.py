@@ -82,8 +82,11 @@ def test_snapshot_holds_what_git_would_commit(tmp_path):
     (root / ".bench_out/run.json").write_text("{}\n")
     (root / "src/kept.pyc").write_bytes(b"ignored")
 
-    bench_pairs.snapshot_worktree(root, dest)
+    index = (root / ".git/index").read_bytes()
+
+    bench_pairs.unpack_tree(root, bench_pairs.worktree_tree(root), dest)
     got = {p.relative_to(dest).as_posix(): p.read_text()
            for p in dest.rglob("*") if p.is_file()}
     assert got == {".gitignore": ".bench_out/\n*.pyc\n", "src/kept.py": "x = 1\n",
                    "src/edited.py": "y = 2\n", "src/new.py": "z = 3\n"}
+    assert (root / ".git/index").read_bytes() == index  # the real index is untouched

@@ -104,8 +104,9 @@ class TestLlgRun:
         ["--dt-fraction", "0"],
         ["--amplitude", "nan"],
         ["--dt", "1e-5", "--dt-fraction", "0.5"],
+        ["--snapshot-every", "-1"],
     ], ids=["negative_dt", "lambda_minus_one", "zero_outputs", "zero_dt_fraction",
-            "nan_amplitude", "dt_and_dt_fraction"])
+            "nan_amplitude", "dt_and_dt_fraction", "negative_snapshot_every"])
     def test_invalid_input_exit_code(self, tmp_path, capsys, flags):
         code = main(["llg", "run", "--dim", "1", "--n", "16", "--T", "0.01",
                      "--out-dir", str(tmp_path / "llg")] + flags)
@@ -187,6 +188,21 @@ class TestRunCommand:
         out = tmp_path / "out"
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
         assert "config error: LLGLAB_SEED = 'abc'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("where", ["config", "env"])
+    def test_negative_seed_exit_code(self, tmp_path, capsys, monkeypatch, where):
+        # a negative seed used to fail only when a check drew random data
+        cfg = tmp_path / "ok.cfg"
+        seed = "seed = -1\n" if where == "config" else ""
+        cfg.write_text("[grid]\ndim = 1\nn = 16\nlength = 1.0\n"
+                       "[experiments]\nchecks = mollify\n[output]\n" + seed)
+        if where == "env":
+            monkeypatch.setenv("LLGLAB_SEED", "-2")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        message = "[output] seed = '-1'" if where == "config" else "LLGLAB_SEED = '-2'"
+        assert f"config error: {message}" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("section,body", [

@@ -535,5 +535,6 @@ class TestCsvWriter:
         header, *rows = path.read_text().splitlines()
         assert header == "iter,increment,xpt_R1,xpt_R2,xpt_R3"
         assert len(rows) == result.iterations >= 2
-        for entry, row in zip(result.iteration_log, rows):
-            assert row == f"{entry['iter']},{float_repr(entry['increment'])},,,"
+        assert result.xpt_history == []
+        for it, (inc, row) in enumerate(zip(result.increments, rows), 1):
+            assert row == f"{it},{float_repr(inc)},,,"

@@ -110,6 +110,12 @@ class TestGeneratorValidation:
         with pytest.raises(ValueError, match="amplitude"):
             rough_raw_field(make_grid(2, 16, TWO_PI), amplitude, (0, 0, 1), seed=1)
 
+    @pytest.mark.parametrize("seed", [-1, 2.5, True])
+    def test_rough_raw_field_rejects_bad_seed(self, seed):
+        # numpy's own message for -1 ("expected non-negative integer") named no argument
+        with pytest.raises(ValueError, match="seed"):
+            rough_raw_field(make_grid(2, 16, TWO_PI), 0.3, (0, 0, 1), seed=seed)
+
     @pytest.mark.parametrize("max_mode", [0, -3, 2.5, True])
     def test_rough_raw_field_rejects_bad_max_mode(self, max_mode):
         with pytest.raises(ValueError, match="max_mode"):

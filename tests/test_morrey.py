@@ -26,18 +26,11 @@ class TestBallLattice:
         assert radii[0] == g.h
         assert np.all(radii[1:] == 2.0 * radii[:-1])
         assert radii[-1] <= g.length / 2 * (1 + 1e-12)
-        assert BallLattice(grid=g, stride=3, r_max=2.5 * g.h).radii == (g.h, 2 * g.h)
+        assert BallLattice(grid=g, stride=3).radii == lat.radii
 
     def test_default_stride_switches_at_64(self):
         assert ball_lattice(make_grid(1, 32, TWO_PI)).stride == 1
         assert ball_lattice(make_grid(1, 64, TWO_PI)).stride == 2
-
-    @pytest.mark.parametrize("r_max", [np.nan, np.inf, 0.0, -1.0],
-                             ids=["nan", "inf", "zero", "negative"])
-    def test_bad_r_max_rejected(self, r_max):
-        # min(cap, nan) is cap: a NaN cap would quietly give the uncapped lattice
-        with pytest.raises(ValueError, match="r_max"):
-            ball_lattice(make_grid(2, 16, TWO_PI), r_max=r_max)
 
     @pytest.mark.parametrize("stride", [2.5, 2.0, True, "2"])
     def test_non_integer_stride_rejected(self, stride):
@@ -63,7 +56,7 @@ class TestBallLattice:
         assert type(lat.stride) is int
 
     def test_centers_are_not_an_argument(self):
-        # centers are derived from stride and radii from the grid and r_max,
+        # centers are derived from stride and radii from the grid,
         # so no given set can disagree with them
         with pytest.raises(TypeError, match="centers"):
             BallLattice(grid=make_grid(1, 8, TWO_PI), centers=((0,),), stride=5)
@@ -100,7 +93,7 @@ class TestMorreyNorm:
     def test_constant_field_matches_brute_force(self):
         g = make_grid(2, 32, TWO_PI)
         f = np.ones(g.shape)
-        lat = ball_lattice(g, stride=1, r_max=np.pi)
+        lat = ball_lattice(g, stride=1)
         mine = morrey_norm(g, f, 2.0, 2.0, lat)
         assert mine.value == brute_force_morrey(g, f, 2.0, 2.0)
 
@@ -134,7 +127,7 @@ class TestMorreyNorm:
         g = make_grid(1, 16, TWO_PI)
         f = random_field(g, seed)
         full = ball_lattice(g, stride=1)
-        small = ball_lattice(g, stride=3, r_max=2 * g.h)
+        small = ball_lattice(g, stride=3)
         assert (morrey_norm(g, f, 2.0, 1.0, small).value
                 <= morrey_norm(g, f, 2.0, 1.0, full).value)
 
@@ -199,15 +192,15 @@ class TestBatchedEngine:
 
     @settings(max_examples=40)
     @given(dim=st.integers(1, 3), n=st.sampled_from([8, 16, 32]),
-           stride=st.integers(1, 3), r_cells=st.sampled_from([None, 1, 2]),
+           stride=st.integers(1, 3),
            p=st.sampled_from([1.0, 2.0, 3.2]), q=st.sampled_from([0.0, 1.0, 2.0]),
            field=st.sampled_from(["scalar", "complex_stack", "constant"]),
            seed=st.integers(0, 2**16))
-    def test_bitwise_equal_to_reference_loop(self, dim, n, stride, r_cells, p, q, field, seed):
+    def test_bitwise_equal_to_reference_loop(self, dim, n, stride, p, q, field, seed):
         if dim == 3:
             n = 8
         g = make_grid(dim, n, TWO_PI)
-        lat = ball_lattice(g, stride=stride, r_max=None if r_cells is None else r_cells * g.h)
+        lat = ball_lattice(g, stride=stride)
         rng = np.random.default_rng(seed)
         if field == "scalar":
             f = rng.standard_normal(g.shape)
@@ -232,7 +225,7 @@ class TestBatchedEngine:
     @pytest.mark.parametrize("p", [1.0, 2.0, 3.2, 7.0])
     @pytest.mark.parametrize("dim,n", [(1, 64), (2, 16), (3, 8)])
     def test_float32_winner_bitwise_equal_to_reference_loop(self, dim, n, p):
-        # a float32 field's sums, and so its winner expression, stay float32
+        # a float32 field's norm is the norm of its values in float64
         g = make_grid(dim, n, TWO_PI)
         lat = ball_lattice(g, stride=1)
         rng = np.random.default_rng(dim * n)
@@ -242,7 +235,7 @@ class TestBatchedEngine:
             f = f.astype(np.float32)
             for q in (0.0, 1.0, 2.0):
                 assert (_report_tuple(morrey_norm(g, f, p, q, lat))
-                        == reference_morrey_norm(g, f, p, q, lat)), (name, q)
+                        == reference_morrey_norm(g, f.astype(np.float64), p, q, lat)), (name, q)
 
     @pytest.mark.parametrize("dim,n,stride", [(1, 32, 1), (2, 16, 1), (2, 32, 3), (3, 8, 1)])
     def test_uncached_chunk_path_identical(self, monkeypatch, dim, n, stride):
@@ -262,44 +255,42 @@ class TestBatchedEngine:
 class TestHybridTables:
     """FFT screen plus exact ball-window sums against the reference loop, with ==.
 
-    The ``budget`` ids name the rank-table byte budgets these cases once set;
-    with one exact-sum path each now picks a lattice and cache state: "every"
-    a lattice capped to a few radii, "some" the full lattice on an empty
-    cache, and "none" the full lattice right after the capped one filled the
-    cache, so its tables are rebuilt for the new key."""
+    The ``case`` ids pick a lattice and cache state: "every" a coarser
+    stride on the same grid, "some" the full lattice on an empty cache, and
+    "none" the full lattice right after the coarse one filled the cache, so
+    its tables are rebuilt for the new key."""
 
-    LATTICES = {1: (32, 3, 4), 2: (16, 3, 4), 3: (8, 1, 2)}  # dim: n, stride, capped r_max/h
+    LATTICES = {1: (32, 3), 2: (16, 3), 3: (8, 1)}  # dim: n, stride (the coarse one doubles it)
 
     def _lattices(self, dim):
-        n, stride, r_cells = self.LATTICES[dim]
+        n, stride = self.LATTICES[dim]
         g = make_grid(dim, n, TWO_PI)
-        return g, [ball_lattice(g, stride=stride, r_max=r_cells * g.h),
-                   ball_lattice(g, stride=stride)]
+        return g, [ball_lattice(g, stride=2 * stride), ball_lattice(g, stride=stride)]
 
     @pytest.mark.parametrize("chunk", ["default", "ragged"])
-    @pytest.mark.parametrize("budget", ["every", "some", "none"])
+    @pytest.mark.parametrize("case", ["every", "some", "none"])
     @pytest.mark.parametrize("field", ["random", "constant"])
     @pytest.mark.parametrize("dim", [1, 2, 3])
-    def test_bitwise_equal_to_reference_loop(self, monkeypatch, dim, field, budget, chunk):
-        g, (capped, full) = self._lattices(dim)
+    def test_bitwise_equal_to_reference_loop(self, monkeypatch, dim, field, case, chunk):
+        g, (coarse, full) = self._lattices(dim)
         monkeypatch.setattr(morrey, "_rank_cache", {})
-        if chunk == "ragged":  # a constant field's full-lattice shortlist ends on a short chunk
+        if chunk == "ragged":  # a constant field's shortlist ends on a short chunk
             monkeypatch.setattr(morrey, "_CHUNK_ELEMS", 5 * g.num_points + 1)
-            assert capped.n_centers % 5
+            assert coarse.n_centers % 5 and full.n_centers % 5
         if field == "random":
             f = random_field(g, seed=7 * dim)
         else:  # every ball of one radius ties; the first center must win
             f = np.full((2,) + g.shape, 0.3)
-        lat = capped if budget == "every" else full
-        if budget == "none":
-            morrey_norm(g, f, 2.0, 2.0, capped)
-            assert morrey._rank_cache["key"] == capped
+        lat = coarse if case == "every" else full
+        if case == "none":
+            morrey_norm(g, f, 2.0, 2.0, coarse)
+            assert morrey._rank_cache["key"] == coarse
         for p, q in ((1.0, 0.0), (2.0, 2.0), (3.2, 1.0)):
             assert (_report_tuple(morrey_norm(g, f, p, q, lat))
                     == reference_morrey_norm(g, f, p, q, lat)), (p, q)
         assert morrey._rank_cache["key"] == lat
 
-    def test_rank_rows_hold_each_ball_in_raster_order(self, monkeypatch):
+    def test_ball_windows_hold_each_ball_in_raster_order(self, monkeypatch):
         # each shortlisted ball's mask is a window of its radius's tiled indicator
         monkeypatch.setattr(morrey, "_rank_cache", {})
         g, (lat, _) = self._lattices(2)
@@ -357,14 +348,13 @@ class TestScreen:
         rng = np.random.default_rng(dim * n + stride)
         worst = 0.0
         for name, f in _margin_fields(g, rng).items():
-            for dtype in (np.float64, np.float32):
-                for p in (1.0, 2.0, 3.2, 7.0):
-                    magp = np.abs(f.astype(dtype)) ** p
-                    approx, err = morrey._screen(tables, magp)
-                    exact = morrey._exact_sums(tables, magp.ravel(), every_ball)
-                    ratio = np.max(np.abs(approx - exact) / err)
-                    assert ratio <= 0.5, (name, dtype, p, ratio)
-                    worst = max(worst, ratio)
+            for p in (1.0, 2.0, 3.2, 7.0):
+                magp = np.abs(f) ** p
+                approx, err = morrey._screen(tables, magp)
+                exact = morrey._exact_sums(tables, magp.ravel(), every_ball)
+                ratio = np.max(np.abs(approx - exact) / err)
+                assert ratio <= 0.5, (name, p, ratio)
+                worst = max(worst, ratio)
         assert worst > 0.0
 
     @pytest.mark.parametrize("field", ["zero", "constant", "x_only"])
