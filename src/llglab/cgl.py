@@ -256,7 +256,7 @@ def _forcing_at(grid: Grid, u_node: np.ndarray, lam: float, work: Workspace) -> 
     """F(u_node) = f1 + f2 + f3, gauge fields included, in an array taken from
     ``work``.  u_node is complex; its spectrum is taken once and serves both
     the gauge solve's div u and the nonlinearity's grad u."""
-    u_hat, _ = _forward(grid, u_node, out=work.take(u_node.shape, complex))
+    u_hat = _forward(grid, u_node, out=work.take(u_node.shape, complex))
     a, a0_1, a0_2 = gauge_fields_from_u(grid, u_node, lam, work=work, u_hat=u_hat)
     parts = nonlinearity_F(grid, u_node, a, a0_1, a0_2, lam, work=work, u_hat=u_hat)
     total = np.add(parts.f1, parts.f2, out=work.take(u_node.shape, complex))
@@ -313,7 +313,7 @@ class _Rule:
         self.table = functools.cache(functools.partial(_multiplier_table, self.params))
         self.work = Workspace()
         self.v0 = np.asarray(v0, dtype=complex)
-        self.v0_hat, _ = _forward(grid, self.v0)
+        self.v0_hat = _forward(grid, self.v0)
 
     def free(self, i: int) -> np.ndarray:
         """S(t_i) v0, a fresh array, made from the spectrum of v0 with one
@@ -345,7 +345,7 @@ class _Rule:
                 with work.scope():
                     u_s += np.multiply(w, u_b, out=work.take(acc_hat.shape, complex))
                 forcing = _forcing_at(self.grid, u_s, self.lam, work)
-                spec, _ = _forward(self.grid, forcing, out=forcing)
+                spec = _forward(self.grid, forcing, out=forcing)
                 spec *= self.multiplier(times[i + 1] - s, work)
                 spec *= sub
                 acc_hat += spec
@@ -368,7 +368,7 @@ class _Rule:
                 acc_hat *= self.multiplier(self.times[i + 1] - self.times[i], self.work)
             self.add_interval(i, u[i], u[i + 1], acc_hat)
             # a complex inverse given out= leaves acc_hat, which carries over, alone
-            yield _inverse(self.grid, acc_hat, False, out=np.empty_like(acc_hat))
+            yield _inverse(self.grid, acc_hat, out=np.empty_like(acc_hat))
 
 
 def _sweep(rule: _Rule, u_old: list) -> float:

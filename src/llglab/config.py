@@ -8,8 +8,8 @@ Sections and keys (unknown ones are errors):
 [llg]           lambda, t_end, dt | dt_fraction, scheme, outputs (>= 2)
 [cgl]           lambda, p, t_end, time_steps, duhamel_substeps, picard_tol,
                 picard_max_iter, smallness
-[experiments]   checks (whitespace/comma separated list)
-[output]        dir, seed
+[experiments]   checks (whitespace/comma separated list, each check once)
+[output]        dir (not empty), seed
 
 The parser only converts text and renames keys (lambda -> lam, dir ->
 out_dir, outputs -> llg_outputs): a key the file omits takes the default of
@@ -72,9 +72,11 @@ def _seed(raw: str) -> int:
 
 def _check_list(raw: str) -> tuple:
     checks = tuple(c for c in raw.replace(",", " ").split() if c)
-    for check in checks:
+    for i, check in enumerate(checks):
         if check not in _CHECK_BLOCKS:
             raise ConfigError(f"unknown check '{check}' (known: {', '.join(KNOWN_CHECKS)})")
+        if check in checks[:i]:
+            raise ConfigError(f"[experiments] checks lists '{check}' twice")
     return checks
 
 
@@ -215,4 +217,6 @@ def parse_config(path) -> LabConfig:
                           f"got {lab['llg'].lam!r} and {lab['cgl'].lam!r}")
 
     lab.update(_read_section(parser, "output"))
+    if lab.get("out_dir") == "":  # Path("") is the working directory
+        raise ConfigError("[output] dir is empty; name a directory")
     return LabConfig(**lab)

@@ -12,13 +12,15 @@ This module owns every spectral transform of the package: ``_forward`` and
 ``_inverse`` run numpy's own 1-D passes in the order of its n-d wrappers,
 so their bytes are those of ``rfftn``/``irfftn`` for real input (the half
 spectrum: the last grid axis keeps its N/2 + 1 non-negative modes, and the
-output comes back real) and of ``fftn``/``ifftn`` for complex input.  Every
-pass after the first writes into the spectrum in place, and ``_inverse``
-consumes the spectrum it is given.  Both take ``out=``, an array to write
-the result into.  Every operator makes one forward transform of its input
-(none when ``gradient`` or ``divergence`` is given the input's spectrum as
-``spectrum=``, so that one transform can serve both) and one inverse
-transform of its whole output stack: ``gradient``
+output comes back real) and of ``fftn``/``ifftn`` for complex input.  A
+spectrum carries its layout in its last axis's length, N/2 + 1 or N (they
+differ for every N >= 8), and ``_inverse`` and ``_layout`` read it there.
+Every pass after the first writes into the spectrum in place, and
+``_inverse`` consumes the spectrum it is given.  Both take ``out=``, an
+array to write the result into.  Every operator makes one forward
+transform of its input (none when ``gradient`` or ``divergence`` is given
+the input's spectrum as ``spectrum=``, so that one transform can serve
+both) and one inverse transform of its whole output stack: ``gradient``
 multiplies the one spectrum by each axis's multiplier and inverts the
 ``(dim, ...)`` stack together, ``divergence`` sums its components in
 spectral space, and ``inverse_laplacian_divergence`` solves every
@@ -27,7 +29,7 @@ Every single multiplier (``derivative``, ``laplacian``, S(t), the mollifier,
 the ball-norm screen) goes through ``_apply_multiplier``, the one forward ->
 multiply -> inverse round trip (only multiply -> inverse when it is given the
 input's spectrum as ``spectrum=``, so that one transform of a datum serves
-every S(t) of it); ``_layout`` halves a full table for real input.
+every S(t) of it); ``_layout`` halves a full table for a half spectrum.
 
 A computation repeated many times on one grid, such as the nodes of a
 mild solve, runs in a ``Workspace``: ``gradient``, ``divergence`` and
@@ -139,18 +141,14 @@ class Grid:
 
     @cached_property
     def _laplacian_multiplier(self) -> np.ndarray:
-        """-|xi|^2, full layout; ``_layout`` slices its half for real input."""
+        """-|xi|^2, full layout; ``_layout`` slices its half for a half spectrum."""
         return -self.k_squared
 
     @cached_property
-    def k_squared_odd(self) -> np.ndarray:
-        """Sum of squared Nyquist-zeroed wavenumbers, consistent with div/grad."""
-        return self._axis_sum(self.wavenumbers_odd**2)
-
-    @cached_property
     def inv_k_squared_odd(self) -> np.ndarray:
-        """1 / k_squared_odd, zero where it vanishes (the mean and pure-Nyquist modes)."""
-        k2 = self.k_squared_odd
+        """1 / |xi|^2 over the Nyquist-zeroed wavenumbers (consistent with
+        div/grad), zero where that vanishes (the mean and pure-Nyquist modes)."""
+        k2 = self._axis_sum(self.wavenumbers_odd**2)
         nz = k2 > 0
         return np.where(nz, 1.0 / np.where(nz, k2, 1.0), 0.0)
 
@@ -265,28 +263,26 @@ class Workspace:
 # spectral transforms and derivatives
 
 
-def _forward(grid: Grid, values: np.ndarray, out: np.ndarray | None = None):
-    """(spectrum, real_in): the bytes of numpy's rfftn of real input and fftn
-    of complex input over the grid axes, made as their 1-D passes in their
-    order (rfft or fft on the last axis, then fft on -2, then -3), every pass
-    after the first in place.  The spectrum is written to ``out`` when given
-    (``values`` itself may be ``out``); otherwise ``values`` is not written to."""
-    real_in = np.isrealobj(values)
-    spec = (np.fft.rfft if real_in else np.fft.fft)(values, axis=-1, out=out)
+def _forward(grid: Grid, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The bytes of numpy's rfftn of real input and fftn of complex input
+    over the grid axes, made as their 1-D passes in their order (rfft or fft
+    on the last axis, then fft on -2, then -3), every pass after the first in
+    place.  The spectrum is written to ``out`` when given (``values`` itself
+    may be ``out``); otherwise ``values`` is not written to."""
+    spec = (np.fft.rfft if np.isrealobj(values) else np.fft.fft)(values, axis=-1, out=out)
     for ax in grid.axes[-2::-1]:
         np.fft.fft(spec, axis=ax, out=spec)
-    return spec, real_in
+    return spec
 
 
-def _inverse(grid: Grid, spec: np.ndarray, real_in: bool,
-             out: np.ndarray | None = None) -> np.ndarray:
-    """The bytes of numpy's irfftn (``real_in``) or ifftn of ``spec`` over the
-    grid axes, made as their 1-D passes in their order: irfftn runs ifft on
-    -3, then -2, then irfft on -1; ifftn runs ifft on -1, then -2, then -3.
-    The result is written to ``out`` when given.  The ifft passes run in
-    place (in ``out``, when ifftn is given one), so ``spec`` may be
+def _inverse(grid: Grid, spec: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The bytes of numpy's irfftn of a half spectrum or ifftn of a full one
+    over the grid axes, made as their 1-D passes in their order: irfftn runs
+    ifft on -3, then -2, then irfft on -1; ifftn runs ifft on -1, then -2,
+    then -3.  The result is written to ``out`` when given.  The ifft passes
+    run in place (in ``out``, when ifftn is given one), so ``spec`` may be
     overwritten: pass only an array the caller owns and no longer reads."""
-    if real_in:
+    if spec.shape[-1] != grid.n:
         for ax in grid.axes[:-1]:
             np.fft.ifft(spec, axis=ax, out=spec)
         return np.fft.irfft(spec, n=grid.n, axis=-1, out=out)
@@ -297,11 +293,11 @@ def _inverse(grid: Grid, spec: np.ndarray, real_in: bool,
     return out
 
 
-def _layout(grid: Grid, mult, real_in: bool):
-    """A full-spectrum multiplier in the layout of ``_forward``'s spectrum:
-    its half-spectrum (rfftn) part for real input, unchanged otherwise."""
+def _layout(grid: Grid, mult, spec: np.ndarray):
+    """A full-spectrum multiplier in the layout of the spectrum ``spec``: its
+    half-spectrum part for a half spectrum, unchanged otherwise."""
     m = np.asarray(mult)
-    if real_in and m.ndim and m.shape[-1] == grid.n:
+    if spec.shape[-1] != grid.n and m.ndim and m.shape[-1] == grid.n:
         m = m[..., : grid.n // 2 + 1]
     return m
 
@@ -319,9 +315,8 @@ def _apply_multiplier(grid: Grid, values: np.ndarray, mult: np.ndarray, *,
     """
     values = np.asarray(values)
     if spectrum is None:
-        spectrum = _forward(grid, values)[0]
-    real_in = np.isrealobj(values)
-    return _inverse(grid, spectrum * _layout(grid, mult, real_in), real_in)
+        spectrum = _forward(grid, values)
+    return _inverse(grid, spectrum * _layout(grid, mult, spectrum))
 
 
 def derivative(grid: Grid, values: np.ndarray, axis: int, order: int = 1) -> np.ndarray:
@@ -336,12 +331,12 @@ def derivative(grid: Grid, values: np.ndarray, axis: int, order: int = 1) -> np.
 
 
 def _spectrum_of(grid: Grid, values: np.ndarray, work: Workspace,
-                 spectrum: np.ndarray | None):
-    """(spectrum, real_in) of ``values``: ``spectrum`` itself when given (it
-    must be ``_forward``'s spectrum of ``values``; it is only read), else
-    one forward transform into an array from ``work``."""
+                 spectrum: np.ndarray | None) -> np.ndarray:
+    """The spectrum of ``values``: ``spectrum`` itself when given (it must be
+    ``_forward``'s spectrum of ``values``; it is only read), else one forward
+    transform into an array from ``work``."""
     if spectrum is not None:
-        return spectrum, np.isrealobj(values)
+        return spectrum
     shape = values.shape
     if np.isrealobj(values):
         shape = shape[:-1] + (grid.n // 2 + 1,)
@@ -360,12 +355,12 @@ def gradient(grid: Grid, values: np.ndarray, *, work: Workspace | None = None,
     """
     work = Workspace() if work is None else work
     values = np.asarray(values)
-    spec, real_in = _spectrum_of(grid, values, work, spectrum)
-    mults = [_layout(grid, m, real_in) for m in grid.derivative_multipliers]
+    spec = _spectrum_of(grid, values, work, spectrum)
+    mults = [_layout(grid, m, spec) for m in grid.derivative_multipliers]
     stack = work.take((grid.dim,) + spec.shape, np.result_type(spec, *mults))
     for ax, m in enumerate(mults):
         np.multiply(spec, m, out=stack[ax])
-    return _inverse(grid, stack, real_in)
+    return _inverse(grid, stack)
 
 
 def laplacian(grid: Grid, values: np.ndarray) -> np.ndarray:
@@ -373,21 +368,21 @@ def laplacian(grid: Grid, values: np.ndarray) -> np.ndarray:
 
 
 def _divergence_spectrum(grid: Grid, vec: np.ndarray, work: Workspace,
-                         spectrum: np.ndarray | None = None):
-    """(spectrum of div vec, real_in) from one transform of the component
-    stack, or from its given ``spectrum``, in arrays taken from ``work``."""
+                         spectrum: np.ndarray | None = None) -> np.ndarray:
+    """The spectrum of div vec, from one transform of the component stack or
+    from its given ``spectrum``, in arrays taken from ``work``."""
     vec = np.asarray(vec)
     if vec.shape[0] != grid.dim:
         raise ValueError(f"expected {grid.dim} components, got {vec.shape[0]}")
-    spec, real_in = _spectrum_of(grid, vec, work, spectrum)
-    mults = [_layout(grid, m, real_in) for m in grid.derivative_multipliers]
+    spec = _spectrum_of(grid, vec, work, spectrum)
+    mults = [_layout(grid, m, spec) for m in grid.derivative_multipliers]
     dtype = np.result_type(spec, *mults)
     div_hat = np.multiply(spec[0], mults[0], out=work.take(spec.shape[1:], dtype))
     if grid.dim > 1:
         term = work.take(spec.shape[1:], dtype)
         for ax in range(1, grid.dim):
             div_hat += np.multiply(spec[ax], mults[ax], out=term)
-    return div_hat, real_in
+    return div_hat
 
 
 def divergence(grid: Grid, vec: np.ndarray, *, work: Workspace | None = None,
@@ -396,9 +391,8 @@ def divergence(grid: Grid, vec: np.ndarray, *, work: Workspace | None = None,
 
     ``work`` and ``spectrum`` as for ``gradient``.
     """
-    div_hat, real_in = _divergence_spectrum(grid, vec, Workspace() if work is None else work,
-                                            spectrum)
-    return _inverse(grid, div_hat, real_in)
+    div_hat = _divergence_spectrum(grid, vec, Workspace() if work is None else work, spectrum)
+    return _inverse(grid, div_hat)
 
 
 def inverse_laplacian_divergence(grid: Grid, vec: np.ndarray, *,
@@ -418,9 +412,9 @@ def inverse_laplacian_divergence(grid: Grid, vec: np.ndarray, *,
     given; ``work`` as for ``gradient``, and a complex result without
     ``out`` comes from it too.
     """
-    div_hat, real_in = _divergence_spectrum(grid, vec, Workspace() if work is None else work)
-    div_hat *= _layout(grid, grid.inv_k_squared_odd, real_in)
-    return _inverse(grid, div_hat, real_in, out=out)
+    div_hat = _divergence_spectrum(grid, vec, Workspace() if work is None else work)
+    div_hat *= _layout(grid, grid.inv_k_squared_odd, div_hat)
+    return _inverse(grid, div_hat, out=out)
 
 
 # ---------------------------------------------------------------------------

@@ -62,6 +62,8 @@ class InitialDataSpec:
                 raise ValueError(f"roughness_modes must be >= 1, got {self.roughness_modes}")
         require_finite_positive("width", self.width)
         require_finite_positive("mollification_k", self.mollification_k)
+        k = float(self.mollification_k)  # k * k overflows to inf, where k**2 raises
+        require_finite_positive("mollification_k squared", k * k)
         norm = float(np.linalg.norm(self.m_infinity))
         if not abs(norm - 1.0) <= 1e-9:
             raise ValueError("m_infinity must be a unit vector")
@@ -82,7 +84,7 @@ def spectral_bump(grid: Grid, width: float, center: tuple | None = None) -> np.n
         for ax in range(grid.dim):
             shift = center[ax] * grid.h
             coeffs = coeffs * np.exp(-1j * grid.axis_table(ax, grid.wavenumbers) * shift)
-    bump = _inverse(grid, coeffs, False).real
+    bump = _inverse(grid, coeffs).real
     return bump / bump.max()
 
 
@@ -94,20 +96,16 @@ def _mollifier_multiplier(grid: Grid, k: float) -> np.ndarray:
     the induced circular convolution an exact convex combination.
     """
     require_finite_positive("mollification scale k", k)
+    require_finite_positive("mollification scale k squared", float(k) * float(k))
     if 1.0 / k > grid.length / 2.0:
         raise ValueError("mollifier support 1/k must fit inside the torus (k >= 2/L)")
     s = (k**2) * grid.wrapped_dist2
     inside = s < 1.0
     denom = np.where(inside, 1.0 - s, 1.0)
     kernel = np.where(inside, np.exp(-1.0 / denom), 0.0)
-    mass = kernel.sum()
-    if mass == 0.0:
-        # support narrower than one cell: the kernel degenerates to identity
-        kernel = np.zeros(grid.shape)
-        kernel[(0,) * grid.dim] = 1.0
-        mass = 1.0
+    mass = kernel.sum()  # >= exp(-1), the origin sample; alone it is the identity
     # the full complex transform of the real kernel, not its half spectrum
-    return _forward(grid, (kernel / mass).astype(complex))[0]
+    return _forward(grid, (kernel / mass).astype(complex))
 
 
 @dataclass(frozen=True)
@@ -163,7 +161,7 @@ def _random_band_limited(grid: Grid, rng: np.random.Generator, max_mode: int) ->
         mask = mask & grid.axis_table(ax, keep)
     count = int(mask.sum())
     coeffs[mask] = rng.standard_normal(count) + 1j * rng.standard_normal(count)
-    out = _inverse(grid, coeffs, False).real
+    out = _inverse(grid, coeffs).real
     peak = np.abs(out).max()
     return out / peak if peak > 0 else out
 

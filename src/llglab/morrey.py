@@ -183,7 +183,7 @@ def _tables(lattice: BallLattice) -> dict:
                        windows=sliding_window_view(tiles, grid.shape, axis=grid.axes),
                        flat=np.ravel_multi_index(tuple(centers.T), grid.shape),
                        counts=np.count_nonzero(balls.reshape(n_radii, -1), axis=1),
-                       spectra=_forward(grid, balls.astype(float))[0])
+                       spectra=_forward(grid, balls.astype(float)))
     return _rank_cache
 
 
@@ -210,23 +210,22 @@ def _screen(tables: dict, magp: np.ndarray) -> tuple:
     return approx, fft_err + gamma * (approx + fft_err)
 
 
-def _exact_sums(tables: dict, flat: np.ndarray, shortlist: np.ndarray) -> np.ndarray:
-    """(centers, radii) array holding the exact sum of ``flat`` (raster order)
-    over each shortlisted ball; the other entries are left unset."""
-    lattice = tables["key"]
-    n_radii = len(lattice.radii)
-    sums = np.empty((lattice.n_centers, n_radii), dtype=flat.dtype)
-    rows, cols = np.divmod(shortlist, n_radii)
+def _exact_sums(tables: dict, flat: np.ndarray, rows: np.ndarray,
+                cols: np.ndarray) -> np.ndarray:
+    """The exact sum of ``flat`` (raster order) over each shortlisted ball,
+    center ``rows[i]`` and radius ``cols[i]``, in shortlist order."""
+    sums = np.empty(len(rows), dtype=flat.dtype)
     step = max(1, _CHUNK_ELEMS // flat.size)
     src = np.broadcast_to(flat, (step, flat.size))
     # the window at -c (mod N) of a tile is the ball rolled to c, in raster order
     windows, starts = tables["windows"], tables["starts"]
     for j in sorted(set(cols.tolist())):
-        need = rows[cols == j]
-        for lo in range(0, len(need), step):
-            sel = need[lo:lo + step]
+        at = np.flatnonzero(cols == j)
+        for lo in range(0, len(at), step):
+            chunk = at[lo:lo + step]
+            sel = rows[chunk]
             mask = windows[(j,) + tuple(s[sel] for s in starts)].reshape(len(sel), -1)
-            sums[sel, j] = src[:len(sel)][mask].reshape(len(sel), -1).sum(axis=1)
+            sums[chunk] = src[:len(sel)][mask].reshape(len(sel), -1).sum(axis=1)
     return sums
 
 
@@ -252,10 +251,9 @@ def morrey_norm(grid: Grid, values: np.ndarray, p: float, q: float,
     lower = (weights * (np.maximum(approx - err, 0.0) * hn)) ** (1.0 / p)
     # a ball that can reach the best lower bound, or any ball when a bound is NaN
     shortlist = np.flatnonzero(~(upper < lower.max() * (1.0 - _SHORTLIST_RTOL)))
-    sums = _exact_sums(tables, magp.ravel(), shortlist)
     rows, cols = np.divmod(shortlist, len(lattice.radii))
     # scanned as Python floats: the same IEEE products and C pow as numpy's scalars
-    exact = sums[rows, cols].tolist()
+    exact = _exact_sums(tables, magp.ravel(), rows, cols).tolist()
     weight = weights.tolist()
     best_val = -1.0
     best_center = lattice.centers[0]

@@ -25,17 +25,17 @@ def _into(out, result):
 
 
 def nd_forward(grid, values, out=None):
-    """(spectrum, real_in) from numpy's n-d wrappers: rfftn of real input,
-    fftn of complex input, over the grid axes; copied into ``out`` when given."""
-    real_in = np.isrealobj(values)
-    spec = (np.fft.rfftn if real_in else np.fft.fftn)(values, axes=grid.axes)
-    return _into(out, spec), real_in
+    """numpy's n-d wrappers' spectrum, rfftn of real input and fftn of
+    complex input over the grid axes; copied into ``out`` when given."""
+    transform = np.fft.rfftn if np.isrealobj(values) else np.fft.fftn
+    return _into(out, transform(values, axes=grid.axes))
 
 
-def nd_inverse(grid, spec, real_in, out=None):
-    """irfftn (``real_in``) or ifftn of ``spec`` over the grid axes, copied
-    into ``out`` when given; leaves ``spec`` as it was."""
-    if real_in:
+def nd_inverse(grid, spec, out=None):
+    """irfftn of a half spectrum (last axis N/2 + 1 long) or ifftn of a full
+    one over the grid axes, copied into ``out`` when given; leaves ``spec``
+    as it was."""
+    if spec.shape[-1] != grid.n:
         return _into(out, np.fft.irfftn(spec, s=grid.shape, axes=grid.axes))
     return _into(out, np.fft.ifftn(spec, axes=grid.axes))
 
@@ -46,34 +46,34 @@ def nd_spectral_operators(grid):
     library function takes after ``grid`` (derivatives along axis 0, S(t) at
     t = 0.01 with lambda = 0.5).  The multipliers and the order of the
     arithmetic are the library's, so the bytes must be equal."""
-    def half(mult, real_in):
-        return mult[..., : grid.n // 2 + 1] if real_in else mult
+    def half(mult, spec):
+        return mult[..., : grid.n // 2 + 1] if spec.shape[-1] != grid.n else mult
 
     def multiply(values, mult):
-        spec, real_in = nd_forward(grid, values)
-        return nd_inverse(grid, spec * half(mult, real_in), real_in)
+        spec = nd_forward(grid, values)
+        return nd_inverse(grid, spec * half(mult, spec))
 
     def div_hat(vec):
-        spec, real_in = nd_forward(grid, vec)
-        mults = [half(1j * grid.axis_table(ax, grid.wavenumbers_odd), real_in)
+        spec = nd_forward(grid, vec)
+        mults = [half(1j * grid.axis_table(ax, grid.wavenumbers_odd), spec)
                  for ax in range(grid.dim)]
         out = spec[0] * mults[0]
         for ax in range(1, grid.dim):
             out += spec[ax] * mults[ax]
-        return out, real_in
+        return out
 
     def gradient(values):
-        spec, real_in = nd_forward(grid, values)
+        spec = nd_forward(grid, values)
         return nd_inverse(grid, np.stack([
-            spec * half(1j * grid.axis_table(ax, grid.wavenumbers_odd), real_in)
-            for ax in range(grid.dim)]), real_in)
+            spec * half(1j * grid.axis_table(ax, grid.wavenumbers_odd), spec)
+            for ax in range(grid.dim)]))
 
     def divergence(vec):
-        return nd_inverse(grid, *div_hat(vec))
+        return nd_inverse(grid, div_hat(vec))
 
     def inverse_laplacian_divergence(vec):
-        d, real_in = div_hat(vec)
-        return nd_inverse(grid, d * half(grid.inv_k_squared_odd, real_in), real_in)
+        d = div_hat(vec)
+        return nd_inverse(grid, d * half(grid.inv_k_squared_odd, d))
 
     def apply_semigroup(values):
         spec = np.fft.fftn(np.asarray(values, dtype=complex), axes=grid.axes)

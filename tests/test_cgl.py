@@ -484,7 +484,7 @@ class TestNodeWorkspace:
         u = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         plain = gauge_fields_from_u(g, u, lam)
         plain_parts = nonlinearity_F(g, u, *plain, lam)
-        u_hat, _ = _forward(g, u)
+        u_hat = _forward(g, u)
         kept = u_hat.copy()
         shared = gauge_fields_from_u(g, u, lam, u_hat=u_hat)
         parts = nonlinearity_F(g, u, *shared, lam, u_hat=u_hat)

@@ -105,8 +105,10 @@ class TestLlgRun:
         ["--amplitude", "nan"],
         ["--dt", "1e-5", "--dt-fraction", "0.5"],
         ["--snapshot-every", "-1"],
+        ["--kind", "rough_mollified", "--mollification-k", "1e200"],
     ], ids=["negative_dt", "lambda_minus_one", "zero_outputs", "zero_dt_fraction",
-            "nan_amplitude", "dt_and_dt_fraction", "negative_snapshot_every"])
+            "nan_amplitude", "dt_and_dt_fraction", "negative_snapshot_every",
+            "mollification_k_square_overflows"])
     def test_invalid_input_exit_code(self, tmp_path, capsys, flags):
         code = main(["llg", "run", "--dim", "1", "--n", "16", "--T", "0.01",
                      "--out-dir", str(tmp_path / "llg")] + flags)
@@ -215,7 +217,10 @@ class TestRunCommand:
                          "[initial_data]\nkind = bump_chart\nwidth = nan\n"),
         ("initial_data", "[grid]\ndim = 2\nn = 16\nlength = 1.0\n"
                          "[initial_data]\nkind = bump_chart\namplitude = inf\n"),
-    ], ids=["grid", "initial_data", "nan_amplitude", "nan_width", "inf_amplitude"])
+        ("initial_data", "[grid]\ndim = 2\nn = 16\nlength = 1.0\n"
+                         "[initial_data]\nkind = rough_mollified\nmollification_k = 1e200\n"),
+    ], ids=["grid", "initial_data", "nan_amplitude", "nan_width", "inf_amplitude",
+            "mollification_k_square_overflows"])
     def test_invalid_section_value_exit_code(self, tmp_path, capsys, section, body):
         bad = tmp_path / "bad.cfg"
         bad.write_text(body + "[experiments]\nchecks = exponent_window\n[output]\ndir = o\n")
@@ -236,6 +241,36 @@ class TestRunCommand:
                        + "[experiments]\nchecks = energy\n[output]\ndir = o\n")
         assert main(["run", "--config", str(bad)]) == 2
         assert f"config error: {message}" in capsys.readouterr().err
+
+    def test_check_listed_twice_exit_code(self, tmp_path, capsys):
+        # it used to run twice and write two summary rows
+        cfg = tmp_path / "twice.cfg"
+        cfg.write_text("[grid]\ndim = 1\nn = 16\nlength = 1.0\n"
+                       "[experiments]\nchecks = exponent_window exponent_window\n[output]\n")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        assert ("config error: [experiments] checks lists 'exponent_window' twice"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_empty_output_dir_exit_code(self, tmp_path, capsys, monkeypatch):
+        # Path("") is ".": the CSVs used to land in the working directory
+        cfg = tmp_path / "empty_dir.cfg"
+        cfg.write_text("[grid]\ndim = 1\nn = 16\nlength = 1.0\n"
+                       "[experiments]\nchecks = exponent_window\n[output]\ndir =\n")
+        monkeypatch.chdir(tmp_path)
+        assert main(["run", "--config", str(cfg)]) == 2
+        assert "config error: [output] dir is empty" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["empty_dir.cfg"]
+
+    def test_out_flag_overrides_the_configured_dir(self, tmp_path, monkeypatch):
+        cfg = tmp_path / "ok.cfg"
+        cfg.write_text("[grid]\ndim = 1\nn = 16\nlength = 1.0\n"
+                       "[experiments]\nchecks = exponent_window\n[output]\ndir = configured\n")
+        monkeypatch.chdir(tmp_path)
+        assert main(["run", "--config", str(cfg), "--out", "given"]) == 0
+        assert (tmp_path / "given" / "summary.csv").exists()
+        assert not (tmp_path / "configured").exists()
 
     def test_cross_solver_lambda_mismatch_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"

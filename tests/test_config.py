@@ -6,10 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from llglab.cgl import CglConfig
-from llglab.config import _SCHEMA, ConfigError, LabConfig, parse_config
+from llglab.config import _SCHEMA, KNOWN_CHECKS, ConfigError, LabConfig, parse_config
 from llglab.fields import make_grid
 from llglab.initial_data import InitialDataSpec
 from llglab.llg import LlgConfig
+from llglab.runner import _CHECK_FUNCS
 
 SECTIONS = sorted(_SCHEMA) + ["DEFAULT", "bogus"]
 KEYS = sorted(set().union(*_SCHEMA.values())) + ["bogus"]
@@ -138,4 +139,25 @@ def test_interpolation_error_is_config_error(tmp_path):
     path.write_text("[grid]\ndim = 2\nn = 16\nlength = 1.0\n[experiments]\n"
                     "[output]\ndir = 50%\n")
     with pytest.raises(ConfigError, match=r"\[output\] dir"):
+        parse_config(path)
+
+
+def test_runner_runs_every_known_check():
+    # a check in only one table fails at run time as ERROR KeyError
+    assert sorted(_CHECK_FUNCS) == sorted(KNOWN_CHECKS)
+
+
+@pytest.mark.parametrize("checks", ["energy energy", "mollify, picard,mollify"])
+def test_check_listed_twice_is_config_error(tmp_path, checks):
+    path = tmp_path / "twice.cfg"
+    path.write_text(REQUIRED_ONLY.replace("[experiments]\n", f"[experiments]\nchecks = {checks}\n"))
+    name = checks.split()[0].rstrip(",")
+    with pytest.raises(ConfigError, match=rf"\[experiments\] checks lists '{name}' twice"):
+        parse_config(path)
+
+
+def test_empty_output_dir_is_config_error(tmp_path):
+    path = tmp_path / "empty_dir.cfg"
+    path.write_text(REQUIRED_ONLY + "dir =\n")
+    with pytest.raises(ConfigError, match=r"\[output\] dir is empty"):
         parse_config(path)

@@ -6,6 +6,7 @@ from llglab.frames import PoleProximity
 from llglab.initial_data import (
     InitialDataSpec,
     MollificationTooWeak,
+    _mollifier_multiplier,
     generate_initial_data,
     mollify_and_project,
     rough_raw_field,
@@ -168,6 +169,22 @@ class TestMollify:
         raw = rough_raw_field(g, amplitude=0.1, m_infinity=(0, 0, 1), seed=1)
         with pytest.raises(ValueError, match="mollification scale k must be finite"):
             mollify_and_project(g, raw, k)
+
+    @pytest.mark.parametrize("k", [1e200, np.float64(1e200)], ids=["float", "float64"])
+    def test_scale_with_infinite_square_rejected(self, k):
+        # k**2 overflowed: an OverflowError traceback for a float, an inf for float64
+        g = make_grid(2, 16, TWO_PI)
+        raw = rough_raw_field(g, amplitude=0.1, m_infinity=(0, 0, 1), seed=1)
+        with pytest.raises(ValueError, match="mollification scale k squared must be finite"):
+            mollify_and_project(g, raw, k)
+        with pytest.raises(ValueError, match="mollification_k squared must be finite"):
+            InitialDataSpec(kind="rough_mollified", mollification_k=k)
+
+    def test_kernel_narrower_than_a_cell_is_the_identity(self):
+        # only the origin sample is inside the support, so the multiplier is 1
+        g = make_grid(2, 16, TWO_PI)
+        mult = _mollifier_multiplier(g, 1e3)
+        assert mult.shape == g.shape and (mult == 1.0).all()
 
     def test_norm_bookkeeping_recomputable(self):
         g = make_grid(2, 32, TWO_PI)

@@ -344,14 +344,16 @@ class TestScreen:
         monkeypatch.setattr(morrey, "_rank_cache", {})
         g = make_grid(dim, n, TWO_PI)
         tables = morrey._tables(ball_lattice(g, stride=stride))
-        every_ball = np.arange(tables["key"].n_centers * len(tables["key"].radii))
+        n_radii = len(tables["key"].radii)
+        rows, cols = np.divmod(np.arange(tables["key"].n_centers * n_radii), n_radii)
         rng = np.random.default_rng(dim * n + stride)
         worst = 0.0
         for name, f in _margin_fields(g, rng).items():
             for p in (1.0, 2.0, 3.2, 7.0):
                 magp = np.abs(f) ** p
                 approx, err = morrey._screen(tables, magp)
-                exact = morrey._exact_sums(tables, magp.ravel(), every_ball)
+                exact = morrey._exact_sums(tables, magp.ravel(), rows, cols)
+                exact = exact.reshape(-1, n_radii)  # every ball, center-major
                 ratio = np.max(np.abs(approx - exact) / err)
                 assert ratio <= 0.5, (name, p, ratio)
                 worst = max(worst, ratio)
