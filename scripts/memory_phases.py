@@ -11,8 +11,10 @@ mark them:
 
 * ``first sweep`` and ``later sweeps``: ``cgl._sweep`` (the first call of
   each mild solve, then the rest);
-* ``xpt norm``: ``morrey.xpt_norm`` (the trajectory norm of a solve, and
-  each tracked iteration's);
+* ``xpt norm``: ``morrey.xpt_norm`` (each tracked iteration's trajectory
+  norm, and an untracked solve's when its ``xpt`` is first read; the
+  cross_solver and picard_large operations read none, so they show no
+  such phase);
 * ``direct solve``: ``llg.solve``;
 * ``compare``: ``experiments.compare_with_mild`` and the comparison it
   shares with ``cross_validate``, ``experiments._compare``;

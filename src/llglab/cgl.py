@@ -38,6 +38,8 @@ formed in it and replaces the old one an output time later, so a solve
 holds one trajectory, the iterate, and the residual check none of its own.
 S(t_i) v0 is never kept: each sweep remakes it from v0's spectrum with one
 inverse transform per output time.
+The result's trajectory norms ``PicardResult.xpt`` are made on first read,
+so a caller that reads only the iterate never pays for them.
 Contraction needs small initial data; large data is reported as
 NonContraction, never forced.
 """
@@ -270,13 +272,13 @@ def _forcing_at(grid: Grid, u_node: np.ndarray, lam: float, work: Workspace) -> 
 
 @dataclass
 class PicardResult:
-    """A mild solve: its last iterate and how it got there.  ``increments``
-    holds each sweep's increment; ``xpt_history`` each sweep's trajectory
-    norms when the solve tracked them, else nothing.  ``config`` is the
-    configuration it was solved with."""
+    """A mild solve on ``grid``: its last iterate and how it got there.
+    ``increments`` holds each sweep's increment; ``xpt_history`` each
+    sweep's trajectory norms when the solve tracked them, else nothing.
+    ``config`` is the configuration it was solved with."""
 
+    grid: Grid
     trajectory: Trajectory
-    xpt: XptReport
     increments: list
     converged: bool
     config: CglConfig
@@ -285,6 +287,13 @@ class PicardResult:
     @property
     def iterations(self) -> int:
         return len(self.increments)
+
+    @functools.cached_property
+    def xpt(self) -> XptReport:
+        """The last iterate's trajectory norms, made on first read."""
+        if self.xpt_history:
+            return self.xpt_history[-1]
+        return xpt_norm(self.grid, self.trajectory, self.config.p)
 
 
 class _Rule:
@@ -418,7 +427,6 @@ def picard_iterate(grid: Grid, v0: np.ndarray, config: CglConfig,
     xpt_history: list = []
     converged = False
     grow_streak = 0
-    xpt = None
     with np.errstate(over="ignore", invalid="ignore"):
         for it in range(1, config.picard_max_iter + 1):
             inc = _sweep(rule, u_old)
@@ -428,8 +436,7 @@ def picard_iterate(grid: Grid, v0: np.ndarray, config: CglConfig,
                     increments + [inc],
                 )
             if track_xpt:
-                xpt = xpt_norm(grid, Trajectory(rule.times, u_old), config.p)
-                xpt_history.append(xpt)
+                xpt_history.append(xpt_norm(grid, Trajectory(rule.times, u_old), config.p))
             if increments and inc > increments[-1]:
                 grow_streak += 1
                 if grow_streak >= 3:
@@ -445,12 +452,9 @@ def picard_iterate(grid: Grid, v0: np.ndarray, config: CglConfig,
                 converged = True
                 break
 
-    traj = Trajectory(rule.times, u_old)
-    del rule  # its workspace, multipliers and v0 spectrum go before the norm runs
-    if xpt is None:  # untracked; a tracked run already measured the final iterate
-        xpt = xpt_norm(grid, traj, config.p)
-    return PicardResult(trajectory=traj, xpt=xpt, increments=increments,
-                        converged=converged, config=config, xpt_history=xpt_history)
+    return PicardResult(grid=grid, trajectory=Trajectory(rule.times, u_old),
+                        increments=increments, converged=converged, config=config,
+                        xpt_history=xpt_history)
 
 
 def fixed_point_residual(grid: Grid, result: PicardResult, v0: np.ndarray,

@@ -158,12 +158,12 @@ def _cmd_llg_run(args) -> int:
                                wavenumber=args.wavenumber, width=args.width,
                                mollification_k=args.mollification_k)
         m0 = generate_initial_data(spec, grid, args.seed)
-        result = solve(m0, config, n_outputs=args.outputs)
+        result = solve(m0, config, np.linspace(0.0, config.t_end, args.outputs))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     out = Path(args.out_dir)
-    _write_ledger(out / "ledger.csv", result.ledger)
+    _write_ledger(out / "ledger.csv", grid, result)
     if args.snapshot_every > 0:
         for i, mv in enumerate(result.trajectory.fields):
             if i % args.snapshot_every == 0:

@@ -150,23 +150,28 @@ class UniquenessReport:
     exact_zero: bool
 
 
-def uniqueness_experiment(grid: Grid, m0: SpinField, lam: float, t_end: float,
-                          dt: float | None = None, n_outputs: int = 9) -> UniquenessReport:
+def _uniqueness_configs(grid: Grid, lam: float, t_end: float, dt: float | None = None):
+    """The two solves ``uniqueness_experiment`` compares: A is projected RK2
+    at dt (the stability cap when None), B projected RK4 at dt/2."""
+    dt = direct_config(grid, lam, t_end, dt).dt
+    return (LlgConfig(grid=grid, lam=lam, t_end=t_end, dt=dt, scheme="projected-rk2"),
+            LlgConfig(grid=grid, lam=lam, t_end=t_end, dt=dt / 2, scheme="projected-rk4"))
+
+
+def uniqueness_experiment(grid: Grid, run_a: LlgResult, run_b: LlgResult) -> UniquenessReport:
     """Two discretizations of one run; Gronwall-compensated difference decay.
 
-    Solve A is projected RK2 at dt (the stability cap when None), solve B
-    projected RK4 at dt/2; the compensated series t^(-1/2) ||mA - mB||_L2^2
-    must be nonincreasing after a start-up transient shorter than 5 output
-    steps for a PASS.  A datum that both solves leave exactly as it is (a
-    constant field) gives an exact-zero difference.  Large-data runs may
-    legitimately fail the monotonicity and come back INCONCLUSIVE.
+    ``run_a`` and ``run_b`` are the solves of ``_uniqueness_configs`` from
+    one datum, recorded at the same output times; the compensated series
+    t^(-1/2) ||mA - mB||_L2^2 must be nonincreasing after a start-up
+    transient shorter than 5 output steps for a PASS.  A datum that both
+    solves leave exactly as it is (a constant field) gives an exact-zero
+    difference.  Large-data runs may legitimately fail the monotonicity and
+    come back INCONCLUSIVE.
     """
-    dt = direct_config(grid, lam, t_end, dt).dt
-    cfg_a = LlgConfig(grid=grid, lam=lam, t_end=t_end, dt=dt, scheme="projected-rk2")
-    cfg_b = LlgConfig(grid=grid, lam=lam, t_end=t_end, dt=dt / 2, scheme="projected-rk4")
-    out_times = np.linspace(0.0, t_end, n_outputs)
-    run_a = solve(m0, cfg_a, output_times=out_times)
-    run_b = solve(m0, cfg_b, output_times=out_times)
+    out_times = run_a.trajectory.times
+    if not np.array_equal(run_b.trajectory.times, out_times):
+        raise ValueError("the two runs must record the same output times")
     diffs = np.array([
         l2_norm(grid, a - b)
         for a, b in zip(run_a.trajectory.fields, run_b.trajectory.fields)

@@ -122,33 +122,31 @@ class MollifyReport:
         return self.grad_norm_smoothed / self.grad_norm_raw
 
 
-def mollify_and_project(grid: Grid, m_raw: SpinField, k: float):
-    """Smooth a sphere-valued field with phi_k, then project to the sphere.
-
-    Raises MollificationTooWeak when the smoothed modulus drops below 3/4
-    somewhere (the projection's Lipschitz bound needs the 3/4 shell).
-    Returns (projected SpinField, MollifyReport with the norm bookkeeping).
-    """
+def _mollify(grid: Grid, raw: np.ndarray, k: float):
+    """phi_k * raw projected to the sphere, with the min and max of the
+    smoothed modulus.  Raises MollificationTooWeak when that modulus is below
+    3/4 somewhere or not finite (the projection's Lipschitz bound needs it)."""
     mult = _mollifier_multiplier(grid, k)
-    raw = m_raw.values
     smoothed = _apply_multiplier(grid, raw.astype(complex), mult).real
     modulus = np.sqrt((smoothed**2).sum(axis=0))
-    min_mod, max_mod = float(modulus.min()), float(modulus.max())
-    if min_mod < 0.75:
+    min_mod = float(modulus.min())
+    if not min_mod >= 0.75:  # NaN fails it too
         raise MollificationTooWeak(
-            f"smoothed modulus dropped to {min_mod:.4f} < 3/4; "
-            "amplitude too large for this kernel scale"
+            f"smoothed modulus dropped to {min_mod:.4f}, not >= 3/4; "
+            "amplitude too large for this kernel scale, or a non-finite sample"
         )
-    projected = SpinField(grid, smoothed / modulus)
+    return SpinField(grid, smoothed / modulus), min_mod, float(modulus.max())
 
-    def grad_norm(mv):
-        return morrey_norm(grid, gradient(grid, mv), 2.0, 2.0).value
 
-    report = MollifyReport(
-        min_modulus=min_mod, max_modulus=max_mod,
-        grad_norm_raw=grad_norm(raw), grad_norm_smoothed=grad_norm(projected.values),
-    )
-    return projected, report
+def mollify_and_project(grid: Grid, m_raw: SpinField, k: float):
+    """Smooth a sphere-valued field with phi_k, then project to the sphere, as
+    ``_mollify`` does.  Returns (projected SpinField, MollifyReport with the
+    norm bookkeeping)."""
+    raw = m_raw.values
+    projected, min_mod, max_mod = _mollify(grid, raw, k)
+    grad_raw, grad_smoothed = (morrey_norm(grid, gradient(grid, mv), 2.0, 2.0).value
+                               for mv in (raw, projected.values))
+    return projected, MollifyReport(min_mod, max_mod, grad_raw, grad_smoothed)
 
 
 def _random_band_limited(grid: Grid, rng: np.random.Generator, max_mode: int) -> np.ndarray:
@@ -220,5 +218,4 @@ def generate_initial_data(spec: InitialDataSpec, grid: Grid, seed: int = 0) -> S
     # rough_mollified
     raw = rough_raw_field(grid, spec.amplitude, m_inf, seed,
                           max_mode=spec.roughness_modes)
-    projected, _ = mollify_and_project(grid, raw, spec.mollification_k)
-    return projected
+    return _mollify(grid, raw.values, spec.mollification_k)[0]

@@ -36,7 +36,6 @@ from .fields import (
     require_finite_positive,
     sup_norm,
 )
-from .morrey import morrey_norm
 
 __all__ = [
     "BlowupSuspected",
@@ -164,7 +163,6 @@ class EnergyLedger:
     energy: np.ndarray
     dissipation: np.ndarray
     sup_grad: np.ndarray
-    morrey22: np.ndarray
 
 
 @dataclass
@@ -174,7 +172,7 @@ class LlgResult:
     meta: dict = field(default_factory=dict)
 
 
-def solve(m0: SpinField, config: LlgConfig, output_times=None, n_outputs: int = 17) -> LlgResult:
+def solve(m0: SpinField, config: LlgConfig, output_times) -> LlgResult:
     """March m0 to t_end, recording snapshots and the energy ledger.
 
     The dissipation integral accumulates by trapezoid at every integrator
@@ -186,8 +184,6 @@ def solve(m0: SpinField, config: LlgConfig, output_times=None, n_outputs: int = 
     grid = config.grid
     if m0.grid != grid:
         raise ValueError(f"m0 lies on {m0.grid}, not on the config's {grid}")
-    if output_times is None:
-        output_times = np.linspace(0.0, config.t_end, n_outputs)
     output_times = np.asarray(output_times, dtype=float)
     if len(output_times) < MIN_OUTPUTS:
         raise ValueError(f"need at least {MIN_OUTPUTS} output times, got {len(output_times)}")
@@ -209,7 +205,7 @@ def solve(m0: SpinField, config: LlgConfig, output_times=None, n_outputs: int = 
     def grad_mag(mv):
         return pointwise_magnitude(grid, gradient(grid, mv))
 
-    times_out, snaps, energies, dissip, supg, mor22 = [], [], [], [], [], []
+    times_out, snaps, energies, dissip, supg = [], [], [], [], []
     dissipated = 0.0
     rhs_power = power(rhs)
     grad_limit = GRAD_BLOWUP_FACTOR / grid.h
@@ -227,7 +223,6 @@ def solve(m0: SpinField, config: LlgConfig, output_times=None, n_outputs: int = 
         energies.append(0.5 * float((g * g).sum() * hn))
         dissip.append(dissipated)
         supg.append(sg)
-        mor22.append(morrey_norm(grid, g, 2.0, 2.0).value)
 
     record(m)
     for i in range(len(output_times) - 1):
@@ -248,7 +243,6 @@ def solve(m0: SpinField, config: LlgConfig, output_times=None, n_outputs: int = 
     ledger = EnergyLedger(
         times=np.asarray(times_out), energy=np.asarray(energies),
         dissipation=np.asarray(dissip), sup_grad=np.asarray(supg),
-        morrey22=np.asarray(mor22),
     )
     return LlgResult(trajectory=Trajectory(np.asarray(times_out), snaps),
                      ledger=ledger, meta={"steps": step_index})

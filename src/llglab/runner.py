@@ -5,11 +5,11 @@ reports return values, and ``_write_csv`` formats every file, the command
 line's included.
 
 The checks of one run share its datum m0, the gauge datum v0, the direct runs
-(one per distinct config and output times, so ``energy`` and ``cross_solver``
-share one when they ask for the same run) and the mild solve, each made when a
-check first reads it: a run makes each solve once, and a check run alone pays
-only for what it reads.  A solve that raises keeps nothing, so every check
-that reads it sees the same error.
+(one per distinct config and output times, so ``energy``, ``cross_solver`` and
+``uniqueness`` share one when they ask for the same run) and the mild solve,
+each made when a check first reads it: a run makes each solve once, and a
+check run alone pays only for what it reads.  A solve that raises keeps
+nothing, so every check that reads it sees the same error.
 
 Every PASS/FAIL in the summary is recomputable from the emitted CSVs alone;
 files contain no timestamps, and a fixed seed gives byte-identical output
@@ -32,12 +32,13 @@ from .cgl import (
     stability_experiment,
 )
 from .config import LabConfig, parse_config
-from .experiments import (compare_with_mild, decay_report, direct_config, mild_initial_data,
-                          uniqueness_experiment)
-from .fields import float_repr
+from .experiments import (_uniqueness_configs, compare_with_mild, decay_report, direct_config,
+                          mild_initial_data, uniqueness_experiment)
+from .fields import float_repr, gradient, pointwise_magnitude
 from .frames import build_frame, check_identities, coulomb_gauge_fix, derive_gauge
 from .initial_data import generate_initial_data, mollify_and_project, rough_raw_field
 from .llg import check_energy_inequality, llg_rhs, solve
+from .morrey import morrey_norm
 from .semigroup import decay_datum, verify_decays
 
 __all__ = ["CheckOutcome", "run_experiment", "run_config"]
@@ -107,10 +108,13 @@ def _write_csv(path: Path, header: str, rows) -> None:
             fh.write(",".join(map(_cell, row)) + "\n")
 
 
-def _write_ledger(path: Path, ledger) -> None:
+def _write_ledger(path: Path, grid, result) -> None:
+    """A direct run's ledger; each row's ||grad m||_{M^{2,2}} is measured as it is written."""
+    ledger = result.ledger
+    morrey22 = (morrey_norm(grid, pointwise_magnitude(grid, gradient(grid, mv)), 2.0, 2.0).value
+                for mv in result.trajectory.fields)
     _write_csv(path, "t,E,dissipation,sup_grad,morrey22",
-               zip(ledger.times, ledger.energy, ledger.dissipation, ledger.sup_grad,
-                   ledger.morrey22))
+               zip(ledger.times, ledger.energy, ledger.dissipation, ledger.sup_grad, morrey22))
 
 
 def _write_picard_log(path: Path, result) -> None:
@@ -127,7 +131,7 @@ def _write_decay_series(path: Path, rep) -> None:
 
 
 def _check_energy(run: _Run, outdir: Path) -> CheckOutcome:
-    _write_ledger(outdir / "energy_ledger.csv", run.direct.ledger)
+    _write_ledger(outdir / "energy_ledger.csv", run.grid, run.direct)
     check = check_energy_inequality(run.direct.ledger, run.cfg.llg.lam)
     status = "PASS" if check.passed else "FAIL"
     return CheckOutcome("energy", status,
@@ -220,8 +224,10 @@ def _check_cross_solver(run: _Run, outdir: Path) -> CheckOutcome:
 
 def _check_uniqueness(run: _Run, outdir: Path) -> CheckOutcome:
     llg = run.cfg.llg
-    rep = uniqueness_experiment(run.grid, run.m0, llg.lam, llg.t_end,
-                                dt=llg.dt, n_outputs=run.cfg.llg_outputs)
+    times = np.linspace(0.0, llg.t_end, run.cfg.llg_outputs)
+    run_a, run_b = (run.direct_run(cfg, times)
+                    for cfg in _uniqueness_configs(run.grid, llg.lam, llg.t_end, llg.dt))
+    rep = uniqueness_experiment(run.grid, run_a, run_b)
     _write_csv(outdir / "uniqueness.csv", "t,difference,compensated",
                zip(rep.times, rep.differences, rep.compensated))
     return CheckOutcome("uniqueness", rep.status,

@@ -245,7 +245,7 @@ def reference_picard_iterate(grid, v0, config, track_xpt=False):
     free = [apply_semigroup(v0, t, rule.params) for t in times]
     u_old = [f.copy() for f in free]
     increments, xpt_history = [], []
-    converged, grow_streak, xpt = False, 0, None
+    converged, grow_streak = False, 0
     with np.errstate(over="ignore", invalid="ignore"):
         for it in range(1, config.picard_max_iter + 1):
             integrals = list(rule.integrals(u_old))
@@ -257,8 +257,7 @@ def reference_picard_iterate(grid, v0, config, track_xpt=False):
                     f"iterate diverged (non-finite increment at iteration {it})",
                     increments + [inc])
             if track_xpt:
-                xpt = xpt_norm(grid, Trajectory(times, u_new), config.p)
-                xpt_history.append(xpt)
+                xpt_history.append(xpt_norm(grid, Trajectory(times, u_new), config.p))
             if increments and inc > increments[-1]:
                 grow_streak += 1
                 if grow_streak >= 3:
@@ -273,8 +272,7 @@ def reference_picard_iterate(grid, v0, config, track_xpt=False):
             if inc < config.picard_tol:
                 converged = True
                 break
-    traj = Trajectory(times, u_old)
-    return cgl.PicardResult(trajectory=traj, xpt=xpt or xpt_norm(grid, traj, config.p),
+    return cgl.PicardResult(grid=grid, trajectory=Trajectory(times, u_old),
                             increments=increments, converged=converged,
                             config=config, xpt_history=xpt_history)
 

@@ -81,7 +81,7 @@ def test_short_energy_run():
     m0 = smooth_spin3(g)
     cap = stability_cap(g, 1.0)
     cfg = LlgConfig(grid=g, lam=1.0, t_end=20 * cap, dt=cap)
-    res = solve(m0, cfg, n_outputs=5)
+    res = solve(m0, cfg, np.linspace(0.0, cfg.t_end, 5))
     assert np.all(np.diff(res.ledger.energy) <= 1e-12)
     assert res.trajectory.fields[-1].shape == (3,) + g.shape
     combined = res.ledger.energy + 0.5 * res.ledger.dissipation - res.ledger.energy[0]

@@ -217,7 +217,7 @@ def test_c07_energy_law():
             L.InitialDataSpec(kind="equatorial_wave", amplitude=0.1, wavenumber=1), g)
         cap = L.stability_cap(g, 1.0)
         cfg = L.LlgConfig(grid=g, lam=1.0, t_end=1.0, dt=cap / 4.0)
-        res = L.solve(m0, cfg, n_outputs=33)
+        res = L.solve(m0, cfg, np.linspace(0.0, cfg.t_end, 33))
         e0 = res.ledger.energy[0]
         assert abs(e0 - 0.01 * np.pi / 2.0) < 1e-6
         check = L.check_energy_inequality(res.ledger, 1.0)

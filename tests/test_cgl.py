@@ -211,6 +211,8 @@ class TestPicard:
         assert np.abs(result.trajectory.fields[0] - v0).max() < 1e-15
 
     def test_tracked_solve_measures_each_iterate_once(self, monkeypatch):
+        # a tracked solve measures every sweep's iterate and no more; an
+        # untracked one measures its last iterate when .xpt is first read
         g = make_grid(2, 16, TWO_PI)
         v0 = normalized(g, bump_pair(g), 1e-3)
         calls = []
@@ -225,9 +227,14 @@ class TestPicard:
         assert len(calls) == tracked.iterations
         assert len(tracked.xpt_history) == tracked.iterations
         assert tracked.xpt_history[-1] is tracked.xpt
+        assert len(calls) == tracked.iterations
         untracked = picard_iterate(g, v0, self.small_config())
+        assert len(calls) == tracked.iterations
+        first = untracked.xpt
         assert len(calls) == tracked.iterations + 1
-        assert untracked.xpt == tracked.xpt
+        assert untracked.xpt is first
+        assert len(calls) == tracked.iterations + 1
+        assert first == tracked.xpt
 
     def test_overflowed_iterate_raises_noncontraction(self):
         # once every time after t = 0 is NaN, only the finite t = 0 term (0.0)
@@ -660,7 +667,9 @@ class TestSweepMemory:
     residual; the streaming one, which kept every S(t_i) v0, at 67 (two
     trajectories, 34, plus the node workspace, multipliers and norms) and
     17; remaking S(t_i) v0 from v0's spectrum brought the solve to 41, a
-    peak set by the final trajectory norm, not by the sweeps."""
+    peak set by the final trajectory norm, not by the sweeps.  That norm is
+    now made on first read of ``xpt``, outside the solve, which peaks at
+    34.9."""
 
     @staticmethod
     def traced_peak(run):

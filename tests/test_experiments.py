@@ -13,6 +13,7 @@ from llglab.experiments import (
     cross_validate_refinement,
     decay_report,
     direct_config,
+    _uniqueness_configs,
     mild_initial_data,
     uniqueness_experiment,
 )
@@ -110,8 +111,8 @@ class TestCrossValidate:
         # the comparison reads |u| of the mild solve alone, so the solve and
         # its datum go before the direct run.  2-D N=32, 16 x 8 nodes; a
         # field is one (2, 32, 32) complex array.  Holding the solve through
-        # the direct run peaked at 54.1 fields; now the mild solve's
-        # trajectory norm sets the peak, at 41.6
+        # the direct run peaked at 54.1 fields, and the mild solve's final
+        # trajectory norm at 41.6; with that norm made only on read, 35.9
         import tracemalloc
 
         g = make_grid(2, 32, TWO_PI)
@@ -133,6 +134,28 @@ class TestCrossValidate:
             tracemalloc.stop()
         field = 2 * g.num_points * np.dtype(complex).itemsize
         assert peak <= 46 * field, f"cross_validate peaked at {peak / field:.1f} fields"
+
+    def test_reads_no_norm_the_comparison_does_not_need(self, monkeypatch):
+        # neither the mild solve's trajectory norms nor the direct run's
+        # ledger norms are made: the one ball norm is the smallness check
+        calls = []
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] != "llglab":
+                continue
+            for fn in ("morrey_norm", "xpt_norm"):
+                if hasattr(module, fn):
+                    def spy(*args, _fn=fn, _original=getattr(module, fn), **kwargs):
+                        calls.append(_fn)
+                        return _original(*args, **kwargs)
+
+                    monkeypatch.setattr(module, fn, spy)
+        g = make_grid(2, 16, TWO_PI)
+        m0 = generate_initial_data(
+            InitialDataSpec(kind="equatorial_wave", amplitude=0.01), g)
+        rep = cross_validate(g, m0, lam=1.0, t_end=0.05, time_steps=4,
+                             duhamel_substeps=2, picard_tol=1e-12)
+        assert rep.sup_discrepancy <= 1e-3
+        assert calls == ["morrey_norm"]
 
     def test_refinement_rejects_zero_direct_dt(self):
         g = make_grid(2, 16, TWO_PI)
@@ -252,12 +275,19 @@ class TestMildInitialData:
             mild_initial_data(make_grid(1, 16, 2.0 * TWO_PI), m0)
 
 
+def fresh_uniqueness(grid, m0, lam, t_end, outputs, dt=None):
+    """uniqueness_experiment on two solves of its configs made here."""
+    times = np.linspace(0.0, t_end, outputs)
+    return uniqueness_experiment(grid, *(
+        solve(m0, cfg, times) for cfg in _uniqueness_configs(grid, lam, t_end, dt)))
+
+
 class TestUniqueness:
     def test_identical_discretizations_exact_zero(self):
         # a constant datum is a fixed point of both discretizations
         g = make_grid(2, 16, TWO_PI)
         m0 = generate_initial_data(InitialDataSpec(kind="constant"), g)
-        rep = uniqueness_experiment(g, m0, lam=1.0, t_end=0.1, n_outputs=5)
+        rep = fresh_uniqueness(g, m0, lam=1.0, t_end=0.1, outputs=5)
         assert rep.differences.max() == 0.0
         assert rep.exact_zero
         assert rep.status == "PASS"
@@ -266,7 +296,7 @@ class TestUniqueness:
         g = make_grid(2, 32, TWO_PI)
         m0 = generate_initial_data(
             InitialDataSpec(kind="equatorial_wave", amplitude=0.1, wavenumber=2), g)
-        rep = uniqueness_experiment(g, m0, lam=1.0, t_end=0.6, n_outputs=9)
+        rep = fresh_uniqueness(g, m0, lam=1.0, t_end=0.6, outputs=9)
         assert rep.status == "PASS"
         assert rep.transient_steps < 5
 
@@ -276,7 +306,7 @@ class TestUniqueness:
         theta = 2.5 * np.sin(6 * x)
         m0 = SpinField.from_values(g, np.stack(
             [np.cos(theta), np.sin(theta), np.zeros_like(theta)]))
-        rep = uniqueness_experiment(g, m0, lam=0.2, t_end=0.05, n_outputs=9)
+        rep = fresh_uniqueness(g, m0, lam=0.2, t_end=0.05, outputs=9)
         # growth-dominated window: either INCONCLUSIVE or genuinely monotone,
         # but a rising tail must never be stamped PASS
         comp = rep.compensated[rep.times > 0]
@@ -285,12 +315,20 @@ class TestUniqueness:
             assert peak < 5
             assert np.all(np.diff(comp[peak:]) <= 1e-9 * comp.max())
 
+    def test_runs_at_other_times_rejected(self):
+        g = make_grid(1, 16, TWO_PI)
+        m0 = generate_initial_data(InitialDataSpec(kind="equatorial_wave"), g)
+        cfg_a, cfg_b = _uniqueness_configs(g, 1.0, 0.01)
+        with pytest.raises(ValueError, match="same output times"):
+            uniqueness_experiment(g, solve(m0, cfg_a, np.linspace(0.0, 0.01, 3)),
+                                  solve(m0, cfg_b, np.linspace(0.0, 0.01, 5)))
+
 
 class TestSolutionDecay:
     def test_constant_data_all_zero(self):
         g = make_grid(1, 16, TWO_PI)
         cfg = LlgConfig(grid=g, lam=1.0, t_end=0.05, dt=stability_cap(g, 1.0))
-        res = solve(constant_spin(g), cfg, n_outputs=5)
+        res = solve(constant_spin(g), cfg, np.linspace(0.0, cfg.t_end, 5))
         table = decay_report(g, res.trajectory)
         assert np.abs(table.first_order).max() < 1e-14
         assert np.abs(table.second_order).max() < 1e-12
@@ -301,7 +339,7 @@ class TestSolutionDecay:
         m0 = generate_initial_data(
             InitialDataSpec(kind="equatorial_wave", amplitude=0.1), g)
         cfg = LlgConfig(grid=g, lam=1.0, t_end=0.5, dt=stability_cap(g, 1.0))
-        res = solve(m0, cfg, n_outputs=17)
+        res = solve(m0, cfg, np.linspace(0.0, cfg.t_end, 17))
         table = decay_report(g, res.trajectory)
         assert table.passed
 
@@ -311,7 +349,7 @@ class TestSolutionDecay:
             InitialDataSpec(kind="rough_mollified", amplitude=0.2,
                             mollification_k=8.0), g, seed=3)
         cfg = LlgConfig(grid=g, lam=1.0, t_end=0.3, dt=stability_cap(g, 1.0))
-        res = solve(m0, cfg, n_outputs=13)
+        res = solve(m0, cfg, np.linspace(0.0, cfg.t_end, 13))
         table = decay_report(g, res.trajectory)
         assert table.passed
         assert np.isfinite(table.first_order).all()
@@ -393,6 +431,37 @@ class TestRunner:
         outcomes, _ = run_config(cfg)
         assert [o.status for o in outcomes] == ["PASS"] * 4
         assert sorted(calls) == ["picard_iterate", "solve", "solve"]
+
+    @staticmethod
+    def uniqueness_config(tmp_path):
+        # 1-D N=16; [llg] is solve A of uniqueness (RK2 at the stability cap)
+        path = tmp_path / "uniqueness.cfg"
+        text = SMOKE_TEMPLATE.format(checks="energy uniqueness", outdir=tmp_path / "out")
+        path.write_text(text.replace("dim = 2", "dim = 1"))
+        return parse_config(path)
+
+    def test_uniqueness_reads_the_llg_run(self, tmp_path, monkeypatch):
+        schemes = []
+        for module in (runner, experiments):
+            def spy(m0, config, *args, _original=module.solve, **kwargs):
+                schemes.append(config.scheme)
+                return _original(m0, config, *args, **kwargs)
+
+            monkeypatch.setattr(module, "solve", spy)
+        outcomes, _ = run_config(self.uniqueness_config(tmp_path))
+        assert [o.status for o in outcomes] == ["PASS", "PASS"]
+        assert schemes == ["projected-rk2", "projected-rk4"]
+
+    def test_uniqueness_rows_are_the_experiment_on_fresh_solves(self, tmp_path):
+        cfg = self.uniqueness_config(tmp_path)
+        run_config(cfg)
+        m0 = generate_initial_data(cfg.initial_data, cfg.grid, cfg.effective_seed)
+        llg = cfg.llg
+        rep = fresh_uniqueness(cfg.grid, m0, llg.lam, llg.t_end, cfg.llg_outputs, llg.dt)
+        _write_csv(tmp_path / "want.csv", "t,difference,compensated",
+                   zip(rep.times, rep.differences, rep.compensated))
+        assert ((tmp_path / "out" / "uniqueness.csv").read_bytes()
+                == (tmp_path / "want.csv").read_bytes())
 
     def test_checks_alone_write_the_bytes_of_the_full_run(self, tmp_path):
         run_config(self.config_with_cgl(tmp_path, SHARED_SOLVES, "full"))

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from llglab.fields import derivative, make_grid
+from llglab import initial_data
+from llglab.fields import SpinField, derivative, make_grid
 from llglab.frames import PoleProximity
 from llglab.initial_data import (
     InitialDataSpec,
@@ -149,6 +150,31 @@ class TestMollify:
             projected, rep = mollify_and_project(g, raw, k)
             assert rep.amplification <= 8.0
             assert projected.unit_defect() < 1e-14
+
+    def test_non_finite_sample_raises(self):
+        # a NaN sample spreads through the smoothing; the shell test must not
+        # pass it on to the norms
+        g = make_grid(2, 16, TWO_PI)
+        values = rough_raw_field(g, amplitude=0.1, m_infinity=(0, 0, 1), seed=1).values.copy()
+        values[0, 3, 5] = np.nan
+        with pytest.raises(MollificationTooWeak, match="not >= 3/4"):
+            mollify_and_project(g, SpinField(g, values), 4.0)
+
+    def test_datum_is_the_projection_without_its_report(self, monkeypatch):
+        g = make_grid(2, 32, TWO_PI)
+        spec = InitialDataSpec(kind="rough_mollified", amplitude=0.3, mollification_k=4.0)
+        raw = rough_raw_field(g, spec.amplitude, spec.m_infinity, 5)
+        want = mollify_and_project(g, raw, spec.mollification_k)[0]
+        calls = []
+
+        def counting_morrey_norm(*args, **kwargs):
+            calls.append(args)
+            return morrey_norm(*args, **kwargs)
+
+        monkeypatch.setattr(initial_data, "morrey_norm", counting_morrey_norm)
+        got = generate_initial_data(spec, g, seed=5)
+        assert calls == []
+        assert got.values.tobytes() == want.values.tobytes()
 
     def test_too_weak_raises(self):
         g = make_grid(2, 64, TWO_PI)

@@ -233,7 +233,8 @@ class TestStep:
     def one_step(m):
         # a solve of exactly one step: t_end is the step the config allows
         dt = stability_cap(m.grid, 1.0)
-        res = solve(m, LlgConfig(grid=m.grid, lam=1.0, t_end=dt, dt=dt), n_outputs=2)
+        res = solve(m, LlgConfig(grid=m.grid, lam=1.0, t_end=dt, dt=dt),
+                    np.linspace(0.0, dt, 2))
         assert res.meta["steps"] == 1
         return res.trajectory.fields[-1]
 
@@ -304,7 +305,7 @@ class TestSolve:
     def test_constant_trajectory(self):
         g = make_grid(1, 16, TWO_PI)
         cfg = LlgConfig(grid=g, lam=1.0, t_end=0.01, dt=stability_cap(g, 1.0))
-        res = solve(constant_spin(g), cfg, n_outputs=3)
+        res = solve(constant_spin(g), cfg, np.linspace(0.0, cfg.t_end, 3))
         assert np.abs(res.ledger.energy).max() < 1e-20
         for mv in res.trajectory.fields:
             assert np.abs(mv - res.trajectory.fields[0]).max() < 1e-13
@@ -312,14 +313,14 @@ class TestSolve:
     def test_equatorial_energy_start_and_monotonicity(self):
         g = make_grid(1, 64, TWO_PI)
         cfg = LlgConfig(grid=g, lam=1.0, t_end=0.2, dt=stability_cap(g, 1.0) / 2)
-        res = solve(equatorial(g, amplitude=0.1), cfg, n_outputs=9)
+        res = solve(equatorial(g, amplitude=0.1), cfg, np.linspace(0.0, cfg.t_end, 9))
         assert res.ledger.energy[0] == pytest.approx(0.005 * np.pi, abs=1e-12)
         assert np.all(np.diff(res.ledger.energy) <= 1e-12)
 
     def test_energy_equality(self):
         g = make_grid(1, 64, TWO_PI)
         cfg = LlgConfig(grid=g, lam=1.0, t_end=0.2, dt=stability_cap(g, 1.0) / 4)
-        res = solve(equatorial(g, amplitude=0.1), cfg, n_outputs=9)
+        res = solve(equatorial(g, amplitude=0.1), cfg, np.linspace(0.0, cfg.t_end, 9))
         check = check_energy_inequality(res.ledger, 1.0)
         assert check.passed
         assert check.equality_ok
@@ -344,7 +345,8 @@ class TestSolve:
         g = make_grid(1, 16, TWO_PI)
         cfg = LlgConfig(grid=g, lam=1.0, t_end=0.01, dt=stability_cap(g, 1.0))
         with pytest.raises(ValueError, match="not on the config's"):
-            solve(equatorial(make_grid(1, 16, 2.0 * TWO_PI)), cfg, n_outputs=2)
+            solve(equatorial(make_grid(1, 16, 2.0 * TWO_PI)), cfg,
+                  np.linspace(0.0, cfg.t_end, 2))
 
     def test_wild_data_never_fails_silently(self):
         g = make_grid(1, 64, TWO_PI)
@@ -354,7 +356,7 @@ class TestSolve:
             [np.cos(theta), np.sin(theta), np.zeros_like(theta)]))
         cfg = LlgConfig(grid=g, lam=0.05, t_end=0.2, dt=stability_cap(g, 0.05))
         try:
-            res = solve(m, cfg, n_outputs=5)
+            res = solve(m, cfg, np.linspace(0.0, cfg.t_end, 5))
             assert np.isfinite(res.ledger.sup_grad).all()
         except BlowupSuspected as exc:
             assert exc.time is not None
@@ -405,7 +407,7 @@ class TestDiagnostics:
     def test_local_energy_constant_trajectory(self):
         g = make_grid(2, 16, TWO_PI)
         cfg = LlgConfig(grid=g, lam=1.0, t_end=1.3, dt=stability_cap(g, 1.0))
-        res = solve(constant_spin(g), cfg, n_outputs=9)
+        res = solve(constant_spin(g), cfg, np.linspace(0.0, cfg.t_end, 9))
         check = check_local_energy(g, res.trajectory, center=(8, 8), t0=1.2, r0=1.0, lam=1.0)
         assert check.lhs == pytest.approx(0.0, abs=1e-20)
         assert check.rhs == pytest.approx(0.0, abs=1e-20)
@@ -418,7 +420,7 @@ class TestDiagnostics:
         m0 = SpinField.from_values(g, np.stack([
             np.sin(theta), np.zeros_like(theta), np.cos(theta)]))
         cfg = LlgConfig(grid=g, lam=1.0, t_end=1.3, dt=stability_cap(g, 1.0))
-        res = solve(m0, cfg, n_outputs=17)
+        res = solve(m0, cfg, np.linspace(0.0, cfg.t_end, 17))
         check = check_local_energy(g, res.trajectory, center=(16, 16), t0=1.2, r0=1.0,
                                    lam=1.0)
         assert check.passed
